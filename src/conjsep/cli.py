@@ -379,9 +379,7 @@ def _print_human(report: dict) -> None:
             print(f"  level {lv['level']}: {state} [{lv['method']}]{note}")
         print(f"summary: {r['summary']}")
     elif cmd == "selftest":
-        for check in report["checks"]:
-            status = "ok " if check["pass"] else "FAIL"
-            print(f"[{status}] {check['name']}")
+        _print_checks(report)
         if r["first_failure"]:
             print(f"selftest: FIRST FAILURE: {r['first_failure']}")
         else:

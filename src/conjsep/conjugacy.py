@@ -11,10 +11,10 @@ check between quotient separability and coset separability.
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass
+from functools import reduce
 
-from .errors import ClassTooHigh, NonAbelianPart, SizeLimit
+from .errors import ClassTooHigh, NonAbelianPart, SizeLimit, VerificationFailed
 from .finite import FiniteGroup
 from .groupspec import (
     MatrixGroupSpec,
@@ -41,31 +41,33 @@ def conjugate_in_finite(group: FiniteGroup, x, y) -> ConjugacyAnswer:
     """Breadth-first orbit of x under conjugation by generators.
 
     Deterministic: the queue is FIFO and generators are tried in listed
-    order, so the recorded conjugator word is the smallest BFS word.
+    order, so the recorded conjugator word is the smallest BFS word.  The
+    search stops when y appears; the conjugator and its word are read off
+    the Schreier tree path from x to y and re-verified.
     """
     if x not in group or y not in group:
         raise KeyError("x and y must be elements of the group")
     if x == y:
         return ConjugacyAnswer(True, group.identity, "orbit", "")
+    tree = {}
+    for point, parent, i in group.conjugation_orbit(x):
+        tree[point] = (parent, i)
+        if point == y:
+            break
+    else:
+        return ConjugacyAnswer(False, method="orbit")
+    path = []
+    while point != x:
+        point, i = tree[point]
+        path.append(group.generators[i])
+    path.reverse()
     mul = group.mul
-    geninfo = [(s, group.inverse(s), group.label(s)) for s in group.generators]
-    seen = {x: (group.identity, "")}
-    queue = deque([x])
-    while queue:
-        e = queue.popleft()
-        g_e, w_e = seen[e]
-        for s, sinv, lab in geninfo:
-            f = mul(sinv, mul(e, s))
-            if f in seen:
-                continue
-            g_f = mul(g_e, s)
-            w_f = w_e + ("*" if w_e else "") + lab
-            seen[f] = (g_f, w_f)
-            if f == y:
-                assert mul(group.inverse(g_f), mul(x, g_f)) == y
-                return ConjugacyAnswer(True, g_f, "orbit", w_f)
-            queue.append(f)
-    return ConjugacyAnswer(False, method="orbit")
+    g = reduce(mul, path, group.identity)
+    if mul(group.inverse(g), mul(x, g)) != y:
+        raise VerificationFailed(
+            "conjugator", f"{group.label(g)} does not conjugate x to y in {group.name}"
+        )
+    return ConjugacyAnswer(True, g, "orbit", "*".join(map(group.label, path)))
 
 
 def class2_conjugate(spec: MatrixGroupSpec, x: UTMatrix, y: UTMatrix) -> ConjugacyAnswer:
@@ -108,7 +110,8 @@ def class2_conjugate(spec: MatrixGroupSpec, x: UTMatrix, y: UTMatrix) -> Conjuga
         if e:
             g = g * gen**e
             word_parts.append(gn if e == 1 else f"{gn}^{e}")
-    assert g.inverse() * x * g == y
+    if g.inverse() * x * g != y:
+        raise VerificationFailed("conjugator", f"{'*'.join(word_parts)} does not conjugate x to y")
     return ConjugacyAnswer(True, g, "class2-lattice", "*".join(word_parts))
 
 
@@ -245,14 +248,8 @@ def quotient_coset_equivalence(group: FiniteGroup, normal_n, p: int) -> Equivale
     kernels.  Both sides are exhaustive enumerations.
     """
     nsub = frozenset(normal_n)
-    seen = set()
-    reps = []
-    for e in group.elements:
-        if e in seen:
-            continue
-        coset = frozenset(group.mul(e, x) for x in nsub)
-        seen |= coset
-        reps.append(e)
+    quot, hom = group.quotient(nsub)
+    reps = [hom.section[coset] for coset in quot.elements]
     left = True
     detail = ""
     for rep in reps:
@@ -269,7 +266,6 @@ def quotient_coset_equivalence(group: FiniteGroup, normal_n, p: int) -> Equivale
                 break
         if not left:
             break
-    quot, _ = group.quotient(nsub)
     right, failing = is_conjugacy_p_separable(quot, p)
     if not right and not detail:
         detail = (

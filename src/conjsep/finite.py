@@ -7,12 +7,33 @@ build while table-backed presets keep exact, human-readable element names.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import DimensionMismatch, SizeLimit
 from .intlin import prime_power_exponent
 from .unitri import ResidueUT
+
+
+def orbit(start, gens, act):
+    """Breadth-first orbit of start under act(point, gen), gens in listed order.
+
+    Yields each point once as (point, parent, i) with point == act(parent,
+    gens[i]), starting with (start, None, None): the edges of a Schreier tree.
+    """
+    seen = {start}
+    queue = deque([start])
+    yield start, None, None
+    while queue:
+        e = queue.popleft()
+        for i, s in enumerate(gens):
+            f = act(e, s)
+            if f not in seen:
+                seen.add(f)
+                queue.append(f)
+                yield f, e, i
 
 
 class FiniteGroup:
@@ -78,28 +99,23 @@ class FiniteGroup:
 
     # -- structure ---------------------------------------------------------
 
+    def conjugation_orbit(self, x):
+        """`orbit` of x, where edge i maps e to s^-1 * e * s for s = generators[i]."""
+        mul = self.mul
+        pairs = [(s, self.inverse(s)) for s in self.generators]
+        return orbit(x, pairs, lambda e, pair: mul(pair[1], mul(e, pair[0])))
+
     def conjugacy_classes(self) -> tuple:
         """Partition into conjugacy classes, deterministic in element order."""
         if self._classes is None:
-            geninfo = [(s, self.inverse(s)) for s in self.generators]
             cls_list = []
             cls_of = {}
             for x in self.elements:
                 if x in cls_of:
                     continue
-                cid = len(cls_list)
-                orbit = [x]
-                cls_of[x] = cid
-                queue = deque([x])
-                while queue:
-                    e = queue.popleft()
-                    for s, sinv in geninfo:
-                        f = self.mul(sinv, self.mul(e, s))
-                        if f not in cls_of:
-                            cls_of[f] = cid
-                            orbit.append(f)
-                            queue.append(f)
-                cls_list.append(frozenset(orbit))
+                cls = frozenset(point for point, _, _ in self.conjugation_orbit(x))
+                cls_of.update(dict.fromkeys(cls, len(cls_list)))
+                cls_list.append(cls)
             self._classes = tuple(cls_list)
             self._class_of = cls_of
         return self._classes
@@ -111,16 +127,7 @@ class FiniteGroup:
     def subgroup_closure(self, seed) -> frozenset:
         """The subgroup generated by the seed elements."""
         seed = sorted(seed, key=self._index.get)
-        seen = {self.identity}
-        queue = deque([self.identity])
-        while queue:
-            e = queue.popleft()
-            for s in seed:
-                f = self.mul(e, s)
-                if f not in seen:
-                    seen.add(f)
-                    queue.append(f)
-        return frozenset(seen)
+        return frozenset(point for point, _, _ in orbit(self.identity, seed, self.mul))
 
     def is_subgroup(self, subset) -> bool:
         subset = frozenset(subset)
@@ -171,23 +178,20 @@ class FiniteGroup:
             return self._quotients[nsub]
         if not self.is_normal(nsub):
             raise ValueError("quotient requested by a non-normal subset")
-        cosets = []
+        # A coset's representative is the element that opens it, its first in element order.
         coset_id = {}
+        rep = {}
         for e in self.elements:
             if e in coset_id:
                 continue
             members = frozenset(self.mul(e, x) for x in nsub)
-            cid = len(cosets)
-            cosets.append(members)
             for m in members:
-                coset_id[m] = cid
-        cosets = tuple(cosets)
-
-        def rep(coset):
-            return min(coset, key=self._index.get)
+                coset_id[m] = len(rep)
+            rep[members] = e
+        cosets = tuple(rep)
 
         def qmul(c1, c2):
-            return cosets[coset_id[self.mul(rep(c1), rep(c2))]]
+            return cosets[coset_id[self.mul(rep[c1], rep[c2])]]
 
         gens = []
         for g in self.generators:
@@ -203,13 +207,14 @@ class FiniteGroup:
             mul=qmul,
             identity=ident,
             generators=gens,
-            labels=lambda c: f"[{self.label(rep(c))}]",
+            labels=lambda c: f"[{self.label(rep[c])}]",
         )
         hom = GroupHom(
             description=f"natural projection {self.name} -> {quot.name}",
             domain=self,
             codomain=quot,
             mapping=lambda x: cosets[coset_id[x]],
+            section=rep,
         )
         self._quotients[nsub] = (quot, hom)
         return quot, hom
@@ -271,12 +276,14 @@ class FiniteGroup:
 
 @dataclass(frozen=True, eq=False)
 class GroupHom:
-    """A homomorphism given by a computable mapping rule."""
+    """A homomorphism given by a computable mapping rule; a natural projection
+    also carries its section, the representative chosen for each coset."""
 
     description: str
     domain: object
     codomain: FiniteGroup
     mapping: object
+    section: dict | None = None
 
     def __call__(self, x):
         return self.mapping(x)
@@ -306,26 +313,18 @@ def finite_closure(
         if (g.n, g.p, g.k) != (first.n, first.p, first.k):
             raise DimensionMismatch("generators live in different residue groups")
     ident = ResidueUT.identity(first.n, first.p, first.k)
-    seen = {ident}
     ordered = [ident]
-    queue = deque([ident])
-    while queue:
-        e = queue.popleft()
-        for s in gens:
-            f = e * s
-            if f not in seen:
-                if len(seen) >= max_order:
-                    raise SizeLimit(
-                        f"closure exceeded {max_order} elements "
-                        f"(UT({first.n}) mod {first.p}^{first.k})"
-                    )
-                seen.add(f)
-                ordered.append(f)
-                queue.append(f)
+    for point, _, _ in islice(orbit(ident, gens, operator.mul), 1, None):
+        if len(ordered) >= max_order:
+            raise SizeLimit(
+                f"closure exceeded {max_order} elements "
+                f"(UT({first.n}) mod {first.p}^{first.k})"
+            )
+        ordered.append(point)
     return FiniteGroup(
         name=name or f"closure in UT({first.n}, Z/{first.p}^{first.k})",
         elements=ordered,
-        mul=lambda x, y: x * y,
+        mul=operator.mul,
         identity=ident,
         generators=gens,
         labels=labels

@@ -167,14 +167,7 @@ def verify_spec(spec: MatrixGroupSpec) -> SpecVerification:
                 raise SpecRejected("center-commutes", f"({zn}, {gn})")
     ok("center-commutes")
 
-    noncommuting = None
-    for i in range(len(spec.generators)):
-        for j in range(i + 1, len(spec.generators)):
-            if commutator(spec.generators[i], spec.generators[j]) != ident:
-                noncommuting = (spec.gen_names[i], spec.gen_names[j])
-                break
-        if noncommuting:
-            break
+    noncommuting = is_abelian(spec).witness
     if (spec.declared_class == 1) != (noncommuting is None):
         raise SpecRejected(
             "class-declaration",

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -385,3 +389,54 @@ class TestClass2AgainstOrbitOracle:
                         separated = True
                         break
                 assert separated, (xc, yc)
+
+
+# Run under `python -O`, which strips assert statements: a conjugator that
+# fails its re-check must still raise.
+OPTIMIZED_RECHECKS = r"""
+from conjsep.conjugacy import class2_conjugate, conjugate_in_finite
+from conjsep.errors import VerificationFailed
+from conjsep.finite import FiniteGroup, finite_closure
+from conjsep.groupspec import heisenberg_spec
+from conjsep.intlin import Lattice, Membership
+from conjsep.unitri import reduce_mod
+
+heis = heisenberg_spec()
+a, b = heis.generators
+c = heis.center_gens[0]
+good = finite_closure([reduce_mod(g, 3, 2) for g in heis.generators])
+# Inverses are right on the generators, which the orbit search uses, and
+# wrong elsewhere, so only the conjugator's re-check can notice.
+bad = FiniteGroup(
+    "heisenberg mod 3^2, bad inverses", good.elements, good.mul, good.identity,
+    good.generators, inv=lambda x: x.inverse() if x in good.generators else x,
+)
+ra, rc = reduce_mod(a, 3, 2), reduce_mod(c, 3, 2)
+try:
+    conjugate_in_finite(bad, ra, ra * rc**8)
+except VerificationFailed:
+    pass
+else:
+    raise SystemExit("orbit conjugator re-check did not raise")
+
+# Every lattice now claims membership with made-up coefficients, so the
+# non-conjugate pair a^3, a^3 c gets a conjugator that fails its re-check.
+Lattice.contains = lambda self, v: Membership(True, (1,) * len(self.basis))
+try:
+    class2_conjugate(heis, a**3, a**3 * c)
+except VerificationFailed:
+    pass
+else:
+    raise SystemExit("class-2 conjugator re-check did not raise")
+"""
+
+
+def test_conjugator_rechecks_raise_under_optimize():
+    src = Path(__file__).resolve().parent.parent / "src"
+    paths = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_RECHECKS],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr

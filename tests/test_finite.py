@@ -8,6 +8,7 @@ from conjsep.finite import (
     direct_product,
     finite_closure,
     finite_preset,
+    orbit,
     quaternion8,
     sym3,
     trivial_group,
@@ -67,6 +68,22 @@ class TestPresets:
             for x in group.elements:
                 for y in group.elements:
                     assert (y in group.class_of(x)) == brute_conjugate(group, x, y)
+
+
+class TestOrbit:
+    def test_yields_a_breadth_first_schreier_tree(self):
+        steps = list(orbit(0, (2, 3), lambda x, s: (x + s) % 6))
+        assert steps == [(0, None, None), (2, 0, 0), (3, 0, 1), (4, 2, 0), (5, 2, 1), (1, 4, 1)]
+
+    def test_conjugation_edges_conjugate_by_their_generator(self):
+        for group in (sym3(), dihedral4(), quaternion8()):
+            for x in group.elements:
+                steps = list(group.conjugation_orbit(x))
+                assert steps[0] == (x, None, None)
+                assert {point for point, _, _ in steps} == group.class_of(x)
+                for point, parent, i in steps[1:]:
+                    s = group.generators[i]
+                    assert point == group.mul(group.inverse(s), group.mul(parent, s))
 
 
 class TestNormalSubgroups:

@@ -1,0 +1,53 @@
+"""The benchmark's layer tracer must still find every name it wraps.
+
+``bench/tracing.py`` patches the public functions, methods and matrix
+products of each conjsep module by name; a rename or deletion in ``src``
+would break ``bench/run.py --trace 1``.  This test installs the tracer,
+runs one traced call, and checks that uninstalling restores every binding.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from conjsep import cli, conjugacy, finite, groupspec, intlin, separability, unitri
+
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("conjsep_bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_uninstalls():
+    tracing = load_tracing()
+    modules = {m.__name__.rsplit(".", 1)[-1]: m for m in
+               (cli, conjugacy, finite, groupspec, intlin, separability, unitri)}
+
+    def bindings():
+        found = {}
+        for mod_name, cls_name, attr, *_ in tracing.SPANS + tracing.PRODUCTS:
+            owner = modules[mod_name]
+            if cls_name is not None:
+                owner = getattr(owner, cls_name)
+            found[(mod_name, cls_name, attr)] = vars(owner)[attr]
+        return found
+
+    before = bindings()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        patched = bindings()
+        assert all(patched[key] is not before[key] for key in before)
+        heis = groupspec.heisenberg_spec()
+        group = finite.finite_closure([unitri.reduce_mod(g, 2, 1) for g in heis.generators])
+        a, b = group.generators
+        assert conjugacy.conjugate_in_finite(group, a, b.inverse() * a * b).conjugate
+        assert tracer.count["finite.closure.calls"] == 1
+        assert tracer.count["conjugacy.orbit.calls"] == 1
+        assert tracer.count["unitri.residue_mul.count"] > 0
+    finally:
+        tracer.uninstall()
+    assert bindings() == before
