@@ -1,20 +1,23 @@
-"""Golden CLI reports: fixed calls whose output must not change.
+"""Golden CLI reports and demo output: fixed runs whose output must not change.
 
 Each call's ``--json`` report, minus the run-dependent ``timing_ms``, is
-compared byte for byte with a stored file under ``tests/golden/``, and so is
-the human-readable ``selftest`` text.  A change that is meant to alter a
-report regenerates the files with ``PYTHONPATH=src python tests/test_golden.py``
-and shows the difference in review.
+compared byte for byte with a stored file under ``tests/golden/``, and so are
+the human-readable ``selftest`` text and the stdout of every ``demos/*.py``.
+A change that is meant to alter an output regenerates the files with
+``PYTHONPATH=src python tests/test_golden.py`` and shows the difference in
+review.
 """
 
 import contextlib
 import io
 import json
+import runpy
 from pathlib import Path
 
 from conjsep import cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 # (file name, argv); names ending in .json are --json reports.
 CALLS = (
@@ -44,11 +47,31 @@ def render(name, argv):
     return code, out
 
 
+def render_demo(path):
+    """A demo script's stdout, run in this process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(path), run_name="__main__")
+    return out.getvalue()
+
+
+def demo_golden(path):
+    return GOLDEN / f"demo-{path.stem}.txt"
+
+
 def test_cli_reports_match_golden_files():
     for name, argv in CALLS:
         code, out = render(name, argv)
         assert code == 0, f"{name}: exit {code}"
         assert out == (GOLDEN / name).read_text(), f"{name} differs from its golden file"
+
+
+def test_demo_output_matches_golden_files():
+    assert len(DEMOS) == 5
+    for path in DEMOS:
+        assert render_demo(path) == demo_golden(path).read_text(), (
+            f"{path.name} differs from its golden file"
+        )
 
 
 if __name__ == "__main__":
@@ -57,3 +80,6 @@ if __name__ == "__main__":
         code, out = render(name, argv)
         (GOLDEN / name).write_text(out)
         print(f"wrote {name} (exit {code})")
+    for path in DEMOS:
+        demo_golden(path).write_text(render_demo(path))
+        print(f"wrote {demo_golden(path).name}")
