@@ -7,8 +7,8 @@ single JSON object with the shape
 {"command", "inputs", "result", "checks": [{"name", "pass"}], "timing_ms"}.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 rejected spec,
-3 parse error, 4 witness inapplicable (abelian group), 5 separation
-inapplicable (hypotheses fail).
+3 parse error (also -K or --max-order below 1), 4 witness inapplicable
+(abelian group), 5 separation inapplicable (hypotheses fail).
 """
 
 from __future__ import annotations
@@ -74,6 +74,13 @@ def _require_prime(p: int) -> int:
     if not is_prime(p):
         raise SpecParseError(f"-p must be a prime, got {p}")
     return p
+
+
+def _require_positive(args) -> None:
+    for flag, value in (("-K", getattr(args, "K", None)),
+                        ("--max-order", getattr(args, "max_order", None))):
+        if value is not None and value < 1:
+            raise SpecParseError(f"{flag} must be >= 1, got {value}")
 
 
 def _add_common(sub, with_prime=True):
@@ -399,6 +406,7 @@ def main(argv=None) -> int:
         "selftest": run_selftest_cmd,
     }[args.command]
     try:
+        _require_positive(args)
         report = runner(args)
     except SpecParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -139,15 +139,18 @@ def enumerate_p_quotient_kernels(
     """Normal subgroups H with [G : H] a power of p, smallest first.
 
     Always contains the whole group (trivial quotient).  Raises SizeLimit when
-    the group is beyond the enumeration budget.
+    the group is beyond the enumeration budget, on every call.  The list is
+    computed once per group and prime and kept on the group.
     """
     if group.order > max_order:
         raise SizeLimit(f"group of order {group.order} exceeds budget {max_order}")
-    out = []
-    for sub in group.normal_subgroups():
-        if prime_power_exponent(group.order // len(sub), p) is not None:
-            out.append(sub)
-    return tuple(out)
+    kernels = group._kernels.get(p)
+    if kernels is None:
+        kernels = group._kernels[p] = tuple(
+            sub for sub in group.normal_subgroups()
+            if prime_power_exponent(group.order // len(sub), p) is not None
+        )
+    return kernels
 
 
 class CosetDecision(enum.Enum):

@@ -59,6 +59,8 @@ class FiniteGroup:
         self._classes = None
         self._class_of = None
         self._normals = None
+        self._normal_set = None
+        self._kernels = {}  # prime -> normal subgroups of p-power index
         self._quotients = {}
 
     @property
@@ -137,6 +139,8 @@ class FiniteGroup:
 
     def is_normal(self, subset) -> bool:
         subset = frozenset(subset)
+        if self._normal_set is not None:
+            return subset in self._normal_set
         if not self.is_subgroup(subset):
             return False
         for s in self.generators:
@@ -145,21 +149,36 @@ class FiniteGroup:
                 return False
         return True
 
+    def _join(self, n: frozenset, m: frozenset) -> frozenset:
+        """The product set N*M of two normal subgroups, built one coset N*y at a
+        time for each y in M not yet covered: |N*M| products."""
+        mul = self.mul
+        joined = set(n)
+        for y in m:
+            if y not in joined:
+                joined.update(mul(x, y) for x in n)
+        return frozenset(joined)
+
     def normal_subgroups(self) -> tuple:
-        """All normal subgroups, via joins of normal closures of elements."""
+        """All normal subgroups, via joins of normal closures of classes.
+
+        The subgroup generated by a class is its normal closure, and every
+        normal subgroup N is the join of the closures of the classes in N, so
+        closing the distinct class closures under joins finds them all.
+        """
         if self._normals is None:
-            self.conjugacy_classes()
+            closures = tuple(
+                dict.fromkeys(self.subgroup_closure(cls) for cls in self.conjugacy_classes())
+            )
             triv = frozenset({self.identity})
             found = {triv}
             queue = [triv]
             while queue:
                 current = queue.pop()
-                for x in self.elements:
-                    if x in current:
+                for closure in closures:
+                    if closure <= current:
                         continue
-                    joined = self.subgroup_closure(
-                        current | self._classes[self._class_of[x]]
-                    )
+                    joined = self._join(current, closure)
                     if joined not in found:
                         found.add(joined)
                         queue.append(joined)
@@ -169,6 +188,7 @@ class FiniteGroup:
                     key=lambda sub: (len(sub), sorted(self._index[e] for e in sub)),
                 )
             )
+            self._normal_set = frozenset(found)
         return self._normals
 
     def quotient(self, normal_subgroup) -> tuple["FiniteGroup", "GroupHom"]:

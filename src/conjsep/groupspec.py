@@ -219,14 +219,19 @@ def torsion_subgroup(group: ProductGroupSpec) -> FiniteGroup:
 
 # -- congruence quotients ----------------------------------------------------
 
+# Quotients kept by congruence_quotient: enough for every level of a few
+# towers, while a long-lived process does not pin every group it ever built.
+QUOTIENT_CACHE_SIZE = 32
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=QUOTIENT_CACHE_SIZE)
 def congruence_quotient(
     spec: MatrixGroupSpec, p: int, k: int, max_order: int = 10**6
 ) -> tuple:
     """Materialize the image of the group under entrywise reduction mod p^k.
 
-    Returns (FiniteGroup, GroupHom).  Cached: specs and elements are immutable.
+    Returns (FiniteGroup, GroupHom).  Cached, for the QUOTIENT_CACHE_SIZE most
+    recently used arguments: specs and elements are immutable.
     """
     rgens = tuple(reduce_mod(g, p, k) for g in spec.generators)
     named = {}

@@ -398,6 +398,8 @@ def scan_tower(
     witness pair the explicit conjugator decides any remaining level; other
     oversized levels are reported as skipped and the scan continues.
     """
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
     strict_dim = spec.n * (spec.n - 1) // 2
     use_witness = witness is not None and {x, y} == {witness.u, witness.v}
     levels = []

@@ -18,7 +18,7 @@ from conjsep.conjugacy import (
     is_conjugacy_p_separable,
     quotient_coset_equivalence,
 )
-from conjsep.finite import finite_closure
+from conjsep.finite import cyclic, dihedral4, direct_product, finite_closure, quaternion8
 from conjsep.groupspec import coords_to_element, heisenberg_spec, preset, ut4_spec
 from conjsep.intlin import (
     IntMatrix,
@@ -40,7 +40,7 @@ from conjsep.separability import (
 )
 from conjsep.unitri import reduce_mod
 
-from _oracles import brute_lattice_member, sympy_det
+from _oracles import brute_lattice_member, naive_normal, sympy_det
 
 HEIS = heisenberg_spec()
 
@@ -190,6 +190,22 @@ def test_two_group_quotients_stay_separable(capsys):
     assert checked == 6 + 6 + 19
     with capsys.disabled():
         _finish(f"2-group quotient separability ({checked} quotients)", t0, 10.0)
+
+
+def test_normal_subgroups_of_order_32_and_64(capsys):
+    groups = [
+        (direct_product(direct_product(quaternion8(), cyclic(2)), cyclic(2)), 78),
+        (direct_product(dihedral4(), quaternion8()), 91),
+        (finite_closure([reduce_mod(g, 2, 2) for g in HEIS.generators]), 27),
+    ]
+    t0 = time.perf_counter()
+    found = [group.normal_subgroups() for group, _ in groups]
+    with capsys.disabled():
+        _finish("normal subgroups of Q8xC2xC2, D4xQ8, heisenberg mod 4", t0, 2.0)
+    for (group, count), normals in zip(groups, found):
+        assert len(normals) == count, group.name
+        assert len(set(normals)) == count
+        assert all(naive_normal(group, sub) for sub in normals)
 
 
 def test_residuality_witness(capsys):

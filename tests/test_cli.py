@@ -1,9 +1,13 @@
 import json
 
+import pytest
+
 from conjsep import cli
 from conjsep.finite import FiniteGroup, cyclic
+from conjsep.groupspec import coords_to_element, heisenberg_spec
 from conjsep.intlin import mod_inverse
 from conjsep.selftest import run_selftest
+from conjsep.separability import scan_tower
 
 HEIS_DOC = {
     "name": "custom-heis",
@@ -67,6 +71,32 @@ class TestExitCodes:
             cli.main(["separate", "--preset", "zxd4", "-p", "2", "-a", "zzz", "-b", "0"])
             == 3
         )
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "flag,argv",
+        [
+            ("-K", ["witness", "--preset", "heisenberg", "-p", "2", "-K", "0"]),
+            ("-K", ["witness", "--preset", "heisenberg", "-p", "2", "-K", "-3"]),
+            ("-K", ["scan", "--preset", "heisenberg", "-p", "2", "-K", "0",
+                    "-x", "1,0,0", "-y", "1,0,1"]),
+            ("--max-order", ["witness", "--preset", "heisenberg", "-p", "2", "--max-order", "0"]),
+            ("--max-order", ["scan", "--preset", "heisenberg", "-p", "2", "--max-order", "-1",
+                             "-x", "1,0,0", "-y", "1,0,1"]),
+            ("--max-order", ["separate", "--preset", "zxd4", "-p", "2", "-a", "0|r", "-b", "0|s",
+                             "--max-order", "0"]),
+            ("--max-order", ["classify", "--preset", "zxd4", "-p", "2", "--max-order", "0"]),
+        ],
+    )
+    def test_nonpositive_depth_or_cap_is_3(self, capsys, flag, argv):
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{flag} must be >= 1" in captured.err
+
+    def test_depth_and_cap_of_one_accepted(self, capsys):
+        argv = ["witness", "--preset", "heisenberg", "-p", "2", "-K", "1", "--max-order", "1"]
+        assert cli.main(argv) == 0
         capsys.readouterr()
 
 
@@ -207,6 +237,13 @@ class TestScan:
         )
         assert code == 0
         assert report["result"]["separated_at"] == 3
+
+    @pytest.mark.parametrize("depth", [0, -3])
+    def test_scan_tower_rejects_depth_below_one(self, depth):
+        heis = heisenberg_spec()
+        x = coords_to_element(heis, (1, 0, 0))
+        with pytest.raises(ValueError, match="depth"):
+            scan_tower(heis, x, x, 2, depth)
 
 
 class TestSelftest:

@@ -191,6 +191,14 @@ class TestKernelEnumeration:
         with pytest.raises(SizeLimit):
             enumerate_p_quotient_kernels(dihedral4(), 2, max_order=4)
 
+    def test_budget_checked_when_kernels_are_cached(self):
+        d4 = dihedral4()
+        kernels = enumerate_p_quotient_kernels(d4, 2)
+        assert enumerate_p_quotient_kernels(d4, 2) is kernels
+        assert enumerate_p_quotient_kernels(d4, 3) == (frozenset(d4.elements),)
+        with pytest.raises(SizeLimit):
+            enumerate_p_quotient_kernels(d4, 2, max_order=4)
+
 
 class TestCosetSeparability:
     def test_s3_transposition_vs_a3(self):

@@ -16,7 +16,7 @@ from conjsep.finite import (
 from conjsep.groupspec import heisenberg_spec
 from conjsep.unitri import ResidueUT, reduce_mod
 
-from _oracles import brute_conjugate
+from _oracles import brute_conjugate, naive_normal, reference_normal_subgroups
 
 
 def heis_residue_gens(p, k):
@@ -86,6 +86,26 @@ class TestOrbit:
                     assert point == group.mul(group.inverse(s), group.mul(parent, s))
 
 
+# Groups of order at most 32, each with a maker, for comparison with the
+# reference enumeration in _oracles.
+SMALL_GROUPS = [
+    ("trivial", trivial_group),
+    ("C2", lambda: cyclic(2)),
+    ("S3", sym3),
+    ("C6", lambda: cyclic(6)),
+    ("D4", dihedral4),
+    ("Q8", quaternion8),
+    ("heisenberg-mod-2", lambda: finite_closure(heis_residue_gens(2, 1))),
+    ("C2^4", lambda: direct_product(direct_product(cyclic(2), cyclic(2)),
+                                    direct_product(cyclic(2), cyclic(2)))),
+    ("D4xC2", lambda: direct_product(dihedral4(), cyclic(2))),
+    ("Q8xC2", lambda: direct_product(quaternion8(), cyclic(2))),
+    ("S3xC3", lambda: direct_product(sym3(), cyclic(3))),
+    ("D4xC4", lambda: direct_product(dihedral4(), cyclic(4))),
+    ("Q8xC2xC2", lambda: direct_product(direct_product(quaternion8(), cyclic(2)), cyclic(2))),
+]
+
+
 class TestNormalSubgroups:
     @pytest.mark.parametrize(
         "maker,count",
@@ -97,7 +117,13 @@ class TestNormalSubgroups:
         normals = group.normal_subgroups()
         assert len(normals) == count
         for sub in normals:
-            assert group.is_normal(sub)
+            assert naive_normal(group, sub)
+
+    @pytest.mark.parametrize("maker", [m for _, m in SMALL_GROUPS], ids=[n for n, _ in SMALL_GROUPS])
+    def test_matches_reference_in_content_and_order(self, maker):
+        group = maker()
+        assert group.order <= 32
+        assert group.normal_subgroups() == reference_normal_subgroups(group)
 
     def test_s3_normal_structure(self):
         s3 = sym3()
@@ -108,6 +134,28 @@ class TestNormalSubgroups:
         a = dihedral4().normal_subgroups()
         b = dihedral4().normal_subgroups()
         assert a == b
+
+    def test_is_normal_after_enumeration(self):
+        d4 = dihedral4()
+        reflection_pair = frozenset({d4.identity, (0, 1)})
+        not_closed = frozenset({d4.identity, (1, 0)})
+        no_identity = frozenset({(2, 0)})
+        for _ in range(2):  # before and after the enumeration
+            assert not d4.is_normal(reflection_pair)
+            assert not d4.is_normal(not_closed)
+            assert not d4.is_normal(no_identity)
+            assert d4.is_normal({d4.identity, (2, 0)})
+            assert d4.is_normal(d4.elements)
+            d4.normal_subgroups()
+        assert not naive_normal(d4, reflection_pair)
+
+    def test_quotient_after_enumeration_rejects_non_normal(self):
+        d4 = dihedral4()
+        d4.normal_subgroups()
+        with pytest.raises(ValueError):
+            d4.quotient({d4.identity, (0, 1)})
+        with pytest.raises(ValueError):
+            d4.quotient({d4.identity, (1, 0)})
 
 
 class TestQuotients:

@@ -6,6 +6,7 @@ import pytest
 from conjsep.errors import SpecParseError, SpecRejected
 from conjsep.finite import quaternion8, trivial_group
 from conjsep.groupspec import (
+    QUOTIENT_CACHE_SIZE,
     MatrixGroupSpec,
     center_lattice,
     center_support,
@@ -206,6 +207,14 @@ class TestCongruenceQuotient:
         q1, _ = congruence_quotient(heis, 2, 1)
         q2, _ = congruence_quotient(heis, 2, 1)
         assert q1 is q2
+
+    def test_cache_is_bounded_and_counted(self):
+        before = congruence_quotient.cache_info()
+        # room for every level of a few towers, but not unbounded
+        assert before.maxsize == QUOTIENT_CACHE_SIZE and 10 <= QUOTIENT_CACHE_SIZE <= 64
+        congruence_quotient(heisenberg_spec(), 2, 1)
+        congruence_quotient(heisenberg_spec(), 2, 1)
+        assert congruence_quotient.cache_info().hits >= before.hits + 1
 
 
 class TestJsonInput:
