@@ -3,18 +3,25 @@
 Elements are hashable canonical encodings and multiplication is a callable,
 so residue-matrix groups of a few hundred thousand elements stay cheap to
 build while table-backed presets keep exact, human-readable element names.
+
+Every search is one breadth-first `orbit`.  `finite_closure` runs it over
+row tuples, stepping by each generator's `right_mul_kernel`, which touches
+only the entries that generator changes; the group's `mul` stays the general
+residue product, which classes, orbit search and conjugator re-checks use.
+Quotients are cached on their group with no strong reference back to it.
 """
 
 from __future__ import annotations
 
 import operator
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 
 from .errors import DimensionMismatch, SizeLimit
 from .intlin import prime_power_exponent
-from .unitri import ResidueUT
+from .unitri import ResidueUT, right_mul_kernel
 
 
 def orbit(start, gens, act):
@@ -34,6 +41,14 @@ def orbit(start, gens, act):
                 seen.add(f)
                 queue.append(f)
                 yield f, e, i
+
+
+def _label(labels, x) -> str:
+    if callable(labels):
+        return labels(x)
+    if labels is not None:
+        return labels.get(x, str(x))
+    return str(x)
 
 
 class FiniteGroup:
@@ -74,11 +89,7 @@ class FiniteGroup:
         return x in self._index
 
     def label(self, x) -> str:
-        if callable(self._labels):
-            return self._labels(x)
-        if self._labels is not None:
-            return self._labels.get(x, str(x))
-        return str(x)
+        return _label(self._labels, x)
 
     def element_by_label(self, text: str):
         for e in self.elements:
@@ -192,26 +203,32 @@ class FiniteGroup:
         return self._normals
 
     def quotient(self, normal_subgroup) -> tuple["FiniteGroup", "GroupHom"]:
-        """The quotient group and the natural projection onto it."""
+        """The quotient group and the natural projection onto it.
+
+        Cached per subgroup.  Nothing cached refers back to this group except
+        the projection's domain, a weak proxy, so a discarded group is freed
+        at once rather than by the cycle collector.
+        """
         nsub = frozenset(normal_subgroup)
         if nsub in self._quotients:
             return self._quotients[nsub]
         if not self.is_normal(nsub):
             raise ValueError("quotient requested by a non-normal subset")
+        mul, labels = self.mul, self._labels
         # A coset's representative is the element that opens it, its first in element order.
         coset_id = {}
         rep = {}
         for e in self.elements:
             if e in coset_id:
                 continue
-            members = frozenset(self.mul(e, x) for x in nsub)
+            members = frozenset(mul(e, x) for x in nsub)
             for m in members:
                 coset_id[m] = len(rep)
             rep[members] = e
         cosets = tuple(rep)
 
         def qmul(c1, c2):
-            return cosets[coset_id[self.mul(rep[c1], rep[c2])]]
+            return cosets[coset_id[mul(rep[c1], rep[c2])]]
 
         gens = []
         for g in self.generators:
@@ -227,11 +244,11 @@ class FiniteGroup:
             mul=qmul,
             identity=ident,
             generators=gens,
-            labels=lambda c: f"[{self.label(rep[c])}]",
+            labels=lambda c: f"[{_label(labels, rep[c])}]",
         )
         hom = GroupHom(
             description=f"natural projection {self.name} -> {quot.name}",
-            domain=self,
+            domain=weakref.proxy(self),
             codomain=quot,
             mapping=lambda x: cosets[coset_id[x]],
             section=rep,
@@ -297,7 +314,8 @@ class FiniteGroup:
 @dataclass(frozen=True, eq=False)
 class GroupHom:
     """A homomorphism given by a computable mapping rule; a natural projection
-    also carries its section, the representative chosen for each coset."""
+    also carries its section, the representative chosen for each coset, and
+    names its domain through a weak proxy, since its group caches it."""
 
     description: str
     domain: object
@@ -323,6 +341,9 @@ def finite_closure(
 ) -> FiniteGroup:
     """Breadth-first closure of residue matrices under multiplication.
 
+    The orbit of the identity runs on row tuples, each edge one generator's
+    `right_mul_kernel`, so elements come out in the order that right
+    multiplication by the generators, in listed order, would give them.
     Raises SizeLimit when the group would exceed max_order elements.
     """
     gens = tuple(gens)
@@ -333,14 +354,16 @@ def finite_closure(
         if (g.n, g.p, g.k) != (first.n, first.p, first.k):
             raise DimensionMismatch("generators live in different residue groups")
     ident = ResidueUT.identity(first.n, first.p, first.k)
+    kernels = [right_mul_kernel(g) for g in gens]
     ordered = [ident]
-    for point, _, _ in islice(orbit(ident, gens, operator.mul), 1, None):
+    steps = orbit(ident.rows, kernels, lambda rows, kernel: kernel(rows))
+    for rows, _, _ in islice(steps, 1, None):
         if len(ordered) >= max_order:
             raise SizeLimit(
                 f"closure exceeded {max_order} elements "
                 f"(UT({first.n}) mod {first.p}^{first.k})"
             )
-        ordered.append(point)
+        ordered.append(ident._wrap(rows))
     return FiniteGroup(
         name=name or f"closure in UT({first.n}, Z/{first.p}^{first.k})",
         elements=ordered,

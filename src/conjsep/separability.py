@@ -256,7 +256,6 @@ def verify_witness_local(
     witness: WitnessReport,
     m: int,
     bfs_cap: int = 1024,
-    max_order: int = 10**6,
 ) -> LocalCheck:
     """Check that b^k conjugates u to v modulo p^m, with k = (q^n)^-1 mod p^m.
 
@@ -264,6 +263,9 @@ def verify_witness_local(
     q^n k = 1 modulo the p-power order of c in the quotient makes the
     right-hand side collapse to v.  For levels where the congruence quotient
     is small enough, an independent orbit search cross-checks the answer.
+    The gate bounds the quotient's order by bfs_cap, so the quotient is
+    looked up under the key `scan_tower` uses for the same cap: a witness
+    and its tower scan share one quotient per level.
     """
     if m < 1:
         raise ValueError(f"level must be >= 1, got {m}")
@@ -285,7 +287,7 @@ def verify_witness_local(
     bfs_checked = False
     strict_dim = spec.n * (spec.n - 1) // 2
     if p ** (m * strict_dim) <= bfs_cap:
-        quot, hom = congruence_quotient(spec, p, m, max_order)
+        quot, hom = congruence_quotient(spec, p, m, max(bfs_cap, 2))
         answer = conjugate_in_finite(quot, hom(witness.u), hom(witness.v))
         if not answer.conjugate:
             raise LocalCheckFailed(f"orbit search contradicts the conjugator at level {m}")

@@ -237,6 +237,40 @@ class ResidueUT:
         return f"ResidueUT({[list(r) for r in self.rows]!r}, p={self.p}, k={self.k})"
 
 
+def right_mul_kernel(s: ResidueUT):
+    """The map rows -> rows of x * s on residue matrices x shaped like s.
+
+    Since s is unitriangular, (x*s)[i][j] = x[i][j] + sum of x[i][k] * s[k][j]
+    over k < j with s[k][j] != 0, and x[i][k] = 0 for k < i.  Only the rows
+    with such a term are recomputed; the others are reused as they are.
+    """
+    n, mod, srows = s.n, s.mod, s.rows
+    plan = []
+    for i in range(n):
+        cols = []
+        for j in range(i + 1, n):
+            terms = tuple((k, srows[k][j]) for k in range(i, j) if srows[k][j])
+            if terms:
+                cols.append((j, terms))
+        if cols:
+            plan.append((i, tuple(cols)))
+
+    def apply(rows):
+        out = list(rows)
+        for i, cols in plan:
+            row = rows[i]
+            new = list(row)
+            for j, terms in cols:
+                acc = row[j]
+                for k, v in terms:
+                    acc += row[k] * v
+                new[j] = acc % mod
+            out[i] = tuple(new)
+        return tuple(out)
+
+    return apply
+
+
 def reduce_mod(u: UTMatrix, p: int, k: int) -> ResidueUT:
     """Entrywise reduction modulo p^k; a homomorphism onto a finite p-group."""
     return ResidueUT(u.rows, p, k)

@@ -6,6 +6,7 @@ genuine cross-check rather than the implementation agreeing with itself.
 """
 
 import itertools
+import operator
 
 import sympy
 
@@ -44,6 +45,22 @@ def naive_ut_mul(a_rows, b_rows):
         tuple(sum(a_rows[i][k] * b_rows[k][j] for k in range(n)) for j in range(n))
         for i in range(n)
     )
+
+
+def reference_closure(gens) -> tuple:
+    """Elements of the group generated by residue matrices, in the order a
+    breadth-first search first reaches them when it multiplies each element
+    on the right by each generator in listed order, with the general product."""
+    first = gens[0]
+    found = [type(first).identity(first.n, first.p, first.k)]
+    seen = set(found)
+    for e in found:
+        for s in gens:
+            f = operator.mul(e, s)
+            if f not in seen:
+                seen.add(f)
+                found.append(f)
+    return tuple(found)
 
 
 def naive_normal(group, subset) -> bool:

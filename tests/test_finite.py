@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from conjsep.errors import SizeLimit
@@ -13,10 +16,15 @@ from conjsep.finite import (
     sym3,
     trivial_group,
 )
-from conjsep.groupspec import heisenberg_spec
+from conjsep.groupspec import heis5_spec, heisenberg_spec, ut4_spec
 from conjsep.unitri import ResidueUT, reduce_mod
 
-from _oracles import brute_conjugate, naive_normal, reference_normal_subgroups
+from _oracles import (
+    brute_conjugate,
+    naive_normal,
+    reference_closure,
+    reference_normal_subgroups,
+)
 
 
 def heis_residue_gens(p, k):
@@ -182,6 +190,20 @@ class TestQuotients:
         with pytest.raises(ValueError):
             d4.quotient(reflection_pair)
 
+    def test_discarded_group_freed_without_cycle_collector(self):
+        gc.disable()
+        try:
+            group = direct_product(dihedral4(), quaternion8())
+            element = group.elements[5]
+            quot, hom = group.quotient(group.normal_subgroups()[1])
+            ref = weakref.ref(group)
+            del group
+            assert ref() is None
+            assert quot.order == 32
+            assert hom(element) in quot
+        finally:
+            gc.enable()
+
 
 class TestProducts:
     def test_order_and_axioms(self):
@@ -216,6 +238,36 @@ class TestFiniteClosure:
     def test_full_congruence_orders(self, p, k):
         group = finite_closure(heis_residue_gens(p, k))
         assert group.order == p ** (3 * k)
+
+    @pytest.mark.parametrize(
+        "gens",
+        [
+            heis_residue_gens(2, 3),
+            [reduce_mod(g, 3, 1) for g in heis5_spec().generators],
+            [reduce_mod(g, 2, 2) for g in ut4_spec().generators],
+            [
+                ResidueUT([[1, 2, 1, 0], [0, 1, 1, 2], [0, 0, 1, 1], [0, 0, 0, 1]], 3, 1),
+                ResidueUT([[1, 0, 2, 1], [0, 1, 2, 0], [0, 0, 1, 2], [0, 0, 0, 1]], 3, 1),
+            ],
+        ],
+        ids=["heisenberg-2^3", "heis5-3", "ut4-2^2", "dense-gens-3"],
+    )
+    def test_matches_reference_closure_in_order(self, gens):
+        assert finite_closure(gens).elements == reference_closure(gens)
+
+    def test_makes_no_general_products(self, monkeypatch):
+        gens = heis_residue_gens(2, 3)
+        calls = []
+        general = ResidueUT.__mul__
+
+        def counted(x, y):
+            calls.append(1)
+            return general(x, y)
+
+        monkeypatch.setattr(ResidueUT, "__mul__", counted)
+        group = finite_closure(gens)
+        assert group.order == 512
+        assert calls == []
 
     def test_size_limit(self):
         with pytest.raises(SizeLimit):

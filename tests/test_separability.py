@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from conjsep import cli
 from conjsep.conjugacy import conjugate_in_finite, conjugate_in_product
 from conjsep.errors import (
     AbelianGroup,
@@ -13,6 +14,7 @@ from conjsep.errors import (
     VerificationFailed,
 )
 from conjsep.groupspec import (
+    congruence_quotient,
     coords_to_element,
     element_coords,
     heis5_spec,
@@ -192,6 +194,20 @@ class TestVerifyWitnessLocal:
             check = verify_witness_local(HEIS, w, m)
             g = check.conjugator
             assert reduce_mod(g.inverse() * w.u * g, 2, m) == reduce_mod(w.v, 2, m)
+
+    def test_witness_builds_each_orbit_checked_level_once(self, capsys):
+        # Levels 1-3 of heisenberg mod 2^m fit the default cap of 2048; the
+        # local cross-checks and the tower scan share their quotients.
+        congruence_quotient.cache_clear()
+        argv = ["witness", "--preset", "heisenberg", "-p", "2", "-K", "6", "--json"]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert congruence_quotient.cache_info().misses == 3
+
+    def test_max_order_is_not_a_parameter(self):
+        w = make_witness(HEIS, 2)
+        with pytest.raises(TypeError):
+            verify_witness_local(HEIS, w, 1, max_order=10**6)
 
     @pytest.mark.parametrize("spec_maker,p", [(ut4_spec, 2), (ut4_spec, 3), (heis5_spec, 2)])
     def test_higher_rank_groups(self, spec_maker, p):

@@ -9,6 +9,7 @@ from conjsep.unitri import (
     commutator,
     reduce_mod,
     residue_order_exponent,
+    right_mul_kernel,
 )
 
 from _oracles import naive_ut_mul
@@ -30,6 +31,27 @@ def ut_matrices(draw, n=None, digits=30):
         for i in range(n)
     ]
     return UTMatrix(rows)
+
+
+@st.composite
+def residue_pairs(draw):
+    """(x, s) residue matrices of one shape; s is the identity or has entries
+    that are often zero, so both sparse and dense generators occur."""
+    n = draw(st.integers(2, 5))
+    p = draw(st.sampled_from([2, 3, 5]))
+    k = draw(st.integers(1, 3))
+    mod = p**k
+
+    def rows(entry):
+        return [[1 if i == j else (draw(entry) if j > i else 0) for j in range(n)]
+                for i in range(n)]
+
+    x = ResidueUT(rows(st.integers(0, mod - 1)), p, k)
+    if draw(st.booleans()):
+        s = ResidueUT.identity(n, p, k)
+    else:
+        s = ResidueUT(rows(st.just(0) | st.integers(0, mod - 1)), p, k)
+    return x, s
 
 
 class TestConstruction:
@@ -142,6 +164,19 @@ class TestResidue:
         assert (r * r.inverse()).is_identity()
         assert r**3 == r * r * r
         assert r**-2 == (r.inverse()) ** 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(residue_pairs())
+    def test_right_mul_kernel_matches_product(self, pair):
+        x, s = pair
+        assert right_mul_kernel(s)(x.rows) == (x * s).rows
+
+    def test_right_mul_kernel_reuses_unchanged_rows(self):
+        s = reduce_mod(UTMatrix.from_entries(4, {(1, 2): 3, (0, 3): 1}), 3, 2)
+        x = reduce_mod(UTMatrix.from_entries(4, {(0, 1): 2, (2, 3): 5}), 3, 2)
+        out = right_mul_kernel(s)(x.rows)
+        assert out == (x * s).rows
+        assert out[2] is x.rows[2] and out[3] is x.rows[3]
 
     def test_incompatible_residues(self):
         r1 = ResidueUT.identity(3, 2, 1)
