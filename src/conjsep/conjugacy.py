@@ -42,22 +42,25 @@ def conjugate_in_finite(group: FiniteGroup, x, y) -> ConjugacyAnswer:
 
     Deterministic: the queue is FIFO and generators are tried in listed
     order, so the recorded conjugator word is the smallest BFS word.  The
-    search stops when y appears; the conjugator and its word are read off
-    the Schreier tree path from x to y and re-verified.
+    search runs on the group's conjugation points and stops when y's point
+    appears; the conjugator and its word are read off the Schreier tree path
+    from x to y and re-verified with the group's general `mul`.
     """
     if x not in group or y not in group:
         raise KeyError("x and y must be elements of the group")
     if x == y:
         return ConjugacyAnswer(True, group.identity, "orbit", "")
+    point_of = group.conjugation.point
+    start, target = point_of(x), point_of(y)
     tree = {}
     for point, parent, i in group.conjugation_orbit(x):
         tree[point] = (parent, i)
-        if point == y:
+        if point == target:
             break
     else:
         return ConjugacyAnswer(False, method="orbit")
     path = []
-    while point != x:
+    while point != start:
         point, i = tree[point]
         path.append(group.generators[i])
     path.reverse()

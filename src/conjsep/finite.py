@@ -6,9 +6,13 @@ build while table-backed presets keep exact, human-readable element names.
 
 Every search is one breadth-first `orbit`.  `finite_closure` runs it over
 row tuples, stepping by each generator's `right_mul_kernel`, which touches
-only the entries that generator changes; the group's `mul` stays the general
-residue product, which classes, orbit search and conjugator re-checks use.
-Quotients are cached on their group with no strong reference back to it.
+only the entries that generator changes.  Each group also carries one
+conjugation step per generator (`Conjugation`): a closure's steps are the
+generators' `conjugation_kernel`s on row tuples, so the class partition,
+orbit search and normality test take no general product; every other group
+conjugates with its own `mul` and `inverse`.  The group's `mul` stays the
+general residue product, which the conjugator re-checks use.  Quotients are
+cached on their group with no strong reference back to it.
 """
 
 from __future__ import annotations
@@ -18,10 +22,11 @@ import weakref
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
+from typing import Callable, NamedTuple
 
 from .errors import DimensionMismatch, SizeLimit
 from .intlin import prime_power_exponent
-from .unitri import ResidueUT, right_mul_kernel
+from .unitri import ResidueUT, conjugation_kernel, right_mul_kernel
 
 
 def orbit(start, gens, act):
@@ -41,6 +46,27 @@ def orbit(start, gens, act):
                 seen.add(f)
                 queue.append(f)
                 yield f, e, i
+
+
+def _step(point, step):
+    return step(point)
+
+
+class Conjugation(NamedTuple):
+    """A group's conjugation by its generators, on orbit points.
+
+    `point` encodes an element as an orbit point and `element` decodes one;
+    steps[i] maps the point of e to the point of s^-1 * e * s for
+    s = generators[i].
+    """
+
+    point: Callable
+    element: Callable
+    steps: tuple
+
+
+def _identity_map(x):
+    return x
 
 
 def _label(labels, x) -> str:
@@ -77,6 +103,7 @@ class FiniteGroup:
         self._normal_set = None
         self._kernels = {}  # prime -> normal subgroups of p-power index
         self._quotients = {}
+        self._conjugation = None  # set by finite_closure, else built on first use
 
     @property
     def order(self) -> int:
@@ -112,21 +139,38 @@ class FiniteGroup:
 
     # -- structure ---------------------------------------------------------
 
+    @property
+    def conjugation(self) -> Conjugation:
+        """The conjugation steps; by default each is s^-1 * (e * s) through
+        `mul`, on the elements themselves.  No step refers back to the group."""
+        if self._conjugation is None:
+            mul = self.mul
+
+            def step(s, sinv):
+                return lambda e: mul(sinv, mul(e, s))
+
+            steps = tuple(step(s, self.inverse(s)) for s in self.generators)
+            self._conjugation = Conjugation(_identity_map, _identity_map, steps)
+        return self._conjugation
+
     def conjugation_orbit(self, x):
-        """`orbit` of x, where edge i maps e to s^-1 * e * s for s = generators[i]."""
-        mul = self.mul
-        pairs = [(s, self.inverse(s)) for s in self.generators]
-        return orbit(x, pairs, lambda e, pair: mul(pair[1], mul(e, pair[0])))
+        """`orbit` of the point of x, where edge i is `conjugation.steps[i]`.
+
+        Yields orbit points, not elements: `conjugation.element` decodes one.
+        """
+        conj = self.conjugation
+        return orbit(conj.point(x), conj.steps, _step)
 
     def conjugacy_classes(self) -> tuple:
         """Partition into conjugacy classes, deterministic in element order."""
         if self._classes is None:
+            element = self.conjugation.element
             cls_list = []
             cls_of = {}
             for x in self.elements:
                 if x in cls_of:
                     continue
-                cls = frozenset(point for point, _, _ in self.conjugation_orbit(x))
+                cls = frozenset(element(point) for point, _, _ in self.conjugation_orbit(x))
                 cls_of.update(dict.fromkeys(cls, len(cls_list)))
                 cls_list.append(cls)
             self._classes = tuple(cls_list)
@@ -154,11 +198,9 @@ class FiniteGroup:
             return subset in self._normal_set
         if not self.is_subgroup(subset):
             return False
-        for s in self.generators:
-            sinv = self.inverse(s)
-            if any(self.mul(sinv, self.mul(x, s)) not in subset for x in subset):
-                return False
-        return True
+        conj = self.conjugation
+        points = frozenset(map(conj.point, subset))
+        return all(step(x) in points for step in conj.steps for x in points)
 
     def _join(self, n: frozenset, m: frozenset) -> frozenset:
         """The product set N*M of two normal subgroups, built one coset N*y at a
@@ -344,6 +386,7 @@ def finite_closure(
     The orbit of the identity runs on row tuples, each edge one generator's
     `right_mul_kernel`, so elements come out in the order that right
     multiplication by the generators, in listed order, would give them.
+    The group conjugates on row tuples by the generators' `conjugation_kernel`s.
     Raises SizeLimit when the group would exceed max_order elements.
     """
     gens = tuple(gens)
@@ -356,7 +399,7 @@ def finite_closure(
     ident = ResidueUT.identity(first.n, first.p, first.k)
     kernels = [right_mul_kernel(g) for g in gens]
     ordered = [ident]
-    steps = orbit(ident.rows, kernels, lambda rows, kernel: kernel(rows))
+    steps = orbit(ident.rows, kernels, _step)
     for rows, _, _ in islice(steps, 1, None):
         if len(ordered) >= max_order:
             raise SizeLimit(
@@ -364,7 +407,7 @@ def finite_closure(
                 f"(UT({first.n}) mod {first.p}^{first.k})"
             )
         ordered.append(ident._wrap(rows))
-    return FiniteGroup(
+    group = FiniteGroup(
         name=name or f"closure in UT({first.n}, Z/{first.p}^{first.k})",
         elements=ordered,
         mul=operator.mul,
@@ -374,6 +417,10 @@ def finite_closure(
         or (lambda r: "(" + ",".join(str(v) for v in r.upper_entries()) + ")"),
         inv=lambda x: x.inverse(),
     )
+    group._conjugation = Conjugation(
+        operator.attrgetter("rows"), ident._wrap, tuple(map(conjugation_kernel, gens))
+    )
+    return group
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup, name: str | None = None) -> FiniteGroup:

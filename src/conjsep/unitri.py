@@ -175,12 +175,12 @@ class ResidueUT:
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], p, k)
 
     def _wrap(self, rows) -> "ResidueUT":
-        out = object.__new__(ResidueUT)
-        object.__setattr__(out, "n", self.n)
-        object.__setattr__(out, "p", self.p)
-        object.__setattr__(out, "k", self.k)
-        object.__setattr__(out, "mod", self.mod)
-        object.__setattr__(out, "rows", rows)
+        out = _new(ResidueUT)
+        _set_n(out, self.n)
+        _set_p(out, self.p)
+        _set_k(out, self.k)
+        _set_mod(out, self.mod)
+        _set_rows(out, rows)
         return out
 
     def _check_compatible(self, other: "ResidueUT"):
@@ -237,6 +237,16 @@ class ResidueUT:
         return f"ResidueUT({[list(r) for r in self.rows]!r}, p={self.p}, k={self.k})"
 
 
+# `_wrap` fills the slots through their descriptors, bound once here, which
+# bypasses the raising `__setattr__` at about half the cost of object.__setattr__.
+_new = object.__new__
+_set_n = ResidueUT.n.__set__
+_set_p = ResidueUT.p.__set__
+_set_k = ResidueUT.k.__set__
+_set_mod = ResidueUT.mod.__set__
+_set_rows = ResidueUT.rows.__set__
+
+
 def right_mul_kernel(s: ResidueUT):
     """The map rows -> rows of x * s on residue matrices x shaped like s.
 
@@ -267,6 +277,51 @@ def right_mul_kernel(s: ResidueUT):
                 new[j] = acc % mod
             out[i] = tuple(new)
         return tuple(out)
+
+    return apply
+
+
+def _left_mul_kernel(trows, n, mod):
+    """The map rows -> rows of t * x for the unitriangular rows t.
+
+    (t*x)[i][j] = x[i][j] + sum of t[i][k] * x[k][j] over i < k <= j with
+    t[i][k] != 0, so only the rows i where t has an entry right of the
+    diagonal are recomputed, from column min(k) on.
+    """
+    plan = []
+    for i in range(n):
+        terms = tuple((k, trows[i][k]) for k in range(i + 1, n) if trows[i][k])
+        if terms:
+            cols = tuple(
+                (j, tuple((k, v) for k, v in terms if k <= j))
+                for j in range(terms[0][0], n)
+            )
+            plan.append((i, cols))
+
+    def apply(rows):
+        out = list(rows)
+        for i, cols in plan:
+            row = rows[i]
+            new = list(row)
+            for j, terms in cols:
+                acc = row[j]
+                for k, v in terms:
+                    acc += v * rows[k][j]
+                new[j] = acc % mod
+            out[i] = tuple(new)
+        return tuple(out)
+
+    return apply
+
+
+def conjugation_kernel(s: ResidueUT):
+    """The map rows -> rows of s^-1 * x * s on residue matrices x shaped like s:
+    a sparse left product by s^-1, then `right_mul_kernel(s)`."""
+    left = _left_mul_kernel(_inverse(s.rows, s.n, s.mod), s.n, s.mod)
+    right = right_mul_kernel(s)
+
+    def apply(rows):
+        return right(left(rows))
 
     return apply
 

@@ -63,6 +63,60 @@ def reference_closure(gens) -> tuple:
     return tuple(found)
 
 
+def _general_conjugate(group, e, s):
+    return group.mul(group.inverse(s), group.mul(e, s))
+
+
+def reference_classes(group) -> tuple:
+    """Conjugacy classes in the order of their first elements, each the set
+    reached by a breadth-first search that conjugates by every generator
+    through the group's general product."""
+    classes = []
+    done = set()
+    for x in group.elements:
+        if x in done:
+            continue
+        found = [x]
+        seen = {x}
+        for e in found:
+            for s in group.generators:
+                f = _general_conjugate(group, e, s)
+                if f not in seen:
+                    seen.add(f)
+                    found.append(f)
+        done |= seen
+        classes.append(frozenset(found))
+    return tuple(classes)
+
+
+def reference_conjugate(group, x, y):
+    """(flag, conjugator, word) from a breadth-first search of the conjugates
+    of x through the general product, generators in listed order; the
+    conjugator is the product of the generators on the first path to y."""
+    if x == y:
+        return True, group.identity, ""
+    parent = {x: None}
+    queue = [x]
+    for e in queue:
+        for i, s in enumerate(group.generators):
+            f = _general_conjugate(group, e, s)
+            if f in parent:
+                continue
+            parent[f] = (e, i)
+            if f == y:
+                path = []
+                while parent[f] is not None:
+                    f, i = parent[f]
+                    path.append(group.generators[i])
+                path.reverse()
+                g = group.identity
+                for s in path:
+                    g = group.mul(g, s)
+                return True, g, "*".join(map(group.label, path))
+            queue.append(f)
+    return False, None, ""
+
+
 def naive_normal(group, subset) -> bool:
     """Contains the identity, closed under products and under conjugation by
     every element of the group."""

@@ -23,14 +23,15 @@ from conjsep.groupspec import (
     MatrixGroupSpec,
     coords_to_element,
     element_coords,
+    heis5_spec,
     heisenberg_spec,
     preset,
     ut4_spec,
 )
 from conjsep.intlin import valuation
-from conjsep.unitri import UTMatrix, reduce_mod
+from conjsep.unitri import ResidueUT, UTMatrix, reduce_mod
 
-from _oracles import brute_conjugate
+from _oracles import brute_conjugate, reference_conjugate
 
 HEIS = heisenberg_spec()
 
@@ -76,6 +77,67 @@ class TestOrbitSearch:
     def test_requires_membership(self):
         with pytest.raises(KeyError):
             conjugate_in_finite(dihedral4(), (1, 0), "nope")
+
+
+def seeded_pairs(group, seed, count=40):
+    """(x, y) pairs of group elements: about half y = g^-1 x g for a random g,
+    the rest y drawn at random."""
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(count):
+        x = rng.choice(group.elements)
+        if rng.random() < 0.5:
+            g = rng.choice(group.elements)
+            pairs.append((x, g.inverse() * x * g))
+        else:
+            pairs.append((x, rng.choice(group.elements)))
+    return pairs
+
+
+RESIDUE_QUOTIENTS = {
+    "heisenberg-2^3": lambda: heis_quotient(2, 3),
+    "heis5-3": lambda: finite_closure([reduce_mod(g, 3, 1) for g in heis5_spec().generators]),
+    "ut4-2^2": lambda: finite_closure([reduce_mod(g, 2, 2) for g in ut4_spec().generators]),
+}
+
+
+class TestResidueOrbitSearch:
+    """Orbit search in residue-matrix groups conjugates on row tuples; it must
+    answer exactly as a general-product search and keep the re-check."""
+
+    @pytest.mark.parametrize("name", sorted(RESIDUE_QUOTIENTS))
+    def test_matches_general_product_reference(self, name):
+        group = RESIDUE_QUOTIENTS[name]()
+        pairs = seeded_pairs(group, seed=sorted(RESIDUE_QUOTIENTS).index(name))
+        flags = set()
+        for x, y in pairs:
+            ans = conjugate_in_finite(group, x, y)
+            assert (ans.conjugate, ans.conjugator, ans.word) == reference_conjugate(group, x, y)
+            flags.add(ans.conjugate)
+        assert flags == {True, False}
+
+    def test_products_are_the_recheck_only(self, monkeypatch):
+        group = heis_quotient(2, 3)
+        pairs = seeded_pairs(group, seed=7)
+        general = ResidueUT.__mul__
+        calls = []
+
+        def counted(a, b):
+            calls.append(1)
+            return general(a, b)
+
+        monkeypatch.setattr(ResidueUT, "__mul__", counted)
+        seen = set()
+        for x, y in pairs:
+            calls.clear()
+            ans = conjugate_in_finite(group, x, y)
+            seen.add(ans.conjugate)
+            if not ans.conjugate:
+                assert calls == []
+            else:
+                path = ans.word.split("*") if ans.word else []
+                assert len(calls) <= len(path) + 2
+        assert seen == {True, False}
 
 
 class TestClass2Criterion:
@@ -426,6 +488,20 @@ except VerificationFailed:
     pass
 else:
     raise SystemExit("orbit conjugator re-check did not raise")
+
+# A residue closure whose conjugation step is right multiplication, x -> x * s:
+# the search then reaches y, but the conjugator fails its re-check.
+import conjsep.finite
+from conjsep.unitri import right_mul_kernel
+
+conjsep.finite.conjugation_kernel = right_mul_kernel
+wrong_steps = finite_closure([reduce_mod(g, 3, 2) for g in heis.generators])
+try:
+    conjugate_in_finite(wrong_steps, ra, ra * rc**8)
+except VerificationFailed:
+    pass
+else:
+    raise SystemExit("orbit re-check missed a wrong conjugation step")
 
 # Every lattice now claims membership with made-up coefficients, so the
 # non-conjugate pair a^3, a^3 c gets a conjugator that fails its re-check.

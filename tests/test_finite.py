@@ -22,6 +22,7 @@ from conjsep.unitri import ResidueUT, reduce_mod
 from _oracles import (
     brute_conjugate,
     naive_normal,
+    reference_classes,
     reference_closure,
     reference_normal_subgroups,
 )
@@ -30,6 +31,20 @@ from _oracles import (
 def heis_residue_gens(p, k):
     spec = heisenberg_spec()
     return [reduce_mod(g, p, k) for g in spec.generators]
+
+
+# Generators of residue-matrix groups, sparse and dense, for comparison with
+# the general-product references in _oracles.
+RESIDUE_GENS = [
+    heis_residue_gens(2, 3),
+    [reduce_mod(g, 3, 1) for g in heis5_spec().generators],
+    [reduce_mod(g, 2, 2) for g in ut4_spec().generators],
+    [
+        ResidueUT([[1, 2, 1, 0], [0, 1, 1, 2], [0, 0, 1, 1], [0, 0, 0, 1]], 3, 1),
+        ResidueUT([[1, 0, 2, 1], [0, 1, 2, 0], [0, 0, 1, 2], [0, 0, 0, 1]], 3, 1),
+    ],
+]
+RESIDUE_IDS = ["heisenberg-2^3", "heis5-3", "ut4-2^2", "dense-gens-3"]
 
 
 class TestPresets:
@@ -92,6 +107,22 @@ class TestOrbit:
                 for point, parent, i in steps[1:]:
                     s = group.generators[i]
                     assert point == group.mul(group.inverse(s), group.mul(parent, s))
+
+    def test_residue_conjugation_runs_on_rows(self):
+        group = finite_closure(heis_residue_gens(3, 1))
+        element = group.conjugation.element
+        for x in group.elements[:9]:
+            steps = list(group.conjugation_orbit(x))
+            assert steps[0] == (x.rows, None, None)
+            assert {element(point) for point, _, _ in steps} == group.class_of(x)
+            for point, parent, i in steps[1:]:
+                s = group.generators[i]
+                assert element(point) == s.inverse() * element(parent) * s
+
+    @pytest.mark.parametrize("gens", RESIDUE_GENS, ids=RESIDUE_IDS)
+    def test_residue_classes_match_reference_in_order(self, gens):
+        group = finite_closure(gens)
+        assert group.conjugacy_classes() == reference_classes(group)
 
 
 # Groups of order at most 32, each with a maker, for comparison with the
@@ -183,6 +214,14 @@ class TestQuotients:
         assert quot.order == 4
         assert all(quot.mul(x, x) == quot.identity for x in quot.elements)
 
+    def test_residue_is_normal_matches_naive(self):
+        group = finite_closure(heis_residue_gens(2, 2))
+        subsets = [group.subgroup_closure([x]) for x in group.elements[::5]]
+        subsets += [frozenset(group.elements[:4]), frozenset(group.elements)]
+        verdicts = [group.is_normal(sub) for sub in subsets]
+        assert verdicts == [naive_normal(group, sub) for sub in subsets]
+        assert True in verdicts and False in verdicts
+
     def test_rejects_non_normal(self):
         d4 = dihedral4()
         s = (0, 1)
@@ -239,19 +278,7 @@ class TestFiniteClosure:
         group = finite_closure(heis_residue_gens(p, k))
         assert group.order == p ** (3 * k)
 
-    @pytest.mark.parametrize(
-        "gens",
-        [
-            heis_residue_gens(2, 3),
-            [reduce_mod(g, 3, 1) for g in heis5_spec().generators],
-            [reduce_mod(g, 2, 2) for g in ut4_spec().generators],
-            [
-                ResidueUT([[1, 2, 1, 0], [0, 1, 1, 2], [0, 0, 1, 1], [0, 0, 0, 1]], 3, 1),
-                ResidueUT([[1, 0, 2, 1], [0, 1, 2, 0], [0, 0, 1, 2], [0, 0, 0, 1]], 3, 1),
-            ],
-        ],
-        ids=["heisenberg-2^3", "heis5-3", "ut4-2^2", "dense-gens-3"],
-    )
+    @pytest.mark.parametrize("gens", RESIDUE_GENS, ids=RESIDUE_IDS)
     def test_matches_reference_closure_in_order(self, gens):
         assert finite_closure(gens).elements == reference_closure(gens)
 

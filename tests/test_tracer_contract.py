@@ -44,10 +44,15 @@ def test_tracer_installs_and_uninstalls():
         heis = groupspec.heisenberg_spec()
         group = finite.finite_closure([unitri.reduce_mod(g, 2, 1) for g in heis.generators])
         a, b = group.generators
-        assert conjugacy.conjugate_in_finite(group, a, b.inverse() * a * b).conjugate
+        answer = conjugacy.conjugate_in_finite(group, a, b.inverse() * a * b)
+        assert answer.conjugate
         assert tracer.count["finite.closure.calls"] == 1
         assert tracer.count["conjugacy.orbit.calls"] == 1
         assert tracer.count["unitri.residue_mul.count"] > 0
+        # The orbit steps on row tuples; its only residue products are the
+        # conjugator's re-check: one per path generator, then g^-1 * (x * g).
+        recheck = len(answer.word.split("*")) + 2
+        assert tracer.count["conjugacy.orbit.products"] == recheck
     finally:
         tracer.uninstall()
     assert bindings() == before

@@ -7,6 +7,7 @@ from conjsep.unitri import (
     ResidueUT,
     UTMatrix,
     commutator,
+    conjugation_kernel,
     reduce_mod,
     residue_order_exponent,
     right_mul_kernel,
@@ -177,6 +178,23 @@ class TestResidue:
         out = right_mul_kernel(s)(x.rows)
         assert out == (x * s).rows
         assert out[2] is x.rows[2] and out[3] is x.rows[3]
+
+    @settings(max_examples=200, deadline=None)
+    @given(residue_pairs())
+    def test_conjugation_kernel_matches_product(self, pair):
+        x, s = pair
+        assert conjugation_kernel(s)(x.rows) == (s.inverse() * x * s).rows
+
+    def test_wrapped_residue_is_immutable_and_equal_to_constructed(self):
+        r = reduce_mod(UTMatrix.from_entries(4, {(0, 1): 2, (1, 3): 7}), 3, 2)
+        wrapped = ResidueUT.identity(4, 3, 2)._wrap(r.rows)
+        assert type(wrapped) is ResidueUT
+        assert (wrapped.n, wrapped.p, wrapped.k, wrapped.mod) == (4, 3, 2, 9)
+        assert wrapped == r and hash(wrapped) == hash(r)
+        with pytest.raises(AttributeError):
+            wrapped.rows = r.rows
+        with pytest.raises(AttributeError):
+            wrapped.k = 3
 
     def test_incompatible_residues(self):
         r1 = ResidueUT.identity(3, 2, 1)
