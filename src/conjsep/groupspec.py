@@ -76,8 +76,13 @@ class ProductGroupSpec:
 
 # -- centre coordinates ------------------------------------------------------
 
+# Entries kept by each cache here, centre data and congruence quotients alike:
+# enough for every level of a few towers, while a long-lived process does not
+# pin every spec or group it ever built.
+QUOTIENT_CACHE_SIZE = 32
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=QUOTIENT_CACHE_SIZE)
 def center_support(spec: MatrixGroupSpec) -> tuple:
     """Strictly-upper positions where some declared centre generator is nonzero."""
     positions = set()
@@ -87,7 +92,7 @@ def center_support(spec: MatrixGroupSpec) -> tuple:
     return tuple(sorted(positions))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=QUOTIENT_CACHE_SIZE)
 def center_lattice(spec: MatrixGroupSpec) -> Lattice:
     """Lattice of centre-generator coordinate vectors at the support positions."""
     support = center_support(spec)
@@ -218,11 +223,6 @@ def torsion_subgroup(group: ProductGroupSpec) -> FiniteGroup:
 
 
 # -- congruence quotients ----------------------------------------------------
-
-# Quotients kept by congruence_quotient: enough for every level of a few
-# towers, while a long-lived process does not pin every group it ever built.
-QUOTIENT_CACHE_SIZE = 32
-
 
 @lru_cache(maxsize=QUOTIENT_CACHE_SIZE)
 def congruence_quotient(

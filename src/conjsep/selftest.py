@@ -27,6 +27,11 @@ from .intlin import (
 
 Check = tuple[str, bool, str]
 
+# Fixed inputs, so the selftest report is the same on every run.
+LATTICE_SEED = 1234
+LATTICE_ROUNDS = 60
+SELFTEST_PRIMES = (2, 3)
+
 
 def default_corpus() -> list[tuple[str, FiniteGroup]]:
     return [
@@ -46,13 +51,13 @@ def _random_matrix(rng, max_dim=5, span=9) -> IntMatrix:
     )
 
 
-def lattice_suite(seed: int = 1234, rounds: int = 60) -> list[Check]:
-    rng = random.Random(seed)
+def lattice_suite() -> list[Check]:
+    rng = random.Random(LATTICE_SEED)
     checks: list[Check] = []
 
     ok = True
     detail = ""
-    for _ in range(rounds):
+    for _ in range(LATTICE_ROUNDS):
         a = _random_matrix(rng)
         h, u = hnf(a)
         if a @ u != h or abs(det(u)) != 1 or not is_column_hnf(h):
@@ -66,7 +71,7 @@ def lattice_suite(seed: int = 1234, rounds: int = 60) -> list[Check]:
 
     ok = True
     detail = ""
-    for _ in range(rounds):
+    for _ in range(LATTICE_ROUNDS):
         a = _random_matrix(rng)
         d, u, v = snf(a)
         if (u @ a) @ v != d or abs(det(u)) != 1 or abs(det(v)) != 1:
@@ -102,7 +107,7 @@ def lattice_suite(seed: int = 1234, rounds: int = 60) -> list[Check]:
 
     ok = True
     detail = ""
-    for _ in range(rounds):
+    for _ in range(LATTICE_ROUNDS):
         ambient = rng.randint(1, 3)
         w = tuple(rng.randint(-4, 4) for _ in range(ambient))
         if not any(w):
@@ -119,7 +124,7 @@ def lattice_suite(seed: int = 1234, rounds: int = 60) -> list[Check]:
 
     ok = True
     detail = ""
-    for _ in range(rounds):
+    for _ in range(LATTICE_ROUNDS):
         ambient = rng.randint(1, 3)
         ncols = rng.randint(1, 3)
         cols = [
@@ -142,9 +147,7 @@ def lattice_suite(seed: int = 1234, rounds: int = 60) -> list[Check]:
     return checks
 
 
-def corpus_suite(
-    corpus: list[tuple[str, FiniteGroup]] | None = None, primes=(2, 3)
-) -> list[Check]:
+def corpus_suite(corpus: list[tuple[str, FiniteGroup]] | None = None) -> list[Check]:
     groups = corpus if corpus is not None else default_corpus()
     checks: list[Check] = []
     healthy = []
@@ -157,7 +160,7 @@ def corpus_suite(
         if not bad:
             healthy.append((name, group))
     for name, group in healthy:
-        for p in primes:
+        for p in SELFTEST_PRIMES:
             holds = True
             detail = ""
             for i, nsub in enumerate(group.normal_subgroups()):
@@ -195,16 +198,10 @@ def preset_suite() -> list[Check]:
 
 
 def run_selftest(
-    corpus: list[tuple[str, FiniteGroup]] | None = None,
-    primes=(2, 3),
-    include_corpus: bool = True,
-    include_lattice: bool = True,
-    seed: int = 1234,
+    corpus: list[tuple[str, FiniteGroup]] | None = None, include_corpus: bool = True
 ) -> list[Check]:
-    checks: list[Check] = []
-    if include_lattice:
-        checks.extend(lattice_suite(seed))
+    checks = lattice_suite()
     if include_corpus:
         checks.extend(preset_suite())
-        checks.extend(corpus_suite(corpus, primes))
+        checks.extend(corpus_suite(corpus))
     return checks

@@ -42,7 +42,7 @@ from .intlin import (
     smallest_prime_excluding,
     valuation,
 )
-from .unitri import UTMatrix, commutator, reduce_mod, residue_order_exponent
+from .unitri import UTMatrix, commutator, reduce_mod
 
 CONJUGATOR_TABLE_DEPTH = 8
 
@@ -259,10 +259,11 @@ def verify_witness_local(
 ) -> LocalCheck:
     """Check that b^k conjugates u to v modulo p^m, with k = (q^n)^-1 mod p^m.
 
-    The identity b^-k u b^k = u * c^(q^n k) holds exactly in the group, and
-    q^n k = 1 modulo the p-power order of c in the quotient makes the
-    right-hand side collapse to v.  For levels where the congruence quotient
-    is small enough, an independent orbit search cross-checks the answer.
+    The identity b^-k u b^k = u * c^(q^n k) holds exactly in the group.  A
+    verified spec puts c in the centre span, where c = I + M with M^2 = 0, so
+    c^t = I + t*M and q^n k = 1 mod p^m makes the right-hand side v mod p^m;
+    any mismatch raises LocalCheckFailed.  For levels where the congruence
+    quotient is small enough, an independent orbit search cross-checks it.
     The gate bounds the quotient's order by bfs_cap, so the quotient is
     looked up under the key `scan_tower` uses for the same cap: a witness
     and its tower scan share one quotient per level.
@@ -270,20 +271,10 @@ def verify_witness_local(
     if m < 1:
         raise ValueError(f"level must be >= 1, got {m}")
     p = witness.p
-    e = witness.q**witness.n
     k = witness.conjugator_exponent(m)
     conj = witness.b**k
-    target = reduce_mod(witness.v, p, m)
-    got = reduce_mod(conj.inverse() * witness.u * conj, p, m)
-    if got != target:
-        # rare fallback: use the actual p-power order of c at this level
-        s = residue_order_exponent(reduce_mod(witness.c, p, m))
-        if s >= 1:
-            k = mod_inverse(e, p**s)
-            conj = witness.b**k
-            got = reduce_mod(conj.inverse() * witness.u * conj, p, m)
-        if got != target:
-            raise LocalCheckFailed(f"explicit conjugator fails at level {m}")
+    if reduce_mod(conj.inverse() * witness.u * conj, p, m) != reduce_mod(witness.v, p, m):
+        raise LocalCheckFailed(f"explicit conjugator fails at level {m}")
     bfs_checked = False
     strict_dim = spec.n * (spec.n - 1) // 2
     if p ** (m * strict_dim) <= bfs_cap:

@@ -4,6 +4,9 @@ UTMatrix carries elements of torsion-free nilpotent matrix groups exactly;
 ResidueUT carries their images modulo p^k, which are elements of finite
 p-groups.  Entrywise reduction is a group homomorphism, so the reductions
 realize the whole congruence tower of finite p-quotients.
+
+Powers and inverses of both types, and the s^-1 of `conjugation_kernel`, come
+from one finite binomial series, `_power`, whatever the exponent.
 """
 
 from __future__ import annotations
@@ -23,26 +26,23 @@ def _matmul(a, b, n, mod=None):
     return tuple(out)
 
 
-def _inverse(rows, n, mod=None):
-    # u = I + N with N strictly upper, so u^-1 = I - N + N^2 - ... +- N^(n-1)
-    nil = tuple(
-        tuple(rows[i][j] if j > i else 0 for j in range(n)) for i in range(n)
-    )
-    ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    acc = ident
-    power = ident
-    sign = 1
-    for _ in range(1, n):
+def _power(rows, n, e, mod=None):
+    """Rows of u**e, reduced mod `mod` if given, for unitriangular u = I + N.
+
+    N^n = 0, so u^e = sum over i < n of C(e, i) * N^i for every integer e, with
+    C(e, i) = e(e-1)...(e-i+1)/i! (e = -1 gives the inverse): <= n - 2 products."""
+    nil = tuple(tuple(v if j > i else 0 for j, v in enumerate(r)) for i, r in enumerate(rows))
+    acc = [[1 if i == j else e * v for j, v in enumerate(r)] for i, r in enumerate(nil)]
+    power, coeff = nil, e
+    for i in range(2, n):
+        coeff = coeff * (e - i + 1) // i
+        if not coeff:  # 0 <= e < i: every later C(e, i) is 0 too
+            break
         power = _matmul(power, nil, n, mod)
-        sign = -sign
-        acc = tuple(
-            tuple(
-                (acc[i][j] + sign * power[i][j]) % mod if mod else acc[i][j] + sign * power[i][j]
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-    return acc
+        for row, prow in zip(acc, power):
+            for j, v in enumerate(prow):
+                row[j] += coeff * v
+    return tuple(tuple(v % mod for v in row) if mod else tuple(row) for row in acc)
 
 
 def _validate_unitriangular(rows, n, mod=None):
@@ -68,8 +68,8 @@ class UTMatrix:
         rows = tuple(tuple(int(x) for x in r) for r in rows)
         n = len(rows)
         _validate_unitriangular(rows, n)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", rows)
+        _set_ut_n(self, n)
+        _set_ut_rows(self, rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("UTMatrix is immutable")
@@ -88,6 +88,12 @@ class UTMatrix:
             rows[i][j] = int(v)
         return cls(rows)
 
+    def _wrap(self, rows) -> "UTMatrix":
+        out = _new(UTMatrix)
+        _set_ut_n(out, self.n)
+        _set_ut_rows(out, rows)
+        return out
+
     def __getitem__(self, pos):
         i, j = pos
         return self.rows[i][j]
@@ -97,28 +103,13 @@ class UTMatrix:
             return NotImplemented
         if self.n != other.n:
             raise DimensionMismatch(f"dimension mismatch: {self.n} vs {other.n}")
-        out = object.__new__(UTMatrix)
-        object.__setattr__(out, "n", self.n)
-        object.__setattr__(out, "rows", _matmul(self.rows, other.rows, self.n))
-        return out
+        return self._wrap(_matmul(self.rows, other.rows, self.n))
 
     def inverse(self) -> "UTMatrix":
-        out = object.__new__(UTMatrix)
-        object.__setattr__(out, "n", self.n)
-        object.__setattr__(out, "rows", _inverse(self.rows, self.n))
-        return out
+        return self._wrap(_power(self.rows, self.n, -1))
 
     def __pow__(self, e: int) -> "UTMatrix":
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = UTMatrix.identity(self.n)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return self._wrap(_power(self.rows, self.n, e))
 
     def is_identity(self) -> bool:
         return all(self.rows[i][j] == 0 for i in range(self.n) for j in range(i + 1, self.n))
@@ -161,11 +152,11 @@ class ResidueUT:
         rows = tuple(tuple(int(x) % mod for x in r) for r in rows)
         n = len(rows)
         _validate_unitriangular(rows, n, mod)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "mod", mod)
-        object.__setattr__(self, "rows", rows)
+        _set_n(self, n)
+        _set_p(self, p)
+        _set_k(self, k)
+        _set_mod(self, mod)
+        _set_rows(self, rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("ResidueUT is immutable")
@@ -201,19 +192,10 @@ class ResidueUT:
         return self._wrap(_matmul(self.rows, other.rows, self.n, self.mod))
 
     def inverse(self) -> "ResidueUT":
-        return self._wrap(_inverse(self.rows, self.n, self.mod))
+        return self._wrap(_power(self.rows, self.n, -1, self.mod))
 
     def __pow__(self, e: int) -> "ResidueUT":
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = ResidueUT.identity(self.n, self.p, self.k)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return self._wrap(_power(self.rows, self.n, e, self.mod))
 
     def is_identity(self) -> bool:
         return all(self.rows[i][j] == 0 for i in range(self.n) for j in range(i + 1, self.n))
@@ -237,9 +219,11 @@ class ResidueUT:
         return f"ResidueUT({[list(r) for r in self.rows]!r}, p={self.p}, k={self.k})"
 
 
-# `_wrap` fills the slots through their descriptors, bound once here, which
-# bypasses the raising `__setattr__` at about half the cost of object.__setattr__.
+# Both types fill their slots through the slot descriptors, bound once here,
+# which bypasses the raising `__setattr__` at half the cost of object.__setattr__.
 _new = object.__new__
+_set_ut_n = UTMatrix.n.__set__
+_set_ut_rows = UTMatrix.rows.__set__
 _set_n = ResidueUT.n.__set__
 _set_p = ResidueUT.p.__set__
 _set_k = ResidueUT.k.__set__
@@ -317,7 +301,7 @@ def _left_mul_kernel(trows, n, mod):
 def conjugation_kernel(s: ResidueUT):
     """The map rows -> rows of s^-1 * x * s on residue matrices x shaped like s:
     a sparse left product by s^-1, then `right_mul_kernel(s)`."""
-    left = _left_mul_kernel(_inverse(s.rows, s.n, s.mod), s.n, s.mod)
+    left = _left_mul_kernel(_power(s.rows, s.n, -1, s.mod), s.n, s.mod)
     right = right_mul_kernel(s)
 
     def apply(rows):

@@ -47,6 +47,38 @@ def naive_ut_mul(a_rows, b_rows):
     )
 
 
+def _inverse_by_back_substitution(rows):
+    """Inverse of unitriangular rows, column by column: x[i][j] is fixed by
+    row i of u times column j of x being 0 above the diagonal."""
+    n = len(rows)
+    x = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for j in range(n):
+        for i in range(j - 1, -1, -1):
+            x[i][j] = -sum(rows[i][k] * x[k][j] for k in range(i + 1, j + 1))
+    return tuple(map(tuple, x))
+
+
+def reference_power(rows, e, mod=None):
+    """rows**e for unitriangular rows by square-and-multiply over
+    naive_ut_mul, after inverting by back substitution when e < 0; entries
+    reduced mod `mod` when it is given."""
+    n = len(rows)
+
+    def reduce(m):
+        return tuple(tuple(v % mod for v in r) for r in m) if mod else m
+
+    if e < 0:
+        rows, e = _inverse_by_back_substitution(rows), -e
+    result = reduce(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+    base = reduce(rows)
+    while e:
+        if e & 1:
+            result = reduce(naive_ut_mul(result, base))
+        base = reduce(naive_ut_mul(base, base))
+        e >>= 1
+    return result
+
+
 def reference_closure(gens) -> tuple:
     """Elements of the group generated by residue matrices, in the order a
     breadth-first search first reaches them when it multiplies each element
@@ -130,6 +162,12 @@ def naive_normal(group, subset) -> bool:
         for g in group.elements
         for x in sub
     )
+
+
+def naive_subgroup(group, subset) -> bool:
+    """Contains the identity and the product of every pair of its elements."""
+    sub = frozenset(subset)
+    return group.identity in sub and all(group.mul(x, y) in sub for x in sub for y in sub)
 
 
 def naive_closure(group, seed) -> frozenset:

@@ -22,6 +22,7 @@ from conjsep.unitri import ResidueUT, reduce_mod
 from _oracles import (
     brute_conjugate,
     naive_normal,
+    naive_subgroup,
     reference_classes,
     reference_closure,
     reference_normal_subgroups,
@@ -187,6 +188,40 @@ class TestNormalSubgroups:
             assert d4.is_normal(d4.elements)
             d4.normal_subgroups()
         assert not naive_normal(d4, reflection_pair)
+
+    def test_is_subgroup_matches_brute_force(self):
+        d4 = dihedral4()
+        subsets = [
+            {d4.identity, (0, 1)}, {d4.identity, (1, 0)}, {(2, 0)}, {d4.identity, (2, 0)},
+            d4.elements,
+        ]
+        verdicts = [d4.is_subgroup(sub) for sub in subsets]
+        assert verdicts == [naive_subgroup(d4, sub) for sub in subsets]
+        group = finite_closure(heis_residue_gens(2, 2))
+        subsets = [group.subgroup_closure([x]) for x in group.elements[::5]]
+        subsets += [frozenset(group.elements[:4]), frozenset(group.elements)]
+        verdicts = [group.is_subgroup(sub) for sub in subsets]
+        assert verdicts == [naive_subgroup(group, sub) for sub in subsets]
+        assert False in verdicts
+
+    def test_is_subgroup_grows_an_orbit(self, monkeypatch):
+        # <b, c> has order 256 in heisenberg mod 2^4: the all-pairs check
+        # takes 256^2 products, the orbit at most 2 * 256 * log2(256).
+        group = finite_closure(heis_residue_gens(2, 4))
+        a, b = group.generators
+        sub = group.subgroup_closure([b, b.inverse() * a.inverse() * b * a])
+        outside = sub - {b} | {a}
+        calls = []
+        general = ResidueUT.__mul__
+
+        def counted(x, y):
+            calls.append(1)
+            return general(x, y)
+
+        monkeypatch.setattr(ResidueUT, "__mul__", counted)
+        assert len(sub) == 256 and group.is_subgroup(sub)
+        assert not group.is_subgroup(outside)
+        assert len(calls) <= 2 * 256 * 8
 
     def test_quotient_after_enumeration_rejects_non_normal(self):
         d4 = dihedral4()

@@ -152,6 +152,10 @@ class TestCenterCoordinates:
         z2 = free_abelian_rank2_spec()
         assert center_lattice(z2).rank == 2
 
+    def test_center_caches_are_bounded(self):
+        for cached in (center_support, center_lattice):
+            assert cached.cache_info().maxsize == QUOTIENT_CACHE_SIZE
+
 
 class TestCoordinates:
     def test_heisenberg_round_trip(self):

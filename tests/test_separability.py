@@ -9,6 +9,7 @@ from conjsep.errors import (
     AbelianGroup,
     AreConjugate,
     IdentityElement,
+    LocalCheckFailed,
     NotApplicable,
     NoZ2Rep,
     VerificationFailed,
@@ -208,6 +209,17 @@ class TestVerifyWitnessLocal:
         w = make_witness(HEIS, 2)
         with pytest.raises(TypeError):
             verify_witness_local(HEIS, w, 1, max_order=10**6)
+
+    def test_tampered_conjugator_exponent_raises(self):
+        # At level 5 the right exponent is 3^-1 mod 32 = 11; a table that says
+        # 13 must fail, not be replaced by an exponent the check derives itself.
+        w = make_witness(HEIS, 2)
+        assert dict(w.conjugator_exponents)[5] == 11
+        table = tuple((m, 13 if m == 5 else k) for m, k in w.conjugator_exponents)
+        tampered = dataclasses.replace(w, conjugator_exponents=table)
+        verify_witness_local(HEIS, tampered, 4)
+        with pytest.raises(LocalCheckFailed):
+            verify_witness_local(HEIS, tampered, 5)
 
     @pytest.mark.parametrize("spec_maker,p", [(ut4_spec, 2), (ut4_spec, 3), (heis5_spec, 2)])
     def test_higher_rank_groups(self, spec_maker, p):

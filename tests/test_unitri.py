@@ -13,11 +13,16 @@ from conjsep.unitri import (
     right_mul_kernel,
 )
 
-from _oracles import naive_ut_mul
+from _oracles import naive_ut_mul, reference_power
 
 A3 = UTMatrix.from_entries(3, {(0, 1): 1})
 B3 = UTMatrix.from_entries(3, {(1, 2): 1})
 C3 = UTMatrix.from_entries(3, {(0, 2): 1})
+
+# Small exponents of both signs, and some past 2^100.
+EXPONENTS = st.integers(-40, 40) | st.builds(
+    lambda sign, r: sign * (2**100 + r), st.sampled_from([1, -1]), st.integers(0, 40)
+)
 
 
 @st.composite
@@ -115,14 +120,36 @@ class TestArithmetic:
         assert u * u.inverse() == ident and u.inverse() * u == ident
         assert (u * v).inverse() == v.inverse() * u.inverse()
 
-    @settings(max_examples=40, deadline=None)
-    @given(ut_matrices(n=3, digits=12), st.integers(-6, 6))
-    def test_power_consistency(self, u, e):
-        by_mult = UTMatrix.identity(3)
-        step = u if e >= 0 else u.inverse()
-        for _ in range(abs(e)):
-            by_mult = by_mult * step
-        assert u**e == by_mult
+    @settings(max_examples=150, deadline=None)
+    @given(ut_matrices(digits=12), EXPONENTS, EXPONENTS, st.sampled_from([2, 3, 5]),
+           st.integers(1, 3))
+    def test_power_consistency(self, u, e, f, p, k):
+        assert (u**e).rows == reference_power(u.rows, e)
+        assert u**e * u**f == u ** (e + f)
+        assert u**-1 == u.inverse()
+        r = reduce_mod(u, p, k)
+        assert (r**e).rows == reference_power(r.rows, e, p**k)
+        assert r**e * r**f == r ** (e + f)
+        assert r**-1 == r.inverse()
+        assert reduce_mod(u**e, p, k) == r**e
+
+    def test_powers_and_inverses_take_no_products(self, monkeypatch):
+        calls = []
+        for cls in (UTMatrix, ResidueUT):
+            general = cls.__mul__
+
+            def counted(x, y, general=general):
+                calls.append(1)
+                return general(x, y)
+
+            monkeypatch.setattr(cls, "__mul__", counted)
+        u = UTMatrix.from_entries(5, {(0, 1): 3, (1, 2): -2, (2, 4): 7, (0, 3): 5, (3, 4): 1})
+        r = reduce_mod(u, 3, 2)
+        for x in (u, r):
+            x.inverse()
+            for e in (-(2**100) - 3, -41, -2, 0, 1, 2, 37, 2**100 + 5):
+                x**e
+        assert calls == []
 
 
 class TestCommutator:
