@@ -94,7 +94,7 @@ def _add_common(sub, with_prime=True):
         "--max-order",
         type=int,
         default=None,
-        help="closure cap on materialized quotients (default: 2048 for orbit "
+        help="cap on the order of the quotients searched (default: 2048 for orbit "
         "searches, 10^6 for separation)",
     )
 

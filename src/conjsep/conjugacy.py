@@ -1,6 +1,6 @@
 """Conjugacy decision procedures.
 
-Three backends: breadth-first orbit search in materialized finite groups, the
+Three backends: breadth-first orbit search in finite groups, the
 commutator-lattice criterion for class <= 2 matrix groups (conjugates of x are
 exactly x times the lattice spanned by its generator commutators), and the
 componentwise rule for abelian-times-finite products.  On top of these sit the

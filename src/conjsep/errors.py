@@ -60,7 +60,8 @@ class VerificationFailed(ConjsepError):
 
 
 class LocalCheckFailed(ConjsepError):
-    """A per-level conjugator check failed (an implementation bug, if ever raised)."""
+    """A per-level witness check failed: the explicit conjugator, its orbit
+    cross-check, or the images' membership in the level's quotient."""
 
 
 class NotApplicable(ConjsepError):

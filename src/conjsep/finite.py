@@ -1,8 +1,14 @@
-"""Fully materialized finite groups: closures, quotients, products, presets.
+"""Finite groups: closures, quotients, products, presets.
 
 Elements are hashable canonical encodings and multiplication is a callable,
 so residue-matrix groups of a few hundred thousand elements stay cheap to
 build while table-backed presets keep exact, human-readable element names.
+
+A group whose order and membership are known without its elements defers
+its element list (`_DeferredGroup`) until something enumerates it: a
+closure of residue matrices that generates all of UT(n, Z/p^k), which one
+rank over F_p decides (`_full_order`), and a direct product with such a
+factor.  Orbit search, membership, products and labels need no element list.
 
 Every search is one breadth-first `orbit`.  `finite_closure` runs it over
 row tuples, stepping by each generator's `right_mul_kernel`, which touches
@@ -21,10 +27,11 @@ import operator
 import weakref
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 from typing import Callable, NamedTuple
 
-from .errors import DimensionMismatch, SizeLimit
+from .errors import DimensionMismatch, SizeLimit, VerificationFailed
 from .intlin import prime_power_exponent
 from .unitri import ResidueUT, conjugation_kernel, right_mul_kernel
 
@@ -85,21 +92,17 @@ class FiniteGroup:
     """A finite group with a total multiplication over canonical elements."""
 
     def __init__(self, name, elements, mul, identity, generators, labels=None, inv=None):
+        self._setup(name, mul, identity, generators, labels, inv)
+        self._store(elements)
+        self.order = len(self.elements)
+
+    def _setup(self, name, mul, identity, generators, labels, inv):
         self.name = name
-        self.elements = tuple(elements)
         self.mul = mul
         self.identity = identity
         self.generators = tuple(generators)
         self._labels = labels
         self._inv_fn = inv
-        self._index = {e: i for i, e in enumerate(self.elements)}
-        if len(self._index) != len(self.elements):
-            raise ValueError("duplicate elements")
-        if identity not in self._index:
-            raise ValueError("identity is not among the elements")
-        for g in self.generators:
-            if g not in self._index:
-                raise ValueError(f"generator {g!r} is not among the elements")
         self._inverses = {}
         self._classes = None
         self._class_of = None
@@ -109,9 +112,16 @@ class FiniteGroup:
         self._quotients = {}
         self._conjugation = None  # set by finite_closure, else built on first use
 
-    @property
-    def order(self) -> int:
-        return len(self.elements)
+    def _store(self, elements):
+        self.elements = tuple(elements)
+        self._index = {e: i for i, e in enumerate(self.elements)}
+        if len(self._index) != len(self.elements):
+            raise ValueError("duplicate elements")
+        if self.identity not in self._index:
+            raise ValueError("identity is not among the elements")
+        for g in self.generators:
+            if g not in self._index:
+                raise ValueError(f"generator {g!r} is not among the elements")
 
     def index(self, x) -> int:
         return self._index[x]
@@ -395,38 +405,104 @@ class GroupHom:
         return True
 
 
+class _DeferredGroup(FiniteGroup):
+    """A finite group whose order and membership are known without its elements.
+
+    Until then membership is the `contains` predicate.  `elements` and
+    `_index` are built by `build` on first use, through `__getattr__`, which
+    Python calls only for attributes not set: a group that is never
+    enumerated is never built, and once built it is an eager `FiniteGroup`.
+    """
+
+    def __init__(self, name, order, contains, build, mul, identity, generators, labels, inv):
+        self._setup(name, mul, identity, generators, labels, inv)
+        self.order = order
+        self._contains = contains
+        self._build = build
+
+    def __contains__(self, x) -> bool:
+        return self._contains(x)
+
+    def __getattr__(self, name):
+        if name not in ("elements", "_index"):
+            raise AttributeError(name)
+        elements = tuple(self._build())
+        if len(elements) != self.order:
+            raise VerificationFailed(
+                "order", f"{self.name} has {len(elements)} elements, declared {self.order}"
+            )
+        self._store(elements)
+        # A class with `__getattr__` slows every attribute load of its
+        # instances, so a built group sheds it.
+        self.__class__ = FiniteGroup
+        return getattr(self, name)
+
+
+def _full_order(gens) -> int | None:
+    """p^(k*n(n-1)/2), the order of U = UT(n, Z/p^k), if gens generate U; else None.
+
+    Burnside's basis theorem: a subset generates a finite p-group P iff its
+    image generates P/Phi(P).  Phi(U) is the set of matrices whose
+    superdiagonal is 0 mod p, and U/Phi(U) = F_p^(n-1) by the superdiagonal
+    mod p, so the test is one rank over F_p, by elimination.
+    """
+    n, p, k = gens[0].n, gens[0].p, gens[0].k
+    pivots = {}  # column -> reduced superdiagonal, 1 there and 0 at earlier pivots
+    for g in gens:
+        v = [g.rows[i][i + 1] % p for i in range(n - 1)]
+        for col, b in pivots.items():
+            c = v[col]
+            v = [(x - c * y) % p for x, y in zip(v, b)]
+        lead = next((i for i, x in enumerate(v) if x), None)
+        if lead is not None:
+            inv = pow(v[lead], -1, p)
+            pivots[lead] = [x * inv % p for x in v]
+    return p ** (k * n * (n - 1) // 2) if len(pivots) == n - 1 else None
+
+
+def _closure_limit(max_order: int, ident: ResidueUT) -> SizeLimit:
+    return SizeLimit(
+        f"closure exceeded {max_order} elements (UT({ident.n}) mod {ident.p}^{ident.k})"
+    )
+
+
+def _closure_elements(ident: ResidueUT, gens, max_order: int) -> list:
+    """The orbit of the identity on row tuples, each edge one generator's
+    `right_mul_kernel`, wrapped as residue matrices in the order reached."""
+    ordered = [ident]
+    steps = orbit(ident.rows, [right_mul_kernel(g) for g in gens], _step)
+    for rows, _, _ in islice(steps, 1, None):
+        if len(ordered) >= max_order:
+            raise _closure_limit(max_order, ident)
+        ordered.append(ident._wrap(rows))
+    return ordered
+
+
 def finite_closure(
     gens, max_order: int = 10**6, name: str | None = None, labels=None
 ) -> FiniteGroup:
     """Breadth-first closure of residue matrices under multiplication.
 
-    The orbit of the identity runs on row tuples, each edge one generator's
-    `right_mul_kernel`, so elements come out in the order that right
-    multiplication by the generators, in listed order, would give them.
-    The group conjugates on row tuples by the generators' `conjugation_kernel`s.
-    Raises SizeLimit when the group would exceed max_order elements.
+    Elements come out in the order that right multiplication by the
+    generators, in listed order, would give them (`_closure_elements`).
+    When the generators generate all of UT(n, Z/p^k) (`_full_order`), the
+    group's order is known and membership is "a residue matrix of the same
+    shape", so the element list is built only on first use; otherwise it is
+    built here.  The group conjugates on row tuples by the generators'
+    `conjugation_kernel`s.  Raises SizeLimit when the group would exceed
+    max_order elements, before any element is built if the order is known.
     """
     gens = tuple(gens)
     if not gens:
         raise ValueError("need at least one generator")
     first = gens[0]
+    shape = (first.n, first.p, first.k)
     for g in gens:
-        if (g.n, g.p, g.k) != (first.n, first.p, first.k):
+        if (g.n, g.p, g.k) != shape:
             raise DimensionMismatch("generators live in different residue groups")
-    ident = ResidueUT.identity(first.n, first.p, first.k)
-    kernels = [right_mul_kernel(g) for g in gens]
-    ordered = [ident]
-    steps = orbit(ident.rows, kernels, _step)
-    for rows, _, _ in islice(steps, 1, None):
-        if len(ordered) >= max_order:
-            raise SizeLimit(
-                f"closure exceeded {max_order} elements "
-                f"(UT({first.n}) mod {first.p}^{first.k})"
-            )
-        ordered.append(ident._wrap(rows))
-    group = FiniteGroup(
+    ident = ResidueUT.identity(*shape)
+    parts = dict(
         name=name or f"closure in UT({first.n}, Z/{first.p}^{first.k})",
-        elements=ordered,
         mul=operator.mul,
         identity=ident,
         generators=gens,
@@ -434,26 +510,54 @@ def finite_closure(
         or (lambda r: "(" + ",".join(str(v) for v in r.upper_entries()) + ")"),
         inv=lambda x: x.inverse(),
     )
+    order = _full_order(gens)
+    if order is None:
+        group = FiniteGroup(elements=_closure_elements(ident, gens, max_order), **parts)
+    elif order > max_order:
+        raise _closure_limit(max_order, ident)
+    else:
+        group = _DeferredGroup(
+            order=order,
+            contains=lambda x: isinstance(x, ResidueUT) and (x.n, x.p, x.k) == shape,
+            build=partial(_closure_elements, ident, gens, max_order),
+            **parts,
+        )
     group._conjugation = Conjugation(
         operator.attrgetter("rows"), ident._wrap, tuple(map(conjugation_kernel, gens))
     )
     return group
 
 
+def _product_elements(a: FiniteGroup, b: FiniteGroup):
+    return ((x, y) for x in a.elements for y in b.elements)
+
+
 def direct_product(a: FiniteGroup, b: FiniteGroup, name: str | None = None) -> FiniteGroup:
-    """Direct product with componentwise multiplication."""
-    elements = tuple((x, y) for x in a.elements for y in b.elements)
+    """Direct product with componentwise multiplication; its elements are
+    the pairs in row-major order.
+
+    When a factor's element list is deferred, so is the product's: its order
+    is |A|*|B| and membership is componentwise.  A product of built factors
+    is built at once.
+    """
     gens = tuple((g, b.identity) for g in a.generators) + tuple(
         (a.identity, h) for h in b.generators
     )
-    return FiniteGroup(
+    parts = dict(
         name=name or f"{a.name} x {b.name}",
-        elements=elements,
         mul=lambda x, y: (a.mul(x[0], y[0]), b.mul(x[1], y[1])),
         identity=(a.identity, b.identity),
         generators=gens,
         labels=lambda x: f"({a.label(x[0])},{b.label(x[1])})",
         inv=lambda x: (a.inverse(x[0]), b.inverse(x[1])),
+    )
+    if not (isinstance(a, _DeferredGroup) or isinstance(b, _DeferredGroup)):
+        return FiniteGroup(elements=_product_elements(a, b), **parts)
+    return _DeferredGroup(
+        order=a.order * b.order,
+        contains=lambda x: isinstance(x, tuple) and len(x) == 2 and x[0] in a and x[1] in b,
+        build=partial(_product_elements, a, b),
+        **parts,
     )
 
 

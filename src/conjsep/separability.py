@@ -263,7 +263,8 @@ def verify_witness_local(
     verified spec puts c in the centre span, where c = I + M with M^2 = 0, so
     c^t = I + t*M and q^n k = 1 mod p^m makes the right-hand side v mod p^m;
     any mismatch raises LocalCheckFailed.  For levels where the congruence
-    quotient is small enough, an independent orbit search cross-checks it.
+    quotient is small enough, an independent orbit search cross-checks it;
+    images of u and v outside that quotient raise LocalCheckFailed too.
     The gate bounds the quotient's order by bfs_cap, so the quotient is
     looked up under the key `scan_tower` uses for the same cap: a witness
     and its tower scan share one quotient per level.
@@ -279,7 +280,10 @@ def verify_witness_local(
     strict_dim = spec.n * (spec.n - 1) // 2
     if p ** (m * strict_dim) <= bfs_cap:
         quot, hom = congruence_quotient(spec, p, m, max(bfs_cap, 2))
-        answer = conjugate_in_finite(quot, hom(witness.u), hom(witness.v))
+        x, y = hom(witness.u), hom(witness.v)
+        if x not in quot or y not in quot:
+            raise LocalCheckFailed(f"witness images lie outside the generated group at level {m}")
+        answer = conjugate_in_finite(quot, x, y)
         if not answer.conjugate:
             raise LocalCheckFailed(f"orbit search contradicts the conjugator at level {m}")
         bfs_checked = True
@@ -308,7 +312,8 @@ def separate_elements(
     modulo p^level gives the quotient ("abelian-part" branch); when they
     agree, level 1 already embeds the finite part, whose conjugacy the kernel
     cannot disturb ("torsion-part" branch).  The certificate is re-verified
-    by an independent orbit search in the materialized quotient.
+    by an independent orbit search in the quotient, which needs its order and
+    membership but not its element list.
 
     Raises NotApplicable when the hypotheses fail and AreConjugate (carrying
     a verified conjugator) when the pair is conjugate.

@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from conjsep import cli
+from conjsep import cli, finite
+from conjsep.errors import LocalCheckFailed
 from conjsep.finite import FiniteGroup, cyclic
-from conjsep.groupspec import coords_to_element, heisenberg_spec
+from conjsep.groupspec import congruence_quotient, coords_to_element, heisenberg_spec
 from conjsep.intlin import mod_inverse
 from conjsep.selftest import run_selftest
 from conjsep.separability import scan_tower
@@ -244,6 +245,73 @@ class TestScan:
         x = coords_to_element(heis, (1, 0, 0))
         with pytest.raises(ValueError, match="depth"):
             scan_tower(heis, x, x, 2, depth)
+
+
+# Generators 2 mod 2 on the superdiagonal, so the group mod 2 is trivial, while
+# the declared second-centre representative has a 1 there.
+OFF_GROUP_DOC = {
+    "name": "off-group",
+    "n": 3,
+    "generators": [
+        [[1, 2, 0], [0, 1, 0], [0, 0, 1]],
+        [[1, 0, 0], [0, 1, 2], [0, 0, 1]],
+    ],
+    "center_gens": [[[1, 0, 2], [0, 1, 0], [0, 0, 1]]],
+    "z2_rep": [[1, 1, 0], [0, 1, 0], [0, 0, 1]],
+    "declared_class": 2,
+}
+
+
+class TestDeferredQuotients:
+    """Levels that are all of UT(n, Z/p^k), and products with them, are
+    searched by orbit without building their element lists."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        for name in ("_closure_elements", "_product_elements"):
+            original = getattr(finite, name)
+
+            def counted(*args, original=original, name=name):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(finite, name, counted)
+        congruence_quotient.cache_clear()
+        yield calls
+        congruence_quotient.cache_clear()
+
+    def test_witness_builds_no_element_list(self, capsys, builds):
+        argv = ["witness", "--preset", "heisenberg", "-p", "2", "-K", "8",
+                "--max-order", "4096", "--json"]
+        code, report = run_json(capsys, argv)
+        assert code == 0
+        assert [lv["orbit_checked"] for lv in report["result"]["local_checks"]] == [True] * 4 + [False] * 4
+        assert congruence_quotient.cache_info().misses == 4
+        assert builds == []
+
+    def test_ut4_scan_builds_no_element_list(self, capsys, builds):
+        argv = ["scan", "--preset", "ut4", "-p", "2", "-K", "3", "--max-order", "4096",
+                "-x", "1,0,0,0,0,0", "-y", "1,0,0,0,1,1", "--json"]
+        code, report = run_json(capsys, argv)
+        assert code == 0
+        methods = [lv["method"] for lv in report["result"]["levels"]]
+        assert methods == ["orbit", "orbit", "skipped"]
+        assert builds == []
+
+    def test_separate_reports_product_order_without_building_it(self, capsys, builds):
+        argv = ["separate", "--preset", "zxq8", "-p", "2", "-a", "8192|i", "-b", "0|i", "--json"]
+        code, report = run_json(capsys, argv)
+        assert code == 0
+        assert report["result"]["quotient"] == {"name": "(z mod 2^14) x Q8", "order": 131072}
+        assert report["result"]["images"] == ["((8192),i)", "((0),i)"]
+        assert builds == []
+
+    def test_witness_images_outside_the_group_name_the_level(self, tmp_path):
+        path = tmp_path / "off.json"
+        path.write_text(json.dumps(OFF_GROUP_DOC))
+        with pytest.raises(LocalCheckFailed, match="outside the generated group at level 1"):
+            cli.main(["witness", "--spec", str(path), "-p", "2", "-K", "3"])
 
 
 class TestSelftest:

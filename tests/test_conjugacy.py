@@ -512,6 +512,17 @@ except VerificationFailed:
     pass
 else:
     raise SystemExit("class-2 conjugator re-check did not raise")
+
+# A full image declared with the wrong order: building its element list must
+# notice that the list is shorter than the declared order.
+conjsep.finite._full_order = lambda gens: 10**3
+wrong_order = finite_closure([reduce_mod(g, 3, 2) for g in heis.generators])
+try:
+    wrong_order.elements
+except VerificationFailed:
+    pass
+else:
+    raise SystemExit("declared-order check did not raise")
 """
 
 

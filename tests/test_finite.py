@@ -2,8 +2,11 @@ import gc
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conjsep.errors import SizeLimit
+from conjsep import finite
+from conjsep.errors import SizeLimit, VerificationFailed
 from conjsep.finite import (
     FiniteGroup,
     cyclic,
@@ -16,7 +19,7 @@ from conjsep.finite import (
     sym3,
     trivial_group,
 )
-from conjsep.groupspec import heis5_spec, heisenberg_spec, ut4_spec
+from conjsep.groupspec import free_abelian_rank1_spec, heis5_spec, heisenberg_spec, ut4_spec
 from conjsep.unitri import ResidueUT, reduce_mod
 
 from _oracles import (
@@ -338,6 +341,159 @@ class TestFiniteClosure:
     def test_closure_group_axioms(self):
         group = finite_closure(heis_residue_gens(2, 2))
         assert all(ok for _, ok, _ in group.validate())
+
+
+# (n, p, k) for which |UT(n, Z/p^k)| = p^(k n(n-1)/2) is small enough for
+# `reference_closure`; every n from 2 to 5 occurs.
+SHAPES = [
+    (n, p, k) for n in range(2, 6) for p in (2, 3, 5) for k in range(1, 4)
+    if p ** (k * n * (n - 1) // 2) <= 4096
+]
+TABLES = [trivial_group, lambda: cyclic(2), lambda: cyclic(3), sym3, dihedral4, quaternion8]
+
+
+@st.composite
+def residue_matrices(draw, n, p, k, superdiagonal=None):
+    """A residue matrix of shape (n, p, k): random above the superdiagonal,
+    and on it the given entries, or random ones."""
+    mod = p**k
+    if superdiagonal is None:
+        superdiagonal = [draw(st.integers(0, mod - 1)) for _ in range(n - 1)]
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        if i < n - 1:
+            rows[i][i + 1] = superdiagonal[i] % mod
+        for j in range(i + 2, n):
+            rows[i][j] = draw(st.integers(0, mod - 1))
+    return ResidueUT(rows, p, k)
+
+
+@st.composite
+def generator_sets(draw):
+    """Residue generators of one kind: a full set (the superdiagonals mod p
+    span F_p^(n-1)), a set in the Frattini subgroup (every superdiagonal
+    entry 0 mod p), a set missing one superdiagonal position mod p, heis5's
+    generators, or random matrices."""
+    kind = draw(st.sampled_from(["full", "frattini", "missing", "heis5", "random"]))
+    shapes = [s for s in SHAPES if s[0] == 4] if kind == "heis5" else SHAPES
+    n, p, k = draw(st.sampled_from(shapes))
+    if kind == "heis5":
+        return [reduce_mod(g, p, k) for g in heis5_spec().generators]
+    entry = st.integers(0, p**k - 1)
+    multiple = st.integers(0, p ** (k - 1) - 1).map(lambda v: p * v)
+    unit = st.builds(lambda u, v: u + p * v, st.integers(1, p - 1), st.integers(0, p ** (k - 1) - 1))
+    count = draw(st.integers(1, 3))
+    if kind == "full":
+        # Generator i has a unit at position i, multiples of p before it:
+        # a triangular system of rank n - 1 mod p, shuffled, maybe one more.
+        diagonals = [[draw(multiple if j < i else unit if j == i else entry) for j in range(n - 1)]
+                     for i in range(n - 1)]
+        diagonals += [[draw(entry) for _ in range(n - 1)] for _ in range(count - 1)]
+        diagonals = draw(st.permutations(diagonals))
+    elif kind == "frattini":
+        diagonals = [[draw(multiple) for _ in range(n - 1)] for _ in range(count)]
+    elif kind == "missing":
+        gap = draw(st.integers(0, n - 2))
+        diagonals = [[draw(multiple if j == gap else entry) for j in range(n - 1)]
+                     for _ in range(count)]
+    else:
+        diagonals = [None] * count
+    return [draw(residue_matrices(n, p, k, d)) for d in diagonals]
+
+
+def foreign_values(n, p, k):
+    """Values that are never residue matrices of shape (n, p, k)."""
+    return [ResidueUT.identity(n, p, k + 1), ResidueUT.identity(n + 1, p, k), 0, "e", (1, 2)]
+
+
+class TestDeferredGroups:
+    """Groups whose order and membership are known before their elements."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(generator_sets(), st.data())
+    def test_full_image_shortcut_matches_reference_closure(self, gens, data):
+        n, p, k = gens[0].n, gens[0].p, gens[0].k
+        reference = reference_closure(gens)
+        full = p ** (k * n * (n - 1) // 2)
+        is_full = len(reference) == full
+        assert finite._full_order(gens) == (full if is_full else None)
+        group = finite_closure(gens)
+        assert isinstance(group, finite._DeferredGroup) == is_full
+        probes = [data.draw(residue_matrices(n, p, k)) for _ in range(4)]
+        probes += [reference[data.draw(st.integers(0, len(reference) - 1))]]
+        probes += foreign_values(n, p, k)
+        declared = group.order
+        answers = [x in group for x in probes]
+        assert group.elements == reference
+        assert declared == len(group.elements)
+        built = set(group.elements)
+        assert answers == [x in built for x in probes]
+
+    @settings(max_examples=40, deadline=None)
+    @given(generator_sets(), st.sampled_from(TABLES), st.booleans(), st.data())
+    def test_direct_product_order_and_membership(self, gens, table, swap, data):
+        a, b = finite_closure(gens), table()
+        if swap:
+            a, b = b, a
+        prod = direct_product(a, b)
+        deferred = isinstance(a, finite._DeferredGroup) or isinstance(b, finite._DeferredGroup)
+        assert isinstance(prod, finite._DeferredGroup) == deferred
+        n, p, k = gens[0].n, gens[0].p, gens[0].k
+        parts = [data.draw(st.sampled_from(g.elements)) for g in (a, b) for _ in range(2)]
+        parts += [data.draw(residue_matrices(n, p, k)), 1, (0, 1), "i"]
+        probes = [(x, y) for x in parts for y in parts]
+        probes += [parts[0], (parts[0], parts[2], parts[2]), foreign_values(n, p, k)[-1]]
+        declared = prod.order
+        answers = [x in prod for x in probes]
+        assert prod.elements == tuple((x, y) for x in a.elements for y in b.elements)
+        assert declared == len(prod.elements) == a.order * b.order
+        built = set(prod.elements)
+        assert answers == [x in built for x in probes]
+        assert any(answers) and not all(answers)
+
+    def test_size_limit_before_any_orbit_step(self, monkeypatch):
+        # Z mod 2^15 has 32768 elements: the cap is known to be exceeded
+        # from the generator alone.
+        steps = []
+
+        def counted(*args):
+            steps.append(1)
+            return orbit(*args)
+
+        monkeypatch.setattr(finite, "orbit", counted)
+        gens = [reduce_mod(g, 2, 15) for g in free_abelian_rank1_spec().generators]
+        with pytest.raises(SizeLimit, match=r"closure exceeded 16384 elements \(UT\(2\) mod 2\^15\)"):
+            finite_closure(gens, max_order=16384)
+        assert steps == []
+        assert finite_closure(gens, max_order=32768).order == 32768
+        assert steps == []
+
+    def test_wrong_declared_order_raises_when_built(self, monkeypatch):
+        monkeypatch.setattr(finite, "_full_order", lambda gens: 128)
+        group = finite_closure(heis_residue_gens(2, 2))
+        assert group.order == 128
+        with pytest.raises(VerificationFailed, match="64 elements, declared 128"):
+            group.elements
+
+    def test_built_once_on_first_use(self, monkeypatch):
+        builds = []
+        original = finite._closure_elements
+
+        def counted(*args):
+            builds.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(finite, "_closure_elements", counted)
+        group = finite_closure(heis_residue_gens(2, 3))
+        a, b = group.generators
+        assert group.order == 512 and b * a in group
+        assert builds == []
+        assert group.index(group.identity) == 0
+        assert len(group.conjugacy_classes()) == len(reference_classes(group))
+        assert group.elements is group.elements
+        assert builds == [1]
+        with pytest.raises(AttributeError):
+            group.no_such_attribute
 
 
 class TestGroupHom:
