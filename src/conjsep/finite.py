@@ -6,9 +6,10 @@ build while table-backed presets keep exact, human-readable element names.
 
 A group whose order and membership are known without its elements defers
 its element list (`_DeferredGroup`) until something enumerates it: a
-closure of residue matrices that generates all of UT(n, Z/p^k), which one
-rank over F_p decides (`_full_order`), and a direct product with such a
-factor.  Orbit search, membership, products and labels need no element list.
+closure of residue matrices that generates all of UT(n, Z/p^k), which the
+Hermite form of the generators' superdiagonals and p*Z^(n-1) decides
+(`_full_order`), and a direct product with such a factor.  Orbit search,
+membership, products and labels need no element list.
 
 Every search is one breadth-first `orbit`.  `finite_closure` runs it over
 row tuples, stepping by each generator's `right_mul_kernel`, which touches
@@ -32,7 +33,7 @@ from itertools import islice
 from typing import Callable, NamedTuple
 
 from .errors import DimensionMismatch, SizeLimit, VerificationFailed
-from .intlin import prime_power_exponent
+from .intlin import Lattice, prime_power_exponent
 from .unitri import ResidueUT, conjugation_kernel, right_mul_kernel
 
 # `validate` checks associativity on every triple up to this order, and on a
@@ -444,20 +445,15 @@ def _full_order(gens) -> int | None:
     Burnside's basis theorem: a subset generates a finite p-group P iff its
     image generates P/Phi(P).  Phi(U) is the set of matrices whose
     superdiagonal is 0 mod p, and U/Phi(U) = F_p^(n-1) by the superdiagonal
-    mod p, so the test is one rank over F_p, by elimination.
+    mod p.  So gens generate U iff their superdiagonals together with
+    p*e_1, ..., p*e_(n-1) span Z^(n-1), that is iff the canonical basis of
+    that lattice is the identity.
     """
     n, p, k = gens[0].n, gens[0].p, gens[0].k
-    pivots = {}  # column -> reduced superdiagonal, 1 there and 0 at earlier pivots
-    for g in gens:
-        v = [g.rows[i][i + 1] % p for i in range(n - 1)]
-        for col, b in pivots.items():
-            c = v[col]
-            v = [(x - c * y) % p for x, y in zip(v, b)]
-        lead = next((i for i, x in enumerate(v) if x), None)
-        if lead is not None:
-            inv = pow(v[lead], -1, p)
-            pivots[lead] = [x * inv % p for x in v]
-    return p ** (k * n * (n - 1) // 2) if len(pivots) == n - 1 else None
+    unit = tuple(tuple(int(i == j) for i in range(n - 1)) for j in range(n - 1))
+    supers = [[g.rows[i][i + 1] for i in range(n - 1)] for g in gens]
+    span = Lattice(n - 1, supers + [[p * x for x in e] for e in unit])
+    return p ** (k * n * (n - 1) // 2) if span.canonical().basis == unit else None
 
 
 def _closure_limit(max_order: int, ident: ResidueUT) -> SizeLimit:

@@ -4,6 +4,13 @@ Everything works over plain Python integers, so results are exact at any
 magnitude.  Normal forms return the unimodular transforms alongside the
 canonical matrix, which lets callers certify every answer (membership
 coefficients, divisibility failures) instead of trusting the algorithm.
+
+There is one elimination loop, the row Hermite reduction `_row_hnf`; any
+transform rides along as extra columns of the rows it reduces.  `hnf` is
+one pass of it, `snf` alternates row and column passes until the matrix is
+diagonal, and a `Lattice` reduces its generators once, on first use, and
+answers membership, rank and equality from that one form.  The Bareiss
+`det` is separate on purpose: it is the reference for unimodularity.
 """
 
 from __future__ import annotations
@@ -221,42 +228,47 @@ def _clear_pair(a: int, b: int) -> tuple[int, int, int, int]:
     return x, y, a // g, b // g
 
 
-def _row_hnf(mat: list[list[int]], m: int, n: int) -> tuple[list[list[int]], list[list[int]]]:
-    """Row-style Hermite reduction; returns (H, U) with U @ mat = H, det U = +-1."""
-    h = [list(r) for r in mat]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+def _row_hnf(rows: list[list[int]], n: int) -> None:
+    """Row Hermite reduction in place, pivoting on the first n columns only.
+
+    Columns past n ride along with every row operation: an identity block
+    appended there ends up holding the unimodular transform U with
+    U @ mat = H.  This is the only elimination loop in the package.
+    """
+    m = len(rows)
     r = 0
     for j in range(n):
-        piv = next((i for i in range(r, m) if h[i][j]), None)
+        piv = next((i for i in range(r, m) if rows[i][j]), None)
         if piv is None:
             continue
-        if piv != r:
-            h[r], h[piv] = h[piv], h[r]
-            u[r], u[piv] = u[piv], u[r]
+        rows[r], rows[piv] = rows[piv], rows[r]
         for i in range(r + 1, m):
-            if h[i][j] == 0:
-                continue
-            x, y, a_, b_ = _clear_pair(h[r][j], h[i][j])
-            h[r], h[i] = (
-                [x * p + y * q for p, q in zip(h[r], h[i])],
-                [-b_ * p + a_ * q for p, q in zip(h[r], h[i])],
-            )
-            u[r], u[i] = (
-                [x * p + y * q for p, q in zip(u[r], u[i])],
-                [-b_ * p + a_ * q for p, q in zip(u[r], u[i])],
-            )
-        if h[r][j] < 0:
-            h[r] = [-e for e in h[r]]
-            u[r] = [-e for e in u[r]]
+            if rows[i][j]:
+                x, y, a_, b_ = _clear_pair(rows[r][j], rows[i][j])
+                rows[r], rows[i] = (
+                    [x * p + y * q for p, q in zip(rows[r], rows[i])],
+                    [-b_ * p + a_ * q for p, q in zip(rows[r], rows[i])],
+                )
+        if rows[r][j] < 0:
+            rows[r] = [-e for e in rows[r]]
         for i in range(r):
-            q = h[i][j] // h[r][j]
+            q = rows[i][j] // rows[r][j]
             if q:
-                h[i] = [p - q * t for p, t in zip(h[i], h[r])]
-                u[i] = [p - q * t for p, t in zip(u[i], u[r])]
+                rows[i] = [p - q * t for p, t in zip(rows[i], rows[r])]
         r += 1
         if r == m:
             break
-    return h, u
+
+
+def _carry_hnf(h: list[list[int]], n: int, t: list[list[int]]):
+    """Row Hermite form of the n-column rows h with t carried along: (R h, R t)."""
+    rows = [hr + tr for hr, tr in zip(h, t)]
+    _row_hnf(rows, n)
+    return [r[:n] for r in rows], [r[n:] for r in rows]
+
+
+def _transposed(rows: list[list[int]], cols: int) -> list[list[int]]:
+    return [[r[j] for r in rows] for j in range(cols)]
 
 
 def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -267,11 +279,11 @@ def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     pivots are positive, entries to the right of a pivot in its row are zero
     and entries to the left are reduced into [0, pivot).
     """
-    bt = a.transpose().to_rows()
-    h_t, u_t = _row_hnf(bt, a.cols, a.rows)
-    h = IntMatrix.from_rows(h_t).transpose() if a.cols else IntMatrix.zero(a.rows, 0)
-    u = IntMatrix.from_rows(u_t).transpose() if a.cols else IntMatrix.zero(0, 0)
-    return h, u
+    h_t, u_t = _carry_hnf(a.transpose().to_rows(), a.rows, IntMatrix.identity(a.cols).to_rows())
+    return (
+        IntMatrix(a.rows, a.cols, [x for r in _transposed(h_t, a.rows) for x in r]),
+        IntMatrix(a.cols, a.cols, [x for r in _transposed(u_t, a.cols) for x in r]),
+    )
 
 
 def is_column_hnf(h: IntMatrix) -> bool:
@@ -303,79 +315,36 @@ def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Smith normal form.
 
     Returns (D, U, V) with U @ A @ V = D, U and V unimodular, D diagonal with
-    nonnegative entries d1 | d2 | ... along the diagonal.
+    nonnegative entries d1 | d2 | ... along the diagonal.  Row and column
+    Hermite passes alternate until D is diagonal (each pass either clears the
+    leading row and column or shrinks the leading pivot to a proper divisor);
+    a diagonal pair d_i, d_j with d_i not dividing d_j is then merged by
+    adding column j into column i, and the passes resume.
     """
     m, n = a.rows, a.cols
-    d = a.to_rows()
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def row_combine(r0, r1, x, y, a_, b_):
-        d[r0], d[r1] = (
-            [x * p + y * q for p, q in zip(d[r0], d[r1])],
-            [-b_ * p + a_ * q for p, q in zip(d[r0], d[r1])],
+    d, u, v_t = a.to_rows(), IntMatrix.identity(m).to_rows(), IntMatrix.identity(n).to_rows()
+    while True:
+        d, u = _carry_hnf(d, n, u)
+        d_t, v_t = _carry_hnf(_transposed(d, n), m, v_t)
+        d = _transposed(d_t, m)
+        if any(d[i][j] for i in range(m) for j in range(n) if i != j):
+            continue
+        # the last pass left zero columns trailing, so nonzero entries lead
+        rank = sum(1 for i in range(min(m, n)) if d[i][i])
+        bad = next(
+            ((i, j) for i in range(rank) for j in range(i + 1, rank) if d[j][j] % d[i][i]),
+            None,
         )
-        u[r0], u[r1] = (
-            [x * p + y * q for p, q in zip(u[r0], u[r1])],
-            [-b_ * p + a_ * q for p, q in zip(u[r0], u[r1])],
-        )
-
-    def col_combine(c0, c1, x, y, a_, b_):
-        for row in d:
-            p, q = row[c0], row[c1]
-            row[c0], row[c1] = x * p + y * q, -b_ * p + a_ * q
-        for row in v:
-            p, q = row[c0], row[c1]
-            row[c0], row[c1] = x * p + y * q, -b_ * p + a_ * q
-
-    t = 0
-    while t < min(m, n):
-        # pivot: smallest nonzero magnitude in the trailing block
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if d[i][j] and (best is None or abs(d[i][j]) < abs(d[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
+        if bad is None:
             break
-        bi, bj = best
-        if bi != t:
-            d[t], d[bi] = d[bi], d[t]
-            u[t], u[bi] = u[bi], u[t]
-        if bj != t:
-            for row in d:
-                row[t], row[bj] = row[bj], row[t]
-            for row in v:
-                row[t], row[bj] = row[bj], row[t]
-        while True:
-            for i in range(t + 1, m):
-                if d[i][t]:
-                    row_combine(t, i, *_clear_pair(d[t][t], d[i][t]))
-            for j in range(t + 1, n):
-                if d[t][j]:
-                    col_combine(t, j, *_clear_pair(d[t][t], d[t][j]))
-            if all(d[i][t] == 0 for i in range(t + 1, m)) and all(
-                d[t][j] == 0 for j in range(t + 1, n)
-            ):
-                bad = next(
-                    (
-                        (i, j)
-                        for i in range(t + 1, m)
-                        for j in range(t + 1, n)
-                        if d[i][j] % d[t][t]
-                    ),
-                    None,
-                )
-                if bad is None:
-                    break
-                # pull the offending row up so the pivot absorbs the gcd
-                d[t] = [p + q for p, q in zip(d[t], d[bad[0]])]
-                u[t] = [p + q for p, q in zip(u[t], u[bad[0]])]
-        if d[t][t] < 0:
-            d[t] = [-e for e in d[t]]
-            u[t] = [-e for e in u[t]]
-        t += 1
-    return IntMatrix.from_rows(d), IntMatrix.from_rows(u), IntMatrix.from_rows(v)
+        i, j = bad
+        d[j][i] = d[j][j]
+        v_t[i] = [x + y for x, y in zip(v_t[i], v_t[j])]
+    return (
+        IntMatrix(m, n, [x for r in d for x in r]),
+        IntMatrix(m, m, [x for r in u for x in r]),
+        IntMatrix(n, n, [x for r in _transposed(v_t, n) for x in r]),
+    )
 
 
 @dataclass(frozen=True)
@@ -399,10 +368,12 @@ class Lattice:
 
     Generators are column vectors in Z^ambient_rank.  The canonical basis is
     the column Hermite normal form with zero columns dropped, which makes
-    lattice equality decidable and canonicalization idempotent.
+    lattice equality decidable and canonicalization idempotent.  The form is
+    computed once, on first use, together with its pivot rows and the
+    transform back to the generators; every later question reads it.
     """
 
-    __slots__ = ("ambient_rank", "basis", "_canon")
+    __slots__ = ("ambient_rank", "basis", "_echelon")
 
     def __init__(self, ambient_rank: int, basis=()):
         basis = tuple(tuple(int(x) for x in col) for col in basis)
@@ -413,7 +384,7 @@ class Lattice:
                 )
         object.__setattr__(self, "ambient_rank", ambient_rank)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "_canon", None)
+        object.__setattr__(self, "_echelon", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Lattice is immutable")
@@ -426,17 +397,24 @@ class Lattice:
             [col[i] for i in range(self.ambient_rank) for col in self.basis],
         )
 
+    def _reduce(self) -> tuple:
+        """(canonical lattice, pivot row of each basis column, transform rows).
+
+        Transform row k holds the coefficients of generator k in the first
+        rank columns of U, so basis column j = sum_k generator_k * row_k[j].
+        """
+        if self._echelon is None:
+            h, u = hnf(self.matrix())
+            cols = [col for col in map(h.col, range(h.cols)) if any(col)]
+            pivots = tuple(next(i for i, e in enumerate(col) if e) for col in cols)
+            transform = tuple(u.row(k)[: len(cols)] for k in range(u.rows))
+            object.__setattr__(
+                self, "_echelon", (Lattice(self.ambient_rank, cols), pivots, transform)
+            )
+        return self._echelon
+
     def canonical(self) -> "Lattice":
-        if self._canon is None:
-            if not self.basis:
-                canon = self
-            else:
-                h, _ = hnf(self.matrix())
-                cols = [h.col(j) for j in range(h.cols)]
-                cols = [c for c in cols if any(c)]
-                canon = Lattice(self.ambient_rank, cols)
-            object.__setattr__(self, "_canon", canon)
-        return self._canon
+        return self._reduce()[0]
 
     @property
     def rank(self) -> int:
@@ -453,38 +431,30 @@ class Lattice:
             and self.canonical().basis == other.canonical().basis
         )
 
-    def contains(self, v) -> Membership:
-        """Decide membership; certificate coefficients refer to the original generators."""
+    def coordinates(self, v) -> tuple | None:
+        """Coordinates of v in the canonical basis, or None when v is outside."""
         v = tuple(int(x) for x in v)
         if len(v) != self.ambient_rank:
             raise DimensionMismatch("vector length does not match ambient rank")
-        if not self.basis:
-            return Membership(True, ()) if not any(v) else Membership(False)
-        h, u = hnf(self.matrix())
-        pivots = []
-        for j in range(h.cols):
-            col = h.col(j)
-            nz = next((i for i, e in enumerate(col) if e), None)
-            if nz is not None:
-                pivots.append((nz, j))
-        y = [0] * h.cols
+        canon, pivots, _ = self._reduce()
         resid = list(v)
-        pi = 0
-        for i in range(self.ambient_rank):
-            if pi < len(pivots) and pivots[pi][0] == i:
-                _, pcol = pivots[pi]
-                piv = h.at(i, pcol)
-                if resid[i] % piv:
-                    return Membership(False)
-                q = resid[i] // piv
-                if q:
-                    for r2 in range(i, self.ambient_rank):
-                        resid[r2] -= q * h.at(r2, pcol)
-                y[pcol] = q
-                pi += 1
-            elif resid[i]:
-                return Membership(False)
-        return Membership(True, u.apply(y))
+        y = []
+        for i, col in zip(pivots, canon.basis):
+            q, r = divmod(resid[i], col[i])
+            if r:
+                return None
+            if q:
+                resid = [a - q * b for a, b in zip(resid, col)]
+            y.append(q)
+        return None if any(resid) else tuple(y)
+
+    def contains(self, v) -> Membership:
+        """Decide membership; certificate coefficients refer to the original generators."""
+        y = self.coordinates(v)
+        if y is None:
+            return Membership(False)
+        transform = self._reduce()[2]
+        return Membership(True, tuple(sum(t * c for t, c in zip(row, y)) for row in transform))
 
 
 def lattice_contains(lattice: Lattice, v) -> Membership:
@@ -496,13 +466,16 @@ def power_solvable(z1: Lattice, c_vec, e: int) -> PowerSolution:
     """Decide whether e*z = c has a solution z inside the lattice z1.
 
     c_vec must itself lie in z1 (the caller's precondition); NotInLattice is
-    raised otherwise.  On success the root's ambient coordinates are returned.
+    raised otherwise.  Z^r has no torsion, so the only candidate root is c/e:
+    e*z = c is solvable iff e divides c entrywise and c/e lies in z1.  On
+    success the root's ambient coordinates are returned.
     """
     if e < 1:
         raise ValueError(f"exponent must be >= 1, got {e}")
     c_vec = tuple(int(x) for x in c_vec)
     if not z1.contains(c_vec).member:
         raise NotInLattice(f"{c_vec} is not in the given lattice")
-    if not z1.scale(e).contains(c_vec).member:
+    root = tuple(x // e for x in c_vec)
+    if any(x % e for x in c_vec) or not z1.contains(root).member:
         return PowerSolution(False)
-    return PowerSolution(True, tuple(x // e for x in c_vec))
+    return PowerSolution(True, root)

@@ -160,14 +160,10 @@ def make_witness(spec: MatrixGroupSpec, p: int) -> WitnessReport:
     q = smallest_prime_excluding(p)
     c_vec = center_vector(spec, c)
     z1 = center_lattice(spec)
-    bound = max(valuation(x, q) for x in c_vec if x) + 1
-    n = None
-    for cand_n in range(1, bound + 1):
-        if not power_solvable(z1, c_vec, q**cand_n).solvable:
-            n = cand_n
-            break
-    if n is None:
-        raise RuntimeError("no failing exponent within the valuation bound")
+    # verify_spec put c in z1, as c = sum y_j h_j over the canonical basis
+    # (uniquely), so c has a q^n-th root in z1 iff q^n divides every y_j
+    y = z1.coordinates(c_vec)
+    n = 1 + min(valuation(x, q) for x in y if x)
     e = q**n
     u = a**e
     v = u * c

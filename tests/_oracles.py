@@ -3,12 +3,17 @@
 These deliberately avoid the library's own code paths: brute-force searches,
 naive matrix products, and sympy for determinants, so every comparison is a
 genuine cross-check rather than the implementation agreeing with itself.
+The lattice references keep the older per-call algorithms (a fresh Hermite
+form for every membership test, a loop over exponents for the witness) on
+top of the library's `hnf`, which has its own identity tests.
 """
 
 import itertools
 import operator
 
 import sympy
+
+from conjsep.intlin import Lattice, Membership, hnf
 
 
 def sympy_det(int_matrix) -> int:
@@ -209,3 +214,63 @@ def reference_normal_subgroups(group) -> tuple:
                 found.add(joined)
                 queue.append(joined)
     return tuple(sorted(found, key=lambda sub: (len(sub), sorted(position[e] for e in sub))))
+
+
+def reference_canonical_basis(lattice) -> tuple:
+    """Nonzero columns of the column Hermite form of the generators."""
+    if not lattice.basis:
+        return ()
+    h, _ = hnf(lattice.matrix())
+    return tuple(col for col in map(h.col, range(h.cols)) if any(col))
+
+
+def reference_contains(lattice, v) -> Membership:
+    """Membership by the per-call algorithm: a fresh Hermite form of the
+    generators on every call, back substitution row by row down the pivots,
+    then the transform maps the solution back to the generators."""
+    v = tuple(v)
+    if not lattice.basis:
+        return Membership(True, ()) if not any(v) else Membership(False)
+    h, u = hnf(lattice.matrix())
+    pivots = []
+    for j in range(h.cols):
+        nz = next((i for i, e in enumerate(h.col(j)) if e), None)
+        if nz is not None:
+            pivots.append((nz, j))
+    y = [0] * h.cols
+    resid = list(v)
+    pi = 0
+    for i in range(lattice.ambient_rank):
+        if pi < len(pivots) and pivots[pi][0] == i:
+            _, pcol = pivots[pi]
+            piv = h.at(i, pcol)
+            if resid[i] % piv:
+                return Membership(False)
+            q = resid[i] // piv
+            for r2 in range(i, lattice.ambient_rank):
+                resid[r2] -= q * h.at(r2, pcol)
+            y[pcol] = q
+            pi += 1
+        elif resid[i]:
+            return Membership(False)
+    return Membership(True, u.apply(y))
+
+
+def reference_witness_exponent(z1, c_vec, q) -> int:
+    """Least n such that c has no q^n-th root in z1, by trying n = 1, 2, ...
+    against membership of c in the scaled lattice q^n * z1, up to one past
+    the largest q-adic valuation of a coordinate of c."""
+
+    def val(x):
+        e = 0
+        while x % q == 0:
+            x //= q
+            e += 1
+        return e
+
+    bound = max(val(x) for x in c_vec if x) + 1
+    for n in range(1, bound + 1):
+        scaled = Lattice(z1.ambient_rank, [[q**n * x for x in col] for col in z1.basis])
+        if not reference_contains(scaled, c_vec).member:
+            return n
+    raise AssertionError("no failing exponent within the valuation bound")

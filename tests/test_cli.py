@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conjsep import cli, finite
+from conjsep import cli, finite, separability
 from conjsep.errors import LocalCheckFailed
 from conjsep.finite import FiniteGroup, cyclic
 from conjsep.groupspec import congruence_quotient, coords_to_element, heisenberg_spec
@@ -45,6 +45,14 @@ class TestExitCodes:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert cli.main(["classify", "--spec", str(path), "-p", "2"]) == 2
+        assert "rejected" in capsys.readouterr().err
+
+    def test_witness_spec_rejected_is_2(self, tmp_path, capsys):
+        doc = dict(HEIS_DOC)
+        doc["center_gens"] = [HEIS_DOC["generators"][0]]  # non-central declaration
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["witness", "--spec", str(path), "-p", "2", "-K", "2"]) == 2
         assert "rejected" in capsys.readouterr().err
 
     def test_parse_error_is_3(self, capsys):
@@ -218,6 +226,37 @@ class TestClassifyAndSeparate:
         )
         assert code == 0
         assert report["result"]["b"] == "a"  # now the first non-commuting generator is a
+
+
+class TestWitnessVerifiesSpecOnce:
+    @pytest.fixture
+    def verify_calls(self, monkeypatch):
+        calls = []
+        for module in (cli, separability):
+            original = getattr(module, "verify_spec", None)
+            if original is None:
+                continue
+
+            def counted(spec, original=original):
+                calls.append(spec.name)
+                return original(spec)
+
+            monkeypatch.setattr(module, "verify_spec", counted)
+        return calls
+
+    @pytest.mark.parametrize("name", ["heisenberg", "heis5", "ut4"])
+    def test_preset(self, capsys, verify_calls, name):
+        argv = ["witness", "--preset", name, "-p", "2", "-K", "2", "--json"]
+        assert run_json(capsys, argv)[0] == 0
+        assert len(verify_calls) == 1
+
+    def test_z2_rep_override(self, tmp_path, capsys, verify_calls):
+        override = tmp_path / "rep.json"
+        override.write_text("[[1, 0, 0], [0, 1, 1], [0, 0, 1]]")
+        argv = ["witness", "--preset", "heisenberg", "-p", "2", "-K", "2", "--json",
+                "--z2-rep", str(override)]
+        assert run_json(capsys, argv)[0] == 0
+        assert len(verify_calls) == 1
 
 
 class TestScan:

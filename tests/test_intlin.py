@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conjsep import intlin
 from conjsep.errors import NotCoprime, NotInLattice
 from conjsep.intlin import (
     IntMatrix,
@@ -19,7 +20,12 @@ from conjsep.intlin import (
     xgcd,
 )
 
-from _oracles import brute_lattice_member, sympy_det
+from _oracles import (
+    brute_lattice_member,
+    reference_canonical_basis,
+    reference_contains,
+    sympy_det,
+)
 
 
 @st.composite
@@ -131,6 +137,23 @@ class TestSmithForm:
         d, _, _ = snf(a)
         assert d == IntMatrix.from_rows([[1, 0], [0, 0]])
 
+    @pytest.mark.parametrize(
+        "rows,diag",
+        [
+            ([[4, 6, 10]], [2]),
+            ([[6], [-4], [10]], [2]),
+            ([[0, 0], [0, 3]], [3, 0]),
+            ([[4, 0], [0, 6]], [2, 12]),
+        ],
+    )
+    def test_explicit_cases(self, rows, diag):
+        a = IntMatrix.from_rows(rows)
+        d, u, v = snf(a)
+        expected = [[diag[i] if i == j else 0 for j in range(a.cols)] for i in range(a.rows)]
+        assert d == IntMatrix.from_rows(expected)
+        assert (u @ a) @ v == d
+        assert abs(sympy_det(u)) == 1 and abs(sympy_det(v)) == 1
+
     @settings(max_examples=150, deadline=None)
     @given(small_matrices())
     def test_snf_identities(self, a):
@@ -230,6 +253,86 @@ class TestLattice:
         canon = lat.canonical()
         assert canon.canonical().basis == canon.basis
         assert lat.same_lattice(canon)
+
+
+@st.composite
+def generating_sets(draw):
+    """Ambient rank 0-4 and 0-5 generators: random, zero, repeated and
+    integer combinations of earlier ones."""
+    ambient = draw(st.integers(0, 4))
+    gens = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["random", "zero", "repeat", "combine"]))
+        if kind == "zero" or (kind != "random" and not gens):
+            gens.append((0,) * ambient)
+        elif kind == "repeat":
+            gens.append(draw(st.sampled_from(gens)))
+        elif kind == "combine":
+            coeffs = [draw(st.integers(-3, 3)) for _ in gens]
+            gens.append(tuple(
+                sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(ambient)
+            ))
+        else:
+            gens.append(tuple(draw(st.integers(-7, 7)) for _ in range(ambient)))
+    return ambient, gens
+
+
+class TestStoredEchelon:
+    """One Hermite form per lattice must answer as a fresh one per call does."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(generating_sets(), st.data())
+    def test_agrees_with_per_call_reference(self, gen_set, data):
+        ambient, gens = gen_set
+        lat = Lattice(ambient, gens)
+        targets = [tuple(data.draw(st.integers(-9, 9)) for _ in range(ambient))]
+        coeffs = [data.draw(st.integers(-5, 5)) for _ in gens]
+        targets.append(tuple(
+            sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(ambient)
+        ))
+        for v in targets:
+            hit = lat.contains(v)
+            assert hit.member == reference_contains(lat, v).member
+            if hit.member:
+                rebuilt = tuple(
+                    sum(c * g[i] for c, g in zip(hit.coefficients, gens))
+                    for i in range(ambient)
+                )
+                assert rebuilt == v
+        assert lat.contains(targets[1]).member
+        canon = reference_canonical_basis(lat)
+        assert lat.canonical().basis == canon
+        assert lat.rank == len(canon)
+        for other_gens in (gens[:-1], gens[::-1], list(canon)):
+            other = Lattice(ambient, other_gens)
+            assert lat.same_lattice(other) == (canon == reference_canonical_basis(other))
+
+    @pytest.fixture
+    def hnf_calls(self, monkeypatch):
+        calls = []
+
+        def counted(a):
+            calls.append(a)
+            return hnf(a)
+
+        monkeypatch.setattr(intlin, "hnf", counted)
+        return calls
+
+    def test_one_hnf_for_many_questions(self, hnf_calls):
+        lat = Lattice(3, [(2, 4, 6), (0, 3, 9), (2, 7, 15), (0, 0, 5)])
+        for t in range(50):
+            v = (2 * t, 4 * t + 3 * (t % 3), 5 * t)
+            assert lat.contains(v).member == reference_contains(lat, v).member
+        lat.canonical()
+        assert lat.rank == 3
+        assert len(hnf_calls) == 1
+
+    def test_power_solvable_builds_no_lattice(self, hnf_calls):
+        z1 = Lattice(2, [(2, 1), (0, 2)])
+        z1.canonical()
+        for e in (1, 2, 3, 4):
+            power_solvable(z1, (4, 6), e)
+        assert len(hnf_calls) == 1
 
 
 class TestPowerSolvable:

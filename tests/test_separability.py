@@ -14,12 +14,17 @@ from conjsep.errors import (
     NoZ2Rep,
     VerificationFailed,
 )
+from conjsep import intlin, separability
 from conjsep.groupspec import (
+    MatrixGroupSpec,
+    center_lattice,
+    center_vector,
     congruence_quotient,
     coords_to_element,
     element_coords,
     heis5_spec,
     heisenberg_spec,
+    is_abelian,
     preset,
     preset_names,
     ut4_spec,
@@ -35,6 +40,9 @@ from conjsep.separability import (
     verify_witness_local,
 )
 from conjsep.unitri import UTMatrix, reduce_mod
+
+from _oracles import reference_witness_exponent
+from test_conjugacy import double_heisenberg_spec
 
 HEIS = heisenberg_spec()
 
@@ -129,6 +137,60 @@ class TestMakeWitness:
             e = w.q**w.n
             for m, k in w.conjugator_exponents:
                 assert (e * k) % p**m == 1
+
+
+def _witness_specs():
+    specs = [
+        preset(name).matrix_part
+        for name in preset_names()
+        if preset(name).matrix_part.z2_rep is not None
+        and not is_abelian(preset(name).matrix_part).abelian
+    ]
+    double = double_heisenberg_spec()
+    a1, b1, a2, b2 = double.generators
+    for name, rep in [("a1", a1), ("b2", b2), ("a1^4a2^2", a1**4 * a2**2),
+                      ("a2^6", a2**6), ("a1^9b2^-4", a1**9 * b2**-4)]:
+        specs.append(double.with_z2_rep(rep, name))
+    e = UTMatrix.from_entries
+    # c = [a, b] = I + 2E02 has coordinate 2 = 2^1 * 1, so n = 2 for q = 2
+    specs.append(MatrixGroupSpec(
+        name="heis-b2", n=3, generators=(e(3, {(0, 1): 1}), e(3, {(1, 2): 2})),
+        gen_names=("a", "b"), center_gens=(e(3, {(0, 2): 1}),), center_names=("c",),
+        z2_rep=e(3, {(0, 1): 1}), z2_name="a", declared_class=2,
+    ))
+    return specs
+
+
+class TestWitnessExponent:
+    """n read off the canonical coordinates of c equals the exponent loop."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_matches_exponent_loop(self, p):
+        for spec in _witness_specs():
+            w = make_witness(spec, p)
+            c_vec = center_vector(spec, w.c)
+            assert w.n == reference_witness_exponent(center_lattice(spec), c_vec, w.q), spec.name
+            assert verify_witness_global(spec, w).passed
+
+    def test_exponent_two(self):
+        spec = _witness_specs()[-1]
+        w = make_witness(spec, 3)
+        assert (w.q, w.divisibility.c_vector, w.n) == (2, (2,), 2)
+        assert w.divisibility.exponent == 4
+
+    def test_make_witness_calls_no_power_solvable(self, monkeypatch):
+        calls = []
+        for module in (intlin, separability):
+            original = module.power_solvable
+
+            def counted(*args, original=original):
+                calls.append(args)
+                return original(*args)
+
+            monkeypatch.setattr(module, "power_solvable", counted)
+        for spec in _witness_specs():
+            make_witness(spec, 2)
+        assert calls == []
 
 
 class TestVerifyWitnessGlobal:

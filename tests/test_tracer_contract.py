@@ -4,12 +4,15 @@
 products of each conjsep module by name; a rename or deletion in ``src``
 would break ``bench/run.py --trace 1``.  This test installs the tracer,
 runs one traced call, and checks that uninstalling restores every binding.
+A second traced run pins the lattice counters: each lattice reduces its
+generators once, and the witness exponent needs no power-solvability test.
 """
 
 import importlib.util
 from pathlib import Path
 
 from conjsep import cli, conjugacy, finite, groupspec, intlin, separability, unitri
+from conjsep.groupspec import coords_to_element
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -56,3 +59,23 @@ def test_tracer_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     assert bindings() == before
+
+
+def test_traced_lattice_counters():
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        heis = groupspec.heisenberg_spec()
+        witness = separability.make_witness(heis, 2)
+        assert separability.verify_witness_global(heis, witness).passed
+        for t in range(20):
+            x = coords_to_element(heis, (t + 1, 2 * t - 3, t))
+            y = coords_to_element(heis, (t + 1, 2 * t - 3, t + t % 4))
+            conjugacy.class2_conjugate(heis, x, y)
+        metrics = tracer.metrics(queries=22, overhead_ratio=0.0)
+    finally:
+        tracer.uninstall()
+    assert metrics["intlin.lattice_contains.calls"]["value"] > 20
+    assert metrics["intlin.hnf_per_contains"]["value"] < 1
+    assert metrics["intlin.power_solvable.calls"]["value"] == 1
