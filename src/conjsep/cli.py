@@ -21,11 +21,13 @@ import time
 from .errors import (
     AbelianGroup,
     AreConjugate,
+    LocalCheckFailed,
     NotApplicable,
     NoZ2Rep,
     SizeLimit,
     SpecParseError,
     SpecRejected,
+    VerificationFailed,
 )
 from .groupspec import (
     ProductGroupSpec,
@@ -39,12 +41,12 @@ from .groupspec import (
 from .intlin import is_prime
 from .selftest import run_selftest
 from .separability import (
+    ORBIT_CAP,
     classify,
     make_witness,
     scan_tower,
     separate_elements,
     verify_witness_global,
-    verify_witness_local,
 )
 from .unitri import UTMatrix
 
@@ -93,7 +95,7 @@ def _add_common(sub, with_prime=True):
         "--max-order",
         type=int,
         default=None,
-        help="cap on the order of the quotients searched (default: 2048 for orbit "
+        help=f"cap on the order of the quotients searched (default: {ORBIT_CAP} for orbit "
         "searches, 10^6 for separation)",
     )
 
@@ -168,7 +170,7 @@ def run_witness(args) -> dict:
     group = _resolve(args)
     p = _require_prime(args.p)
     depth = args.K
-    orbit_cap = args.max_order if args.max_order is not None else 2048
+    orbit_cap = args.max_order if args.max_order is not None else ORBIT_CAP
     spec = group.matrix_part
     if args.z2_rep:
         try:
@@ -177,24 +179,11 @@ def run_witness(args) -> dict:
         except (OSError, json.JSONDecodeError, ValueError) as exc:
             raise SpecParseError(f"cannot use --z2-rep file: {exc}") from exc
     witness = make_witness(spec, p)
-    checks = []
     glob = verify_witness_global(spec, witness)
-    for name in glob.checks:
-        checks.append((f"global:{name}", True))
-    locals_payload = []
-    for m in range(1, depth + 1):
-        loc = verify_witness_local(spec, witness, m, bfs_cap=orbit_cap)
-        checks.append((f"local:m={m}", True))
-        locals_payload.append(
-            {
-                "m": m,
-                "k": loc.k,
-                "conjugator": f"{witness.b_name}^{loc.k}",
-                "orbit_checked": loc.bfs_checked,
-            }
-        )
     tower = scan_tower(spec, witness.u, witness.v, p, depth, witness=witness,
                        max_order=orbit_cap)
+    checks = [(f"global:{name}", True) for name in glob.checks]
+    checks += [(f"local:m={lv.level}", True) for lv in tower.levels]
     checks.append(("tower:conjugate-at-all-levels", tower.separated_at is None))
     result = {
         "group": spec.name,
@@ -213,7 +202,11 @@ def run_witness(args) -> dict:
             "member": witness.divisibility.member,
         },
         "conjugator_exponents": {str(m): k for m, k in witness.conjugator_exponents},
-        "local_checks": locals_payload,
+        "local_checks": [
+            {"m": lv.level, "k": lv.check.k, "conjugator": f"{witness.b_name}^{lv.check.k}",
+             "orbit_checked": lv.check.bfs_checked}
+            for lv in tower.levels
+        ],
         "tower": {
             "summary": tower.summary,
             "levels": [
@@ -277,7 +270,7 @@ def run_scan(args) -> dict:
         y = coords_to_element(spec, [int(t) for t in args.y.split(",")])
     except ValueError as exc:
         raise SpecParseError(f"bad coordinate tuple: {exc}") from exc
-    orbit_cap = args.max_order if args.max_order is not None else 2048
+    orbit_cap = args.max_order if args.max_order is not None else ORBIT_CAP
     tower = scan_tower(spec, x, y, p, args.K, max_order=orbit_cap)
     result = {
         "group": spec.name,
@@ -420,6 +413,9 @@ def main(argv=None) -> int:
         return 5
     except SizeLimit as exc:
         print(f"size limit: {exc}", file=sys.stderr)
+        return 1
+    except (LocalCheckFailed, VerificationFailed) as exc:
+        print(f"check failed: {exc}", file=sys.stderr)
         return 1
     if args.json:
         print(json.dumps(report, indent=2, default=str))

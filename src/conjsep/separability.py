@@ -45,6 +45,9 @@ from .intlin import (
 from .unitri import UTMatrix, commutator, reduce_mod
 
 CONJUGATOR_TABLE_DEPTH = 8
+# Default orbit-search gate: a level mod p^k is searched when all of UT(n) mod
+# p^k has at most this order (`verify_witness_local`, `scan_tower`, the CLI).
+ORBIT_CAP = 2048
 
 
 @dataclass(frozen=True)
@@ -170,7 +173,7 @@ def make_witness(spec: MatrixGroupSpec, p: int) -> WitnessReport:
     cert = DivisibilityCertificate(
         exponent=e,
         c_vector=c_vec,
-        scaled_basis=z1.scale(e).canonical().basis,
+        scaled_basis=z1.canonical().scale(e).basis,
         member=False,
     )
     table = tuple(
@@ -247,43 +250,48 @@ class LocalCheck:
     bfs_checked: bool
 
 
+def _orbit_quotient(spec: MatrixGroupSpec, p: int, k: int, cap: int) -> FiniteGroup | None:
+    """The congruence quotient mod p^k when all of UT(n) mod p^k has order at
+    most cap, so that orbit search there is affordable; None otherwise."""
+    if p ** (k * spec.n * (spec.n - 1) // 2) > cap:
+        return None
+    return congruence_quotient(spec, p, k, max(cap, 2))[0]
+
+
 def verify_witness_local(
     spec: MatrixGroupSpec,
     witness: WitnessReport,
     m: int,
-    bfs_cap: int = 1024,
+    bfs_cap: int = ORBIT_CAP,
 ) -> LocalCheck:
     """Check that b^k conjugates u to v modulo p^m, with k = (q^n)^-1 mod p^m.
 
     The identity b^-k u b^k = u * c^(q^n k) holds exactly in the group.  A
     verified spec puts c in the centre span, where c = I + M with M^2 = 0, so
     c^t = I + t*M and q^n k = 1 mod p^m makes the right-hand side v mod p^m;
-    any mismatch raises LocalCheckFailed.  For levels where the congruence
-    quotient is small enough, an independent orbit search cross-checks it;
-    images of u and v outside that quotient raise LocalCheckFailed too.
-    The gate bounds the quotient's order by bfs_cap, so the quotient is
-    looked up under the key `scan_tower` uses for the same cap: a witness
-    and its tower scan share one quotient per level.
+    any mismatch raises LocalCheckFailed.  When all of UT(n) mod p^m has
+    order at most bfs_cap, an independent orbit search in the congruence
+    quotient cross-checks it; images of u and v outside that quotient raise
+    LocalCheckFailed too.  This is the whole per-level decision of a witness
+    run: `scan_tower` on a witness pair makes one such call per level.
     """
     if m < 1:
         raise ValueError(f"level must be >= 1, got {m}")
     p = witness.p
     k = witness.conjugator_exponent(m)
     conj = witness.b**k
-    if reduce_mod(conj.inverse() * witness.u * conj, p, m) != reduce_mod(witness.v, p, m):
+    y = reduce_mod(witness.v, p, m)
+    if reduce_mod(conj.inverse() * witness.u * conj, p, m) != y:
         raise LocalCheckFailed(f"explicit conjugator fails at level {m}")
-    bfs_checked = False
-    strict_dim = spec.n * (spec.n - 1) // 2
-    if p ** (m * strict_dim) <= bfs_cap:
-        quot, hom = congruence_quotient(spec, p, m, max(bfs_cap, 2))
-        x, y = hom(witness.u), hom(witness.v)
+    quot = _orbit_quotient(spec, p, m, bfs_cap)
+    if quot is not None:
+        x = reduce_mod(witness.u, p, m)
         if x not in quot or y not in quot:
             raise LocalCheckFailed(f"witness images lie outside the generated group at level {m}")
         answer = conjugate_in_finite(quot, x, y)
         if not answer.conjugate:
             raise LocalCheckFailed(f"orbit search contradicts the conjugator at level {m}")
-        bfs_checked = True
-    return LocalCheck(m=m, k=k, conjugator=conj, bfs_checked=bfs_checked)
+    return LocalCheck(m=m, k=k, conjugator=conj, bfs_checked=quot is not None)
 
 
 @dataclass(frozen=True)
@@ -364,6 +372,7 @@ class TowerLevel:
     method: str  # orbit | equal-images | identity-image | witness-conjugator | skipped
     conjugate: bool | None
     note: str = ""
+    check: LocalCheck | None = None  # the level's witness check, on a witness pair
 
 
 @dataclass(frozen=True)
@@ -382,42 +391,42 @@ def scan_tower(
     p: int,
     depth: int,
     witness: WitnessReport | None = None,
-    max_order: int = 2048,
+    max_order: int = ORBIT_CAP,
 ) -> TowerScan:
     """Scan conjugacy of the images of x and y through the congruence tower.
 
-    Per level: equal images are conjugate by the identity; if exactly one
-    image is the identity the pair is separated (the identity is conjugate
-    only to itself); small quotients are decided by orbit search; on a
-    witness pair the explicit conjugator decides any remaining level; other
-    oversized levels are reported as skipped and the scan continues.
+    Per level: equal images are conjugate by the identity.  On a witness pair
+    ({x, y} == {u, v}) one `verify_witness_local(..., bfs_cap=max_order)` call
+    decides every level and is kept as its `check`; it raises LocalCheckFailed
+    on failure.  On other pairs, if exactly one image is the identity the pair
+    is separated (the identity is conjugate only to itself), small quotients
+    are decided by orbit search, and oversized levels are reported as skipped
+    and the scan continues.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    strict_dim = spec.n * (spec.n - 1) // 2
     use_witness = witness is not None and {x, y} == {witness.u, witness.v}
     levels = []
     separated_at = None
     for k in range(1, depth + 1):
         rx = reduce_mod(x, p, k)
         ry = reduce_mod(y, p, k)
+        check = verify_witness_local(spec, witness, k, bfs_cap=max_order) if use_witness else None
         if rx == ry:
-            entry = TowerLevel(k, "equal-images", True)
+            entry = TowerLevel(k, "equal-images", True, check=check)
+        elif check is not None:
+            method = "orbit" if check.bfs_checked else "witness-conjugator"
+            entry = TowerLevel(k, method, True, check=check)
         elif rx.is_identity() or ry.is_identity():
             entry = TowerLevel(
                 k, "identity-image", False, "the identity is conjugate only to itself"
             )
-        elif p ** (k * strict_dim) <= max_order:
-            quot, _ = congruence_quotient(spec, p, k, max(max_order, 2))
-            if rx in quot and ry in quot:
-                entry = TowerLevel(k, "orbit", conjugate_in_finite(quot, rx, ry).conjugate)
-            else:
-                entry = TowerLevel(k, "skipped", None, "images outside the generated group")
-        elif use_witness:
-            verify_witness_local(spec, witness, k, bfs_cap=0)
-            entry = TowerLevel(k, "witness-conjugator", True)
-        else:
+        elif (quot := _orbit_quotient(spec, p, k, max_order)) is None:
             entry = TowerLevel(k, "skipped", None, "size limit")
+        elif rx in quot and ry in quot:
+            entry = TowerLevel(k, "orbit", conjugate_in_finite(quot, rx, ry).conjugate)
+        else:
+            entry = TowerLevel(k, "skipped", None, "images outside the generated group")
         levels.append(entry)
         if entry.conjugate is False and separated_at is None:
             separated_at = k

@@ -5,7 +5,9 @@ naive matrix products, and sympy for determinants, so every comparison is a
 genuine cross-check rather than the implementation agreeing with itself.
 The lattice references keep the older per-call algorithms (a fresh Hermite
 form for every membership test, a loop over exponents for the witness) on
-top of the library's `hnf`, which has its own identity tests.
+top of the library's `hnf`, which has its own identity tests.  The witness
+report reference keeps the older two-pass `witness` command: a loop of local
+checks, then a separate tower scan over the same levels.
 """
 
 import itertools
@@ -13,7 +15,11 @@ import operator
 
 import sympy
 
+from conjsep.conjugacy import conjugate_in_finite
+from conjsep.groupspec import congruence_quotient, element_coords, preset
 from conjsep.intlin import Lattice, Membership, hnf
+from conjsep.separability import make_witness, verify_witness_global
+from conjsep.unitri import reduce_mod
 
 
 def sympy_det(int_matrix) -> int:
@@ -274,3 +280,72 @@ def reference_witness_exponent(z1, c_vec, q) -> int:
         if not reference_contains(scaled, c_vec).member:
             return n
     raise AssertionError("no failing exponent within the valuation bound")
+
+
+def _view(spec, u) -> dict:
+    coords = element_coords(spec, u)
+    view = {"matrix": [list(r) for r in u.rows]}
+    if coords is not None:
+        view["coords"] = list(coords)
+    return view
+
+
+def reference_witness_report(name, p, depth, cap) -> dict:
+    """The `witness --preset name --json` report without `timing_ms`, built in
+    two passes: the explicit conjugator b^k at every level, cross-checked by
+    orbit search where p^(m*n(n-1)/2) <= cap, and then a tower scan that
+    decides each level again (equal images, orbit search under the same gate,
+    or the explicit conjugator).  Raises AssertionError on a failed check."""
+    spec = preset(name).matrix_part
+    w = make_witness(spec, p)
+    strict_dim = spec.n * (spec.n - 1) // 2
+    checks = [(f"global:{check}", True) for check in verify_witness_global(spec, w).checks]
+    local_checks = []
+    for m in range(1, depth + 1):
+        k = w.conjugator_exponent(m)
+        conj = w.b**k
+        assert reduce_mod(conj.inverse() * w.u * conj, p, m) == reduce_mod(w.v, p, m)
+        orbit_checked = p ** (m * strict_dim) <= cap
+        if orbit_checked:
+            quot, hom = congruence_quotient(spec, p, m, max(cap, 2))
+            x, y = hom(w.u), hom(w.v)
+            assert x in quot and y in quot
+            assert conjugate_in_finite(quot, x, y).conjugate
+        checks.append((f"local:m={m}", True))
+        local_checks.append({"m": m, "k": k, "conjugator": f"{w.b_name}^{k}",
+                             "orbit_checked": orbit_checked})
+    levels = []
+    for m in range(1, depth + 1):
+        rx, ry = reduce_mod(w.u, p, m), reduce_mod(w.v, p, m)
+        if rx == ry:
+            method = "equal-images"
+        elif p ** (m * strict_dim) <= cap:
+            quot, _ = congruence_quotient(spec, p, m, max(cap, 2))
+            assert conjugate_in_finite(quot, rx, ry).conjugate
+            method = "orbit"
+        else:
+            k = w.conjugator_exponent(m)
+            assert reduce_mod(w.b**-k * w.u * w.b**k, p, m) == ry
+            method = "witness-conjugator"
+        levels.append({"level": m, "method": method, "conjugate": True})
+    checks.append(("tower:conjugate-at-all-levels", True))
+    result = {
+        "group": spec.name, "p": p, "q": w.q, "n": w.n, "b": w.b_name,
+        "a": _view(spec, w.a), "c": _view(spec, w.c),
+        "u": _view(spec, w.u), "v": _view(spec, w.v),
+        "divisibility": {
+            "exponent": w.divisibility.exponent,
+            "c_vector": list(w.divisibility.c_vector),
+            "scaled_basis": [list(col) for col in w.divisibility.scaled_basis],
+            "member": w.divisibility.member,
+        },
+        "conjugator_exponents": {str(m): k for m, k in w.conjugator_exponents},
+        "local_checks": local_checks,
+        "tower": {"summary": f"conjugate at all {depth} levels", "levels": levels},
+    }
+    return {
+        "command": "witness",
+        "inputs": {"source": name, "p": p, "K": depth, "max_order": cap},
+        "result": result,
+        "checks": [{"name": check, "pass": ok} for check, ok in checks],
+    }

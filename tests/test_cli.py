@@ -1,14 +1,26 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conjsep import cli, finite, separability
 from conjsep.errors import LocalCheckFailed
 from conjsep.finite import FiniteGroup, cyclic
-from conjsep.groupspec import congruence_quotient, coords_to_element, heisenberg_spec
+from conjsep.groupspec import (
+    congruence_quotient,
+    coords_to_element,
+    heisenberg_spec,
+    load_spec,
+    preset,
+)
 from conjsep.intlin import mod_inverse
 from conjsep.selftest import run_selftest
-from conjsep.separability import scan_tower
+from conjsep.separability import make_witness, scan_tower, verify_witness_local
+
+from _oracles import reference_witness_report
 
 HEIS_DOC = {
     "name": "custom-heis",
@@ -346,11 +358,90 @@ class TestDeferredQuotients:
         assert report["result"]["images"] == ["((8192),i)", "((0),i)"]
         assert builds == []
 
-    def test_witness_images_outside_the_group_name_the_level(self, tmp_path):
+    def test_witness_images_outside_the_group_name_the_level(self, tmp_path, capsys):
         path = tmp_path / "off.json"
         path.write_text(json.dumps(OFF_GROUP_DOC))
+        assert cli.main(["witness", "--spec", str(path), "-p", "2", "-K", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "check failed: witness images lie outside the generated group at level 1\n"
+        )
+
+
+class TestOnePassWitness:
+    """A witness run decides each level once, in its tower scan, and reports
+    what the older two-pass run (local checks, then a scan) reported."""
+
+    @pytest.mark.parametrize("max_order", [1, 512, 4096])
+    @pytest.mark.parametrize("depth", [1, 4, 8])
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("name", ["heisenberg", "heis5", "ut4", "heisxc2"])
+    def test_report_matches_two_pass_reference(self, capsys, name, p, depth, max_order):
+        argv = ["witness", "--preset", name, "-p", str(p), "-K", str(depth),
+                "--max-order", str(max_order), "--json"]
+        code, report = run_json(capsys, argv)
+        assert code == 0
+        del report["timing_ms"]
+        assert report == reference_witness_report(name, p, depth, max_order)
+
+    def test_each_level_is_decided_once(self, capsys, monkeypatch):
+        local_calls, orbit_calls = [], []
+        original_local = separability.verify_witness_local
+        original_orbit = separability.conjugate_in_finite
+
+        def local(*args, **kwargs):
+            local_calls.append(args[2])
+            return original_local(*args, **kwargs)
+
+        def orbit(*args):
+            orbit_calls.append(args)
+            return original_orbit(*args)
+
+        for module in (cli, separability):
+            monkeypatch.setattr(module, "verify_witness_local", local, raising=False)
+        monkeypatch.setattr(separability, "conjugate_in_finite", orbit)
+        argv = ["witness", "--preset", "heisenberg", "-p", "2", "-K", "8",
+                "--max-order", "4096", "--json"]
+        assert run_json(capsys, argv)[0] == 0
+        assert local_calls == list(range(1, 9))
+        assert len(orbit_calls) == 4
+
+    @pytest.mark.parametrize("name,p,cap", [("heisenberg", 2, 512), ("ut4", 3, 4096),
+                                            ("heis5", 2, 64)])
+    def test_levels_carry_their_witness_check(self, name, p, cap):
+        spec = preset(name).matrix_part
+        w = make_witness(spec, p)
+        scan = scan_tower(spec, w.u, w.v, p, 5, witness=w, max_order=cap)
+        for lv in scan.levels:
+            assert lv.check == verify_witness_local(spec, w, lv.level, bfs_cap=cap)
+        assert any(lv.check.bfs_checked for lv in scan.levels)
+        assert not all(lv.check.bfs_checked for lv in scan.levels)
+        other = scan_tower(spec, w.u, w.a, p, 5, witness=w, max_order=cap)
+        assert all(lv.check is None for lv in other.levels)
+
+    def test_scan_on_off_group_witness_raises_at_level_one(self):
+        spec = load_spec(OFF_GROUP_DOC).matrix_part
+        w = make_witness(spec, 2)
         with pytest.raises(LocalCheckFailed, match="outside the generated group at level 1"):
-            cli.main(["witness", "--spec", str(path), "-p", "2", "-K", "3"])
+            scan_tower(spec, w.u, w.v, 2, 3, witness=w)
+
+    def test_failed_check_prints_no_traceback(self, tmp_path):
+        path = tmp_path / "off.json"
+        path.write_text(json.dumps(OFF_GROUP_DOC))
+        src = Path(__file__).resolve().parent.parent / "src"
+        paths = [str(src), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        done = subprocess.run(
+            [sys.executable, "-m", "conjsep.cli", "witness", "--spec", str(path),
+             "-p", "2", "-K", "3"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert "Traceback" not in done.stderr
+        assert "check failed:" in done.stderr
+        assert "outside the generated group at level 1" in done.stderr
 
 
 class TestSelftest:

@@ -489,6 +489,23 @@ except VerificationFailed:
 else:
     raise SystemExit("orbit conjugator re-check did not raise")
 
+# Orbit search that answers "not conjugate": the witness tower scan, the one
+# per-level pass of a witness run, must still fail loudly at an orbit level.
+import conjsep.separability
+from conjsep.conjugacy import ConjugacyAnswer
+from conjsep.errors import LocalCheckFailed
+from conjsep.separability import make_witness, scan_tower
+
+w = make_witness(heis, 2)
+conjsep.separability.conjugate_in_finite = lambda group, x, y: ConjugacyAnswer(False)
+try:
+    scan_tower(heis, w.u, w.v, 2, 3, witness=w)
+except LocalCheckFailed:
+    pass
+else:
+    raise SystemExit("witness scan accepted a contradicting orbit search")
+conjsep.separability.conjugate_in_finite = conjugate_in_finite
+
 # A residue closure whose conjugation step is right multiplication, x -> x * s:
 # the search then reaches y, but the conjugator fails its re-check.
 import conjsep.finite

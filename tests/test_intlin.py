@@ -327,6 +327,13 @@ class TestStoredEchelon:
         assert lat.rank == 3
         assert len(hnf_calls) == 1
 
+    @settings(max_examples=200, deadline=None)
+    @given(generating_sets().filter(lambda gen_set: gen_set[0] >= 1), st.integers(1, 50))
+    def test_scaling_commutes_with_the_canonical_basis(self, gen_set, e):
+        # Pivots stay positive and entries reduced into [0, e * pivot).
+        lat = Lattice(*gen_set)
+        assert lat.scale(e).canonical().basis == lat.canonical().scale(e).basis
+
     def test_power_solvable_builds_no_lattice(self, hnf_calls):
         z1 = Lattice(2, [(2, 1), (0, 2)])
         z1.canonical()

@@ -193,6 +193,26 @@ class TestWitnessExponent:
         assert calls == []
 
 
+    def test_make_witness_reduces_no_new_lattice(self, monkeypatch):
+        # The scaled basis of the certificate is read off the centre lattice's
+        # stored Hermite form, not recomputed for e * L.
+        calls = []
+        original = intlin.hnf
+
+        def counted(a):
+            calls.append(a)
+            return original(a)
+
+        monkeypatch.setattr(intlin, "hnf", counted)
+        for spec in _witness_specs():
+            center_lattice(spec).canonical()
+            calls.clear()
+            w = make_witness(spec, 2)
+            assert calls == [], spec.name
+            assert w.divisibility.scaled_basis == center_lattice(spec).scale(
+                w.divisibility.exponent).canonical().basis
+
+
 class TestVerifyWitnessGlobal:
     def test_passes_for_fresh_witness(self):
         w = make_witness(HEIS, 2)
