@@ -396,16 +396,17 @@ def scan_tower(
     """Scan conjugacy of the images of x and y through the congruence tower.
 
     Per level: equal images are conjugate by the identity.  On a witness pair
-    ({x, y} == {u, v}) one `verify_witness_local(..., bfs_cap=max_order)` call
-    decides every level and is kept as its `check`; it raises LocalCheckFailed
-    on failure.  On other pairs, if exactly one image is the identity the pair
-    is separated (the identity is conjugate only to itself), small quotients
-    are decided by orbit search, and oversized levels are reported as skipped
-    and the scan continues.
+    ({x, y} == {u, v} and the witness's own prime p) one
+    `verify_witness_local(..., bfs_cap=max_order)` call decides every level and
+    is kept as its `check`; it raises LocalCheckFailed on failure.  On other
+    pairs, a witness pair scanned at another prime among them, if exactly one
+    image is the identity the pair is separated (the identity is conjugate
+    only to itself), small quotients are decided by orbit search, and
+    oversized levels are reported as skipped and the scan continues.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    use_witness = witness is not None and {x, y} == {witness.u, witness.v}
+    use_witness = witness is not None and witness.p == p and {x, y} == {witness.u, witness.v}
     levels = []
     separated_at = None
     for k in range(1, depth + 1):

@@ -365,6 +365,26 @@ class TestScanTower:
         assert methods[:3] == ["orbit", "orbit", "orbit"]
         assert set(methods[3:]) == {"witness-conjugator"}
 
+    def test_witness_pair_at_another_prime_is_scanned_as_a_plain_pair(self, monkeypatch):
+        # The witness's conjugator works mod 2^m; scanned mod 3^k the pair is
+        # an ordinary pair, and u = I + 3*E01 is the identity mod 3.
+        w = make_witness(HEIS, 2)
+        assert w.q == 3
+        calls = []
+        real = separability.verify_witness_local
+        monkeypatch.setattr(
+            separability,
+            "verify_witness_local",
+            lambda *a, **kw: calls.append(a) or real(*a, **kw),
+        )
+        scan = scan_tower(HEIS, w.u, w.v, 3, 2, witness=w)
+        plain = scan_tower(HEIS, w.u, w.v, 3, 2)
+        assert calls == []
+        assert scan.separated_at == 1
+        assert scan.levels[0].method == "identity-image"
+        assert all(lv.check is None for lv in scan.levels)
+        assert scan == plain
+
     def test_central_element_separates_at_residual_depth(self):
         c = HEIS.center_gens[0]
         ident = UTMatrix.identity(3)
