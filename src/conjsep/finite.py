@@ -396,15 +396,6 @@ class GroupHom:
     def __call__(self, x):
         return self.mapping(x)
 
-    def preserves_products(self, pairs, domain_mul) -> bool:
-        """Spot-check the homomorphism property on the given pairs."""
-        for x, y in pairs:
-            if self.mapping(domain_mul(x, y)) != self.codomain.mul(
-                self.mapping(x), self.mapping(y)
-            ):
-                return False
-        return True
-
 
 class _DeferredGroup(FiniteGroup):
     """A finite group whose order and membership are known without its elements.

@@ -83,9 +83,11 @@ def smallest_prime_excluding(p: int) -> int:
 
 
 def valuation(n: int, p: int) -> int:
-    """Largest e with p**e dividing n; n must be nonzero."""
+    """Largest e with p**e dividing n; n must be nonzero and p at least 2."""
     if n == 0:
         raise ValueError("valuation of 0 is infinite")
+    if p < 2:
+        raise ValueError(f"p must be >= 2, got {p}")
     e = 0
     while n % p == 0:
         n //= p

@@ -1,11 +1,13 @@
 """Upper unitriangular integer matrices and their congruence reductions.
 
-UTMatrix carries elements of torsion-free nilpotent matrix groups exactly;
-ResidueUT carries their images modulo p^k, which are elements of finite
-p-groups.  Entrywise reduction is a group homomorphism, so the reductions
-realize the whole congruence tower of finite p-quotients.
+One body holds every matrix operation, over the integers when its modulus is
+None and modulo p^k otherwise, and it has two named kinds.  UTMatrix carries
+elements of torsion-free nilpotent matrix groups exactly; ResidueUT carries
+their images modulo p^k, which are elements of finite p-groups.  Entrywise
+reduction is a group homomorphism, so the reductions realize the whole
+congruence tower of finite p-quotients.
 
-Powers and inverses of both types, and the s^-1 of `conjugation_kernel`, come
+Powers and inverses of both kinds, and the s^-1 of `conjugation_kernel`, come
 from one finite binomial series, `_power`, whatever the exponent.
 """
 
@@ -45,74 +47,72 @@ def _power(rows, n, e, mod=None):
     return tuple(tuple(v % mod for v in row) if mod else tuple(row) for row in acc)
 
 
-def _validate_unitriangular(rows, n, mod=None):
-    for i in range(n):
-        if len(rows[i]) != n:
-            raise DimensionMismatch("matrix is not square")
-        for j in range(n):
-            v = rows[i][j]
-            if j < i and v != 0:
-                raise ValueError(f"entry ({i},{j}) below the diagonal is {v}, expected 0")
-            if j == i and v != 1:
-                raise ValueError(f"diagonal entry ({i},{i}) is {v}, expected 1")
-            if mod and not 0 <= v < mod:
-                raise ValueError(f"entry ({i},{j}) = {v} not reduced into [0, {mod})")
-
-
-class UTMatrix:
-    """Immutable n x n upper unitriangular matrix over the integers."""
+class _Unitri:
+    """The body of both kinds: an immutable n x n upper unitriangular matrix,
+    over the integers while p, k and mod are these class attributes (None),
+    and with entries reduced into [0, mod) on the residue kind, which stores them."""
 
     __slots__ = ("n", "rows")
+    p = k = mod = None
 
     def __init__(self, rows):
-        rows = tuple(tuple(int(x) for x in r) for r in rows)
+        mod = self.mod
+        if mod:
+            rows = tuple(tuple(int(x) % mod for x in r) for r in rows)
+        else:
+            rows = tuple(tuple(int(x) for x in r) for r in rows)
         n = len(rows)
-        _validate_unitriangular(rows, n)
-        _set_ut_n(self, n)
-        _set_ut_rows(self, rows)
+        for i, row in enumerate(rows):
+            if len(row) != n:
+                raise DimensionMismatch("matrix is not square")
+            for j, v in enumerate(row):
+                if j < i and v != 0:
+                    raise ValueError(f"entry ({i},{j}) below the diagonal is {v}, expected 0")
+                if j == i and v != 1:
+                    raise ValueError(f"diagonal entry ({i},{i}) is {v}, expected 1")
+        _set_n(self, n)
+        _set_rows(self, rows)
 
     def __setattr__(self, name, value):
-        raise AttributeError("UTMatrix is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    @classmethod
-    def identity(cls, n: int) -> "UTMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def from_entries(cls, n: int, entries: dict) -> "UTMatrix":
-        """Identity plus the given strictly-upper entries {(i, j): value}."""
-        rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        for (i, j), v in entries.items():
-            if not 0 <= i < j < n:
-                raise ValueError(f"({i},{j}) is not a strictly upper position for n={n}")
-            rows[i][j] = int(v)
-        return cls(rows)
-
-    def _wrap(self, rows) -> "UTMatrix":
-        out = _new(UTMatrix)
-        _set_ut_n(out, self.n)
-        _set_ut_rows(out, rows)
+    def _wrap(self, rows):
+        out = _new(type(self))
+        _set_n(out, self.n)
+        _set_rows(out, rows)
+        if self.mod:
+            _set_p(out, self.p)
+            _set_k(out, self.k)
+            _set_mod(out, self.mod)
         return out
 
     def __getitem__(self, pos):
         i, j = pos
         return self.rows[i][j]
 
-    def __mul__(self, other: "UTMatrix") -> "UTMatrix":
-        if not isinstance(other, UTMatrix):
+    def __mul__(self, other):
+        if type(other) is not type(self):
             return NotImplemented
-        if self.n != other.n:
-            raise DimensionMismatch(f"dimension mismatch: {self.n} vs {other.n}")
-        return self._wrap(_matmul(self.rows, other.rows, self.n))
+        if self.n != other.n or self.p != other.p or self.k != other.k:
+            raise DimensionMismatch(
+                f"incompatible matrices: (n,p,k)=({self.n},{self.p},{self.k}) "
+                f"vs ({other.n},{other.p},{other.k})"
+            )
+        return self._wrap(_matmul(self.rows, other.rows, self.n, self.mod))
 
-    def inverse(self) -> "UTMatrix":
-        return self._wrap(_power(self.rows, self.n, -1))
+    def inverse(self):
+        return self._wrap(_power(self.rows, self.n, -1, self.mod))
 
-    def __pow__(self, e: int) -> "UTMatrix":
-        return self._wrap(_power(self.rows, self.n, e))
+    def __pow__(self, e: int):
+        return self._wrap(_power(self.rows, self.n, e, self.mod))
 
     def is_identity(self) -> bool:
-        return all(self.rows[i][j] == 0 for i in range(self.n) for j in range(i + 1, self.n))
+        return not any(self.upper_entries())
+
+    def upper_entries(self) -> tuple:
+        return tuple(
+            self.rows[i][j] for i in range(self.n) for j in range(i + 1, self.n)
+        )
 
     def strict_upper_items(self):
         """Nonzero strictly-upper entries as ((i, j), value) pairs, row-major."""
@@ -124,10 +124,37 @@ class UTMatrix:
         )
 
     def __eq__(self, other):
-        return isinstance(other, UTMatrix) and self.rows == other.rows
+        return (
+            type(other) is type(self)
+            and self.rows == other.rows
+            and self.p == other.p
+            and self.k == other.k
+        )
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.p, self.k, self.rows)) if self.mod else hash(self.rows)
+
+
+class UTMatrix(_Unitri):
+    """Immutable n x n upper unitriangular matrix over the integers."""
+
+    __slots__ = ()
+    # bench/tracing.py patches these per class, so each kind binds its own.
+    __mul__, inverse, __pow__ = _Unitri.__mul__, _Unitri.inverse, _Unitri.__pow__
+
+    @classmethod
+    def identity(cls, n: int) -> "UTMatrix":
+        return cls.from_entries(n, {})
+
+    @classmethod
+    def from_entries(cls, n: int, entries: dict) -> "UTMatrix":
+        """Identity plus the given strictly-upper entries {(i, j): value}."""
+        rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        for (i, j), v in entries.items():
+            if not 0 <= i < j < n:
+                raise ValueError(f"({i},{j}) is not a strictly upper position for n={n}")
+            rows[i][j] = int(v)
+        return cls(rows)
 
     def __repr__(self):
         return f"UTMatrix({[list(r) for r in self.rows]!r})"
@@ -135,100 +162,42 @@ class UTMatrix:
 
 def commutator(x: UTMatrix, y: UTMatrix) -> UTMatrix:
     """The commutator x^-1 y^-1 x y (so that g^-1 x g = x * commutator(x, g))."""
-    if x.n != y.n:
-        raise DimensionMismatch(f"dimension mismatch: {x.n} vs {y.n}")
     return x.inverse() * y.inverse() * x * y
 
 
-class ResidueUT:
+class ResidueUT(_Unitri):
     """Unitriangular matrix with entries reduced into [0, p^k)."""
 
-    __slots__ = ("n", "p", "k", "mod", "rows")
+    __slots__ = ("p", "k", "mod")
+    # bench/tracing.py patches these per class, so each kind binds its own.
+    __mul__, inverse, __pow__ = _Unitri.__mul__, _Unitri.inverse, _Unitri.__pow__
 
     def __init__(self, rows, p: int, k: int):
+        if p < 2:
+            raise ValueError(f"p must be >= 2, got {p}")
         if k < 1:
             raise ValueError(f"level must be >= 1, got {k}")
-        mod = p**k
-        rows = tuple(tuple(int(x) % mod for x in r) for r in rows)
-        n = len(rows)
-        _validate_unitriangular(rows, n, mod)
-        _set_n(self, n)
         _set_p(self, p)
         _set_k(self, k)
-        _set_mod(self, mod)
-        _set_rows(self, rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ResidueUT is immutable")
+        _set_mod(self, p**k)
+        _Unitri.__init__(self, rows)
 
     @classmethod
     def identity(cls, n: int, p: int, k: int) -> "ResidueUT":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], p, k)
-
-    def _wrap(self, rows) -> "ResidueUT":
-        out = _new(ResidueUT)
-        _set_n(out, self.n)
-        _set_p(out, self.p)
-        _set_k(out, self.k)
-        _set_mod(out, self.mod)
-        _set_rows(out, rows)
-        return out
-
-    def _check_compatible(self, other: "ResidueUT"):
-        if (self.n, self.p, self.k) != (other.n, other.p, other.k):
-            raise DimensionMismatch(
-                f"incompatible residue matrices: "
-                f"(n,p,k)=({self.n},{self.p},{self.k}) vs ({other.n},{other.p},{other.k})"
-            )
-
-    def __getitem__(self, pos):
-        i, j = pos
-        return self.rows[i][j]
-
-    def __mul__(self, other: "ResidueUT") -> "ResidueUT":
-        if not isinstance(other, ResidueUT):
-            return NotImplemented
-        self._check_compatible(other)
-        return self._wrap(_matmul(self.rows, other.rows, self.n, self.mod))
-
-    def inverse(self) -> "ResidueUT":
-        return self._wrap(_power(self.rows, self.n, -1, self.mod))
-
-    def __pow__(self, e: int) -> "ResidueUT":
-        return self._wrap(_power(self.rows, self.n, e, self.mod))
-
-    def is_identity(self) -> bool:
-        return all(self.rows[i][j] == 0 for i in range(self.n) for j in range(i + 1, self.n))
-
-    def upper_entries(self) -> tuple:
-        return tuple(
-            self.rows[i][j] for i in range(self.n) for j in range(i + 1, self.n)
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ResidueUT)
-            and (self.n, self.p, self.k) == (other.n, other.p, other.k)
-            and self.rows == other.rows
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.k, self.rows))
+        return cls(UTMatrix.identity(n).rows, p, k)
 
     def __repr__(self):
         return f"ResidueUT({[list(r) for r in self.rows]!r}, p={self.p}, k={self.k})"
 
 
-# Both types fill their slots through the slot descriptors, bound once here,
+# Both kinds fill their slots through the slot descriptors, bound once here,
 # which bypasses the raising `__setattr__` at half the cost of object.__setattr__.
 _new = object.__new__
-_set_ut_n = UTMatrix.n.__set__
-_set_ut_rows = UTMatrix.rows.__set__
-_set_n = ResidueUT.n.__set__
+_set_n = _Unitri.n.__set__
+_set_rows = _Unitri.rows.__set__
 _set_p = ResidueUT.p.__set__
 _set_k = ResidueUT.k.__set__
 _set_mod = ResidueUT.mod.__set__
-_set_rows = ResidueUT.rows.__set__
 
 
 def right_mul_kernel(s: ResidueUT):

@@ -540,6 +540,24 @@ except VerificationFailed:
     pass
 else:
     raise SystemExit("declared-order check did not raise")
+
+# Unitriangular constructors check their input with explicit raises.
+from conjsep.unitri import ResidueUT, UTMatrix
+
+for bad in (
+    lambda: UTMatrix([[2, 0], [0, 1]]),
+    lambda: ResidueUT([[1, 0], [0, 2]], 3, 1),
+    lambda: UTMatrix([[1, 0], [3, 1]]),
+    lambda: ResidueUT([[1, 0], [1, 1]], 3, 1),
+    lambda: ResidueUT([[1, 1], [0, 1]], 2, 0),
+    lambda: ResidueUT([[1, 1], [0, 1]], 1, 1),
+):
+    try:
+        bad()
+    except ValueError:
+        pass
+    else:
+        raise SystemExit("a unitriangular constructor accepted bad input")
 """
 
 

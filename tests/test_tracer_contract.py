@@ -4,8 +4,10 @@
 products of each conjsep module by name; a rename or deletion in ``src``
 would break ``bench/run.py --trace 1``.  This test installs the tracer,
 runs one traced call, and checks that uninstalling restores every binding.
-A second traced run pins the lattice counters: each lattice reduces its
-generators once, and the witness exponent needs no power-solvability test.
+A second traced run checks that products and inverses of each unitriangular
+kind count under that kind's name, and a third pins the lattice counters: each
+lattice reduces its generators once, and the witness exponent needs no
+power-solvability test.
 """
 
 import importlib.util
@@ -59,6 +61,25 @@ def test_tracer_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     assert bindings() == before
+
+
+def test_traced_products_per_kind():
+    """Each kind's products and inverses are counted under its own name."""
+    tracing = load_tracing()
+    u = unitri.UTMatrix.from_entries(3, {(0, 1): 2, (1, 2): -1})
+    r = unitri.reduce_mod(u, 3, 2)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        u * u * u * u
+        r * r * r
+        u.inverse()
+        r.inverse()
+    finally:
+        tracer.uninstall()
+    assert tracer.count["unitri.ut_mul.count"] == 3
+    assert tracer.count["unitri.residue_mul.count"] == 2
+    assert [span[0] for span in tracer.spans] == ["unitri.ut_inverse", "unitri.residue_inverse"]
 
 
 def test_traced_lattice_counters():

@@ -60,6 +60,17 @@ def residue_pairs(draw):
     return x, s
 
 
+@st.composite
+def reduced_rows(draw):
+    """(rows, p, k): unitriangular rows whose entries already lie in [0, p^k)."""
+    n = draw(st.integers(1, 5))
+    p = draw(st.sampled_from([2, 3, 5]))
+    k = draw(st.integers(1, 4))
+    rows = [[1 if i == j else (draw(st.integers(0, p**k - 1)) if j > i else 0)
+             for j in range(n)] for i in range(n)]
+    return rows, p, k
+
+
 class TestConstruction:
     def test_rejects_nonunit_diagonal(self):
         with pytest.raises(ValueError):
@@ -77,6 +88,44 @@ class TestConstruction:
         assert hash(A3) == hash(UTMatrix.from_entries(3, {(0, 1): 1}))
         with pytest.raises(AttributeError):
             A3.n = 5
+
+    @pytest.mark.parametrize("p, k", [(0, 1), (1, 1), (-3, 1)])
+    def test_residue_rejects_bad_prime(self, p, k):
+        # The error names p, not the diagonal entry that p = 1 reduces to 0.
+        with pytest.raises(ValueError, match=f"p must be >= 2, got {p}"):
+            reduce_mod(A3, p, k)
+
+
+class TestTwoKinds:
+    """UTMatrix and ResidueUT share one body but stay apart: each kind hashes
+    as before, and no matrix equals or multiplies one of the other kind or of
+    another modulus, even when their rows coincide."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(reduced_rows(), st.sampled_from([2, 3, 5]), st.integers(1, 4))
+    def test_hash_equality_and_mixing(self, case, q, m):
+        rows, p, k = case
+        u, r = UTMatrix(rows), ResidueUT(rows, p, k)
+        assert u.rows == r.rows and u.n == r.n == len(rows)
+        assert (u.p, u.k, u.mod) == (None, None, None)
+        assert (r.p, r.k, r.mod) == (p, k, p**k)
+        assert u == UTMatrix(rows) and r == ResidueUT(rows, p, k)
+        assert hash(u) == hash(u.rows)
+        assert hash(r) == hash((p, k, r.rows))
+        assert u != r and r != u
+        with pytest.raises(TypeError):
+            u * r
+        with pytest.raises(TypeError):
+            r * u
+        others = [ResidueUT(rows, p, k + 1)]  # the same rows one level up
+        if (q, m) != (p, k):
+            others.append(ResidueUT(rows, q, m))
+        for other in others:
+            assert r != other and other != r
+            with pytest.raises(DimensionMismatch):
+                r * other
+            with pytest.raises(DimensionMismatch):
+                other * r
 
 
 class TestArithmetic:
