@@ -14,6 +14,7 @@ Exit codes: 0 all checks pass, 1 a check failed, 2 rejected spec,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -100,7 +101,9 @@ def _add_common(sub, with_prime=True):
     )
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="conjsep",
         description=(

@@ -20,6 +20,11 @@ orbit search and normality test take no general product; every other group
 conjugates with its own `mul` and `inverse`.  The group's `mul` stays the
 general residue product, which the conjugator re-checks use.  Quotients are
 cached on their group with no strong reference back to it.
+
+Normal subgroups are unions of classes, so their enumeration runs on bit
+masks over class indices.  One table of class products (`_class_products`)
+is the only multiplication it takes; normal closures and joins are then
+integer ORs.
 """
 
 from __future__ import annotations
@@ -79,6 +84,22 @@ class Conjugation(NamedTuple):
 
 def _identity_map(x):
     return x
+
+
+def _bits(mask: int):
+    """The indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _union(rows, mask: int) -> int:
+    """The OR of rows[i] over the set bits i of mask."""
+    out = 0
+    for i in _bits(mask):
+        out |= rows[i]
+    return out
 
 
 def _label(labels, x) -> str:
@@ -230,46 +251,76 @@ class FiniteGroup:
         points = frozenset(map(conj.point, subset))
         return all(step(x) in points for step in conj.steps for x in points)
 
-    def _join(self, n: frozenset, m: frozenset) -> frozenset:
-        """The product set N*M of two normal subgroups, built one coset N*y at a
-        time for each y in M not yet covered: |N*M| products."""
-        mul = self.mul
-        joined = set(n)
-        for y in m:
-            if y not in joined:
-                joined.update(mul(x, y) for x in n)
-        return frozenset(joined)
+    def _class_products(self) -> list:
+        """meets[i][j], the bit mask of the classes that C_i * C_j meets.
+
+        C_i * C_j is the union of the conjugates of r * C_j for any r in C_i,
+        so it meets the classes that r * C_j meets, and C_i * C_j = C_j * C_i.
+        Each pair takes one product per element of its smaller class, at most
+        |classes| * |G| products in all.
+        """
+        classes = self.conjugacy_classes()
+        class_of, mul = self._class_of, self.mul
+        meets = [[0] * len(classes) for _ in classes]
+        for i, ci in enumerate(classes):
+            for j in range(i, len(classes)):
+                small, big = sorted((ci, classes[j]), key=len)
+                r = next(iter(big))
+                mask = 0
+                for x in small:
+                    mask |= 1 << class_of[mul(r, x)]
+                meets[i][j] = meets[j][i] = mask
+        return meets
 
     def normal_subgroups(self) -> tuple:
-        """All normal subgroups, via joins of normal closures of classes.
+        """All normal subgroups, as joins of normal closures of classes.
 
-        The subgroup generated by a class is its normal closure, and every
-        normal subgroup N is the join of the closures of the classes in N, so
-        closing the distinct class closures under joins finds them all.
+        A normal subgroup is a union of classes, held here as a bit mask over
+        class indices, and C_i * C_j meets the classes of meets[i][j]
+        (`_class_products`), so no product is taken after that table.  The
+        normal closure of C_j, the products of elements of C_j, is the set of
+        classes reached from the identity by i -> meets[i][j]; the join of
+        normal N and K is N * K, the union of
+        meets[i][l] over i in N and l in K.  Every normal subgroup is the join
+        of the closures of its classes, so closing the distinct closures
+        under joins from the trivial subgroup finds them all.
         """
         if self._normals is None:
-            closures = tuple(
-                dict.fromkeys(self.subgroup_closure(cls) for cls in self.conjugacy_classes())
-            )
-            triv = frozenset({self.identity})
+            classes = self.conjugacy_classes()
+            meets = self._class_products()
+            one = self._class_of[self.identity]
+            triv = 1 << one
+            # For each distinct closure K, joins[K][i] is the union of meets[i][l] over l in K.
+            joins = {}
+            for j in range(len(classes)):
+                closure, todo = triv, [one]
+                while todo:
+                    new = meets[todo.pop()][j] & ~closure
+                    closure |= new
+                    todo.extend(_bits(new))
+                if closure not in joins:
+                    joins[closure] = [_union(row, closure) for row in meets]
             found = {triv}
             queue = [triv]
             while queue:
                 current = queue.pop()
-                for closure in closures:
-                    if closure <= current:
+                for closure, rows in joins.items():
+                    if closure & ~current == 0:
                         continue
-                    joined = self._join(current, closure)
+                    joined = _union(rows, current)
                     if joined not in found:
                         found.add(joined)
                         queue.append(joined)
+            subgroups = [
+                frozenset().union(*(classes[i] for i in _bits(mask))) for mask in found
+            ]
             self._normals = tuple(
                 sorted(
-                    found,
+                    subgroups,
                     key=lambda sub: (len(sub), sorted(self._index[e] for e in sub)),
                 )
             )
-            self._normal_set = frozenset(found)
+            self._normal_set = frozenset(subgroups)
         return self._normals
 
     def quotient(self, normal_subgroup) -> tuple["FiniteGroup", "GroupHom"]:

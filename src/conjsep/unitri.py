@@ -165,6 +165,14 @@ def commutator(x: UTMatrix, y: UTMatrix) -> UTMatrix:
     return x.inverse() * y.inverse() * x * y
 
 
+def _modulus(p: int, k: int) -> int:
+    if p < 2:
+        raise ValueError(f"p must be >= 2, got {p}")
+    if k < 1:
+        raise ValueError(f"level must be >= 1, got {k}")
+    return p**k
+
+
 class ResidueUT(_Unitri):
     """Unitriangular matrix with entries reduced into [0, p^k)."""
 
@@ -173,13 +181,10 @@ class ResidueUT(_Unitri):
     __mul__, inverse, __pow__ = _Unitri.__mul__, _Unitri.inverse, _Unitri.__pow__
 
     def __init__(self, rows, p: int, k: int):
-        if p < 2:
-            raise ValueError(f"p must be >= 2, got {p}")
-        if k < 1:
-            raise ValueError(f"level must be >= 1, got {k}")
+        mod = _modulus(p, k)
         _set_p(self, p)
         _set_k(self, k)
-        _set_mod(self, p**k)
+        _set_mod(self, mod)
         _Unitri.__init__(self, rows)
 
     @classmethod
@@ -280,8 +285,22 @@ def conjugation_kernel(s: ResidueUT):
 
 
 def reduce_mod(u: UTMatrix, p: int, k: int) -> ResidueUT:
-    """Entrywise reduction modulo p^k; a homomorphism onto a finite p-group."""
-    return ResidueUT(u.rows, p, k)
+    """Entrywise reduction modulo p^k; a homomorphism onto a finite p-group.
+
+    The rows of a UTMatrix are already checked integers, so they are reduced
+    and the slots filled as `_wrap` fills them; other input goes through the
+    ResidueUT constructor.
+    """
+    if type(u) is not UTMatrix:
+        return ResidueUT(u.rows, p, k)
+    mod = _modulus(p, k)
+    out = _new(ResidueUT)
+    _set_n(out, u.n)
+    _set_rows(out, tuple(tuple(v % mod for v in row) for row in u.rows))
+    _set_p(out, p)
+    _set_k(out, k)
+    _set_mod(out, mod)
+    return out
 
 
 def residue_order_exponent(r: ResidueUT) -> int:

@@ -175,6 +175,31 @@ def naive_normal(group, subset) -> bool:
     )
 
 
+class CayleyTable:
+    """A group on the positions 0..n-1 of group.elements, multiplied through
+    its full multiplication table, which the general product fills once, so
+    that naive_normal on a group of a few hundred elements takes table
+    lookups rather than millions of general products."""
+
+    def __init__(self, group):
+        self.position = {e: i for i, e in enumerate(group.elements)}
+        self.table = [
+            [self.position[group.mul(x, y)] for y in group.elements] for x in group.elements
+        ]
+        self.elements = range(len(self.table))
+        self.identity = self.position[group.identity]
+        self._inverses = [row.index(self.identity) for row in self.table]
+
+    def mul(self, x, y):
+        return self.table[x][y]
+
+    def inverse(self, x):
+        return self._inverses[x]
+
+    def positions(self, subset) -> frozenset:
+        return frozenset(self.position[e] for e in subset)
+
+
 def naive_subgroup(group, subset) -> bool:
     """Contains the identity and the product of every pair of its elements."""
     sub = frozenset(subset)

@@ -40,7 +40,7 @@ from conjsep.separability import (
 )
 from conjsep.unitri import reduce_mod
 
-from _oracles import brute_lattice_member, naive_normal, sympy_det
+from _oracles import CayleyTable, brute_lattice_member, naive_normal, sympy_det
 
 HEIS = heisenberg_spec()
 
@@ -206,6 +206,30 @@ def test_normal_subgroups_of_order_32_and_64(capsys):
         assert len(normals) == count, group.name
         assert len(set(normals)) == count
         assert all(naive_normal(group, sub) for sub in normals)
+
+
+def test_normal_subgroups_of_heisenberg_mod_8(capsys):
+    group = finite_closure([reduce_mod(g, 2, 3) for g in HEIS.generators])
+    t0 = time.perf_counter()
+    normals = group.normal_subgroups()
+    with capsys.disabled():
+        _finish("88 normal subgroups of heisenberg mod 8 (order 512)", t0, 2.0)
+    assert len(normals) == len(set(normals)) == 88
+    table = CayleyTable(group)
+    assert all(naive_normal(table, table.positions(sub)) for sub in normals)
+
+
+def test_coset_equivalence_on_heisenberg_mod_4(capsys):
+    group = finite_closure([reduce_mod(g, 2, 2) for g in HEIS.generators])
+    t0 = time.perf_counter()
+    normals = group.normal_subgroups()
+    for nsub in normals:
+        report = quotient_coset_equivalence(group, nsub, 2)
+        assert report.holds and report.all_cosets_separable and report.quotient_separable, (
+            len(nsub), report.detail)
+    assert len(normals) == 27
+    with capsys.disabled():
+        _finish("coset equivalence on heisenberg mod 4 (27 normal subgroups, p = 2)", t0, 5.0)
 
 
 def test_residuality_witness(capsys):

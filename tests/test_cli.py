@@ -467,3 +467,40 @@ class TestSelftest:
         failures = [name for name, ok, _ in outcomes if not ok]
         assert failures
         assert failures[0].startswith("closure:")
+
+
+class TestParserBuiltOnce:
+    # witness with -K, a scan missing -x (argparse exits 2), witness with the
+    # default -K, then classify with another prime and no --json.
+    CALLS = [
+        ["witness", "--preset", "heisenberg", "-p", "2", "-K", "3", "--json"],
+        ["scan", "--preset", "heisenberg", "-p", "2", "-y", "1,0,0"],
+        ["witness", "--preset", "heisenberg", "-p", "3", "--json"],
+        ["classify", "--preset", "zxq8", "-p", "3"],
+    ]
+
+    @staticmethod
+    def _outcome(capsys, argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        if out.startswith("{"):
+            report = json.loads(out)
+            report.pop("timing_ms")
+            out = report
+        return code, out, err
+
+    def test_reused_parser_matches_fresh_parsers(self, capsys):
+        cli._build_parser.cache_clear()
+        reused = [self._outcome(capsys, argv) for argv in self.CALLS]
+        assert cli._build_parser() is cli._build_parser()
+        fresh = []
+        for argv in self.CALLS:
+            cli._build_parser.cache_clear()
+            fresh.append(self._outcome(capsys, argv))
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 2, 0, 0]
+        assert (reused[0][1]["inputs"]["K"], reused[2][1]["inputs"]["K"]) == (3, 6)
+        assert "-x" in reused[1][2]

@@ -541,7 +541,7 @@ except VerificationFailed:
 else:
     raise SystemExit("declared-order check did not raise")
 
-# Unitriangular constructors check their input with explicit raises.
+# Unitriangular constructors and reduce_mod check their input with explicit raises.
 from conjsep.unitri import ResidueUT, UTMatrix
 
 for bad in (
@@ -551,6 +551,8 @@ for bad in (
     lambda: ResidueUT([[1, 0], [1, 1]], 3, 1),
     lambda: ResidueUT([[1, 1], [0, 1]], 2, 0),
     lambda: ResidueUT([[1, 1], [0, 1]], 1, 1),
+    lambda: reduce_mod(UTMatrix([[1, 1], [0, 1]]), 1, 1),
+    lambda: reduce_mod(UTMatrix([[1, 1], [0, 1]]), 2, 0),
 ):
     try:
         bad()

@@ -20,6 +20,7 @@ from conjsep.finite import (
     trivial_group,
 )
 from conjsep.groupspec import free_abelian_rank1_spec, heis5_spec, heisenberg_spec, ut4_spec
+from conjsep.selftest import default_corpus
 from conjsep.unitri import ResidueUT, reduce_mod
 
 from _oracles import (
@@ -167,6 +168,51 @@ class TestNormalSubgroups:
         group = maker()
         assert group.order <= 32
         assert group.normal_subgroups() == reference_normal_subgroups(group)
+
+    def test_quotients_of_corpus_match_reference(self):
+        checked = 0
+        for _, group in default_corpus():
+            for nsub in group.normal_subgroups():
+                quot, _ = group.quotient(nsub)
+                assert quot.normal_subgroups() == reference_normal_subgroups(quot), quot.name
+                checked += 1
+        assert checked == 3 + 6 + 6 + 4 + 19
+
+    @pytest.mark.parametrize("spec", [heis5_spec, ut4_spec], ids=["heis5-2", "ut4-2"])
+    def test_residue_groups_mod_2_match_reference(self, spec):
+        group = finite_closure([reduce_mod(g, 2, 1) for g in spec().generators])
+        assert group.normal_subgroups() == reference_normal_subgroups(group)
+
+    @pytest.mark.parametrize(
+        "maker,bound",
+        [(lambda: direct_product(dihedral4(), quaternion8()), 1600),
+         (lambda: finite_closure(heis_residue_gens(2, 3)), 47104)],
+        ids=["D4xQ8", "heisenberg-mod-8"],
+    )
+    def test_products_bounded_by_classes_times_order(self, maker, bound, monkeypatch):
+        # Once the classes are known, the only products are those of the
+        # class-product table: at most |classes| * |G| of them.
+        group = maker()
+        assert len(group.conjugacy_classes()) * group.order == bound
+        calls = []
+        if isinstance(group.identity, ResidueUT):
+            general = ResidueUT.__mul__
+
+            def counted(x, y):
+                calls.append(1)
+                return general(x, y)
+
+            monkeypatch.setattr(ResidueUT, "__mul__", counted)
+        else:
+            mul = group.mul
+
+            def counted(x, y):
+                calls.append(1)
+                return mul(x, y)
+
+            group.mul = counted
+        group.normal_subgroups()
+        assert 0 < len(calls) <= bound
 
     def test_s3_normal_structure(self):
         s3 = sym3()

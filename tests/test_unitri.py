@@ -236,6 +236,21 @@ class TestResidue:
         p, k = pk
         assert reduce_mod(u * v, p, k) == reduce_mod(u, p, k) * reduce_mod(v, p, k)
 
+    @settings(max_examples=200, deadline=None)
+    @given(ut_matrices(), st.sampled_from([2, 3, 5]), st.integers(1, 4))
+    def test_reduce_matches_constructor(self, u, p, k):
+        r, ref = reduce_mod(u, p, k), ResidueUT(u.rows, p, k)
+        assert type(r) is ResidueUT
+        assert (r.n, r.rows, r.p, r.k, r.mod) == (ref.n, ref.rows, ref.p, ref.k, ref.mod)
+        assert r == ref and hash(r) == hash(ref)
+        # A residue goes through the constructor, which reduces it further.
+        assert reduce_mod(r, p, 1) == ResidueUT(u.rows, p, 1)
+
+    def test_reduce_rejects_bad_modulus(self):
+        for p, k in ((1, 1), (2, 0)):
+            with pytest.raises(ValueError):
+                reduce_mod(A3, p, k)
+
     def test_residue_inverse_and_power(self):
         r = reduce_mod(UTMatrix.from_entries(3, {(0, 1): 5, (1, 2): 3, (0, 2): 7}), 2, 3)
         assert (r * r.inverse()).is_identity()
