@@ -22,9 +22,9 @@ general residue product, which the conjugator re-checks use.  Quotients are
 cached on their group with no strong reference back to it.
 
 Normal subgroups are unions of classes, so their enumeration runs on bit
-masks over class indices.  One table of class products (`_class_products`)
-is the only multiplication it takes; normal closures and joins are then
-integer ORs.
+masks over class indices.  Its only products are the class products
+C_i * C_j it reaches, each taken once, and one walk along the powers of an
+element per new normal closure; closures and joins are then integer ORs.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
+from math import gcd
 from typing import Callable, NamedTuple
 
 from .errors import DimensionMismatch, SizeLimit, VerificationFailed
@@ -92,14 +93,6 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _union(rows, mask: int) -> int:
-    """The OR of rows[i] over the set bits i of mask."""
-    out = 0
-    for i in _bits(mask):
-        out |= rows[i]
-    return out
 
 
 def _label(labels, x) -> str:
@@ -251,63 +244,79 @@ class FiniteGroup:
         points = frozenset(map(conj.point, subset))
         return all(step(x) in points for step in conj.steps for x in points)
 
-    def _class_products(self) -> list:
-        """meets[i][j], the bit mask of the classes that C_i * C_j meets.
-
-        C_i * C_j is the union of the conjugates of r * C_j for any r in C_i,
-        so it meets the classes that r * C_j meets, and C_i * C_j = C_j * C_i.
-        Each pair takes one product per element of its smaller class, at most
-        |classes| * |G| products in all.
-        """
-        classes = self.conjugacy_classes()
-        class_of, mul = self._class_of, self.mul
-        meets = [[0] * len(classes) for _ in classes]
-        for i, ci in enumerate(classes):
-            for j in range(i, len(classes)):
-                small, big = sorted((ci, classes[j]), key=len)
-                r = next(iter(big))
-                mask = 0
-                for x in small:
-                    mask |= 1 << class_of[mul(r, x)]
-                meets[i][j] = meets[j][i] = mask
-        return meets
-
     def normal_subgroups(self) -> tuple:
         """All normal subgroups, as joins of normal closures of classes.
 
         A normal subgroup is a union of classes, held here as a bit mask over
-        class indices, and C_i * C_j meets the classes of meets[i][j]
-        (`_class_products`), so no product is taken after that table.  The
-        normal closure of C_j, the products of elements of C_j, is the set of
-        classes reached from the identity by i -> meets[i][j]; the join of
-        normal N and K is N * K, the union of
-        meets[i][l] over i in N and l in K.  Every normal subgroup is the join
-        of the closures of its classes, so closing the distinct closures
-        under joins from the trivial subgroup finds them all.
+        class indices.  C_i * C_j is the union of the conjugates of r * C_j
+        for any r in C_i, so the classes it meets are those r * C_j meets;
+        each such mask is taken once, from the smaller class, when first
+        needed.  C_i * <C_j> is the least mask over i closed under
+        l -> classes met by C_l * C_j: with C_i trivial it is the normal
+        closure of C_j, and for normal N the join N * <C_j> is the union of
+        C_i * <C_j> over the classes i of N.  x and x^e (e prime to the order
+        of x) have the same closure, so one walk along the powers of x
+        settles all their classes.  Every normal subgroup is the join of the
+        closures of its classes, so joining the distinct closures from the
+        trivial subgroup finds them all.
         """
         if self._normals is None:
             classes = self.conjugacy_classes()
-            meets = self._class_products()
-            one = self._class_of[self.identity]
-            triv = 1 << one
-            # For each distinct closure K, joins[K][i] is the union of meets[i][l] over l in K.
-            joins = {}
-            for j in range(len(classes)):
-                closure, todo = triv, [one]
+            class_of, mul, size = self._class_of, self.mul, len(classes)
+            # meets[l * size + j], l <= j: the mask of the classes that C_l * C_j
+            # meets.  cols[j][i]: C_i * <C_j>, or 0 until it is needed.
+            meets, cols = {}, {}
+
+            def row(i, j):
+                """C_i * <C_j>: the least mask over i closed under l -> C_l * C_j."""
+                mask, todo = 1 << i, [i]
                 while todo:
-                    new = meets[todo.pop()][j] & ~closure
-                    closure |= new
+                    l = todo.pop()
+                    pair = l * size + j if l < j else j * size + l
+                    met = meets.get(pair)
+                    if met is None:
+                        small, big = sorted((classes[l], classes[j]), key=len)
+                        r = next(iter(big))
+                        met = 0
+                        for x in small:
+                            met |= 1 << class_of[mul(r, x)]
+                        meets[pair] = met
+                    new = met & ~mask
+                    mask |= new
                     todo.extend(_bits(new))
-                if closure not in joins:
-                    joins[closure] = [_union(row, closure) for row in meets]
+                cols[j][i] = mask
+                return mask
+
+            one = class_of[self.identity]
+            # Each distinct normal closure <C_j>, with its class j.
+            closures, settled = {}, set()
+            for j, cls in enumerate(classes):
+                if j in settled:
+                    continue
+                cols[j] = [0] * size
+                closures.setdefault(row(one, j), j)
+                x = next(iter(cls))
+                powers = [x]
+                while powers[-1] != self.identity:
+                    powers.append(mul(powers[-1], x))
+                settled.update(
+                    class_of[y] for e, y in enumerate(powers, 1) if gcd(e, len(powers)) == 1
+                )
+            triv = 1 << one
             found = {triv}
             queue = [triv]
             while queue:
                 current = queue.pop()
-                for closure, rows in joins.items():
+                for closure, j in closures.items():
                     if closure & ~current == 0:
                         continue
-                    joined = _union(rows, current)
+                    # N * <C_j> is the union of C_i * <C_j> over i in N, and a
+                    # class inside one already taken adds nothing more.
+                    col, joined, rest = cols[j], 0, current
+                    while rest:
+                        i = (rest & -rest).bit_length() - 1
+                        joined |= col[i] or row(i, j)
+                        rest &= ~joined
                     if joined not in found:
                         found.add(joined)
                         queue.append(joined)

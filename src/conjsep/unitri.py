@@ -287,12 +287,9 @@ def conjugation_kernel(s: ResidueUT):
 def reduce_mod(u: UTMatrix, p: int, k: int) -> ResidueUT:
     """Entrywise reduction modulo p^k; a homomorphism onto a finite p-group.
 
-    The rows of a UTMatrix are already checked integers, so they are reduced
-    and the slots filled as `_wrap` fills them; other input goes through the
-    ResidueUT constructor.
+    The rows are already checked integers, so they are reduced and the slots
+    filled as `_wrap` fills them, without the ResidueUT constructor's checks.
     """
-    if type(u) is not UTMatrix:
-        return ResidueUT(u.rows, p, k)
     mod = _modulus(p, k)
     out = _new(ResidueUT)
     _set_n(out, u.n)

@@ -190,8 +190,8 @@ class TestNormalSubgroups:
         ids=["D4xQ8", "heisenberg-mod-8"],
     )
     def test_products_bounded_by_classes_times_order(self, maker, bound, monkeypatch):
-        # Once the classes are known, the only products are those of the
-        # class-product table: at most |classes| * |G| of them.
+        # Once the classes are known, the class products and the power walks
+        # stay within |classes| * |G| products.
         group = maker()
         assert len(group.conjugacy_classes()) * group.order == bound
         calls = []
@@ -213,6 +213,34 @@ class TestNormalSubgroups:
             group.mul = counted
         group.normal_subgroups()
         assert 0 < len(calls) <= bound
+
+    @pytest.mark.parametrize(
+        "maker",
+        [lambda: direct_product(cyclic(4), cyclic(8)),
+         lambda: direct_product(direct_product(cyclic(2), cyclic(4)), cyclic(8)),
+         lambda: direct_product(cyclic(3), cyclic(12))],
+        ids=["C4xC8", "C2xC4xC8", "C3xC12"],
+    )
+    def test_abelian_groups_match_reference(self, maker):
+        # Every element is its own class: the most classes a group can have.
+        group = maker()
+        assert len(group.conjugacy_classes()) == group.order
+        assert group.normal_subgroups() == reference_normal_subgroups(group)
+
+    def test_cyclic_512_takes_few_products(self):
+        # A full table of its 512 classes' products would take 131,328.
+        group = cyclic(512)
+        group.conjugacy_classes()
+        mul, calls = group.mul, []
+
+        def counted(x, y):
+            calls.append(1)
+            return mul(x, y)
+
+        group.mul = counted
+        normals = group.normal_subgroups()
+        assert [len(sub) for sub in normals] == [2**a for a in range(10)]
+        assert len(calls) <= 4 * group.order
 
     def test_s3_normal_structure(self):
         s3 = sym3()

@@ -243,7 +243,7 @@ class TestResidue:
         assert type(r) is ResidueUT
         assert (r.n, r.rows, r.p, r.k, r.mod) == (ref.n, ref.rows, ref.p, ref.k, ref.mod)
         assert r == ref and hash(r) == hash(ref)
-        # A residue goes through the constructor, which reduces it further.
+        # A residue's rows reduce further, as the constructor reduces them.
         assert reduce_mod(r, p, 1) == ResidueUT(u.rows, p, 1)
 
     def test_reduce_rejects_bad_modulus(self):
