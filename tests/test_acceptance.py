@@ -232,6 +232,20 @@ def test_coset_equivalence_on_heisenberg_mod_4(capsys):
         _finish("coset equivalence on heisenberg mod 4 (27 normal subgroups, p = 2)", t0, 5.0)
 
 
+def test_coset_equivalence_on_heisenberg_mod_8(capsys):
+    group = finite_closure([reduce_mod(g, 2, 3) for g in HEIS.generators])
+    t0 = time.perf_counter()
+    normals = [nsub for nsub in group.normal_subgroups() if len(nsub) == 32]
+    assert len(normals) == 19
+    for nsub in normals:
+        report = quotient_coset_equivalence(group, nsub, 2)
+        assert report.holds and report.all_cosets_separable and report.quotient_separable, (
+            report.detail)
+    with capsys.disabled():
+        _finish("coset equivalence on heisenberg mod 8 (19 normal subgroups of order 32, p = 2)",
+                t0, 20.0)
+
+
 def test_residuality_witness(capsys):
     t0 = time.perf_counter()
     rng = random.Random(77)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from conjsep import cli, finite, separability
+from conjsep import cli, finite, selftest, separability
 from conjsep.errors import LocalCheckFailed
 from conjsep.finite import FiniteGroup, cyclic
 from conjsep.groupspec import (
@@ -16,7 +16,7 @@ from conjsep.groupspec import (
     load_spec,
     preset,
 )
-from conjsep.intlin import mod_inverse
+from conjsep.intlin import IntMatrix, mod_inverse
 from conjsep.selftest import run_selftest
 from conjsep.separability import make_witness, scan_tower, verify_witness_local
 
@@ -467,6 +467,60 @@ class TestSelftest:
         failures = [name for name, ok, _ in outcomes if not ok]
         assert failures
         assert failures[0].startswith("closure:")
+
+    # The first matrix the seeded generator hands the Smith-form check.
+    FIRST_SNF_INPUT = "IntMatrix([[-8], [4], [6], [-9], [0]])"
+
+    @staticmethod
+    def _lattice_run(monkeypatch, fake_snf=None):
+        """The lattice suite, with snf replaced when given; also returns the
+        (target, e) of every power_solvable call, in order."""
+        real_snf, real_power = selftest.snf, selftest.power_solvable
+        calls = []
+
+        def recording_power(lat, target, e):
+            calls.append((target, e))
+            return real_power(lat, target, e)
+
+        monkeypatch.setattr(selftest, "power_solvable", recording_power)
+        if fake_snf is not None:
+            monkeypatch.setattr(selftest, "snf", lambda a: fake_snf(*real_snf(a)))
+        return run_selftest(include_corpus=False), calls
+
+    def test_passing_lattice_suite_draws_in_seeded_order(self, monkeypatch):
+        outcomes, calls = self._lattice_run(monkeypatch)
+        assert all(ok and not detail for _, ok, detail in outcomes)
+        assert len(calls) == 60 and calls[:2] == [((15,), 3), ((-4,), 1)]
+
+    @pytest.mark.parametrize(
+        "fake_snf, detail",
+        [
+            # D off by one in its first entry: U*A*V != D.
+            (lambda d, u, v: (IntMatrix(d.rows, d.cols, (d.entries[0] + 1,) + d.entries[1:]), u, v),
+             "snf identity broke on "),
+            # -D with -U: the identity holds, but the diagonal is negative.
+            (lambda d, u, v: (IntMatrix(d.rows, d.cols, [-x for x in d.entries]),
+                              IntMatrix(u.rows, u.cols, [-x for x in u.entries]), v),
+             "snf shape broke on "),
+        ],
+        ids=["wrong-d", "negative-diagonal"],
+    )
+    def test_wrong_snf_fails_only_its_check(self, monkeypatch, fake_snf, detail):
+        outcomes, calls = self._lattice_run(monkeypatch, fake_snf)
+        assert [name for name, _, _ in outcomes] == [
+            "hnf-identities",
+            "snf-identities",
+            "mod-inverse-exhaustive",
+            "power-solvable-rank1",
+            "lattice-membership-certificates",
+        ]
+        assert [(name, d) for name, ok, d in outcomes if not ok] == [
+            ("snf-identities", detail + self.FIRST_SNF_INPUT)
+        ]
+        assert all(not d for name, ok, d in outcomes if ok)
+        # The check stops at its first bad matrix, so the later checks draw
+        # from the generator where they did before.
+        assert len(calls) == 60 and calls[:2] == [((-3,), 4), ((-4, 0, -1), 4)]
 
 
 class TestParserBuiltOnce:

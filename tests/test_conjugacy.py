@@ -18,7 +18,15 @@ from conjsep.conjugacy import (
     quotient_coset_equivalence,
 )
 from conjsep.errors import ClassTooHigh, NonAbelianPart, SizeLimit
-from conjsep.finite import cyclic, dihedral4, direct_product, finite_closure, quaternion8, sym3
+from conjsep.finite import (
+    FiniteGroup,
+    cyclic,
+    dihedral4,
+    direct_product,
+    finite_closure,
+    quaternion8,
+    sym3,
+)
 from conjsep.groupspec import (
     MatrixGroupSpec,
     coords_to_element,
@@ -261,6 +269,17 @@ class TestKernelEnumeration:
         with pytest.raises(SizeLimit):
             enumerate_p_quotient_kernels(d4, 2, max_order=4)
 
+    @pytest.mark.parametrize("p", [4, 6, 1, 0, -2])
+    def test_non_prime_p_rejected(self, p):
+        d4 = dihedral4()
+        with pytest.raises(ValueError, match="prime"):
+            enumerate_p_quotient_kernels(d4, p)
+        with pytest.raises(ValueError, match="prime"):
+            is_conjugacy_p_separable(d4, p)
+        with pytest.raises(ValueError, match="prime"):
+            quotient_coset_equivalence(d4, frozenset({d4.identity}), p)
+        assert p not in d4._kernels
+
 
 class TestCosetSeparability:
     def test_s3_transposition_vs_a3(self):
@@ -315,6 +334,25 @@ class TestEquivalence:
         report = quotient_coset_equivalence(q8, center, 2)
         assert report.all_cosets_separable and report.quotient_separable
         assert report.holds
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_second_call_takes_fewer_products_than_the_group_order(self, p):
+        # Warm caches leave the coset equivalence nothing to multiply: each
+        # coset is an element of the cached quotient, not rebuilt per probe.
+        base = direct_product(dihedral4(), quaternion8(), name="D4xQ8")
+        products = [0]
+
+        def mul(x, y):
+            products[0] += 1
+            return base.mul(x, y)
+
+        group = FiniteGroup(base.name, base.elements, mul, base.identity, base.generators,
+                            inv=base.inverse)
+        for nsub in [n for n in group.normal_subgroups() if len(n) in (2, 8)][:4]:
+            first = quotient_coset_equivalence(group, nsub, p)
+            products[0] = 0
+            assert quotient_coset_equivalence(group, nsub, p) == first
+            assert products[0] < group.order, (len(nsub), products[0])
 
     def test_p_group_always_separable(self):
         separable, _ = is_conjugacy_p_separable(dihedral4(), 2)

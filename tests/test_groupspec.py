@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from conjsep import groupspec
 from conjsep.errors import SpecParseError, SpecRejected
 from conjsep.finite import quaternion8, trivial_group
 from conjsep.groupspec import (
@@ -182,6 +183,95 @@ class TestCoordinates:
     def test_wrong_arity(self):
         with pytest.raises(SpecParseError):
             coords_to_element(heisenberg_spec(), (1, 2))
+
+
+class TestPresetPins:
+    """Every field of the matrix presets, against a literal table.  A
+    position (i, j) stands for the elementary matrix I + E_ij."""
+
+    # name -> (constructor, n, generators, centre, (z2 position, z2 name),
+    #          declared class, Mal'cev basis); a list holds (name, position)
+    MATRIX = {
+        "heisenberg": (
+            "heisenberg_spec", 3,
+            [("a", (0, 1)), ("b", (1, 2))],
+            [("c", (0, 2))],
+            ((0, 1), "a"), 2,
+            [("a", (0, 1)), ("b", (1, 2)), ("c", (0, 2))],
+        ),
+        "z": (
+            "free_abelian_rank1_spec", 2,
+            [("a", (0, 1))],
+            [("a", (0, 1))],
+            (None, "z2"), 1,
+            [("a", (0, 1))],
+        ),
+        "z2": (
+            "free_abelian_rank2_spec", 3,
+            [("a", (0, 1)), ("b", (0, 2))],
+            [("a", (0, 1)), ("b", (0, 2))],
+            (None, "z2"), 1,
+            [("a", (0, 1)), ("b", (0, 2))],
+        ),
+        "ut4": (
+            "ut4_spec", 4,
+            [("x12", (0, 1)), ("x23", (1, 2)), ("x34", (2, 3))],
+            [("x14", (0, 3))],
+            ((0, 2), "x13"), 3,
+            [("x12", (0, 1)), ("x23", (1, 2)), ("x34", (2, 3)),
+             ("x13", (0, 2)), ("x24", (1, 3)), ("x14", (0, 3))],
+        ),
+        "heis5": (
+            "heis5_spec", 4,
+            [("a1", (0, 1)), ("a2", (0, 2)), ("b1", (1, 3)), ("b2", (2, 3))],
+            [("c", (0, 3))],
+            ((0, 1), "a1"), 2,
+            [("a1", (0, 1)), ("a2", (0, 2)), ("b1", (1, 3)), ("b2", (2, 3)), ("c", (0, 3))],
+        ),
+    }
+
+    # product preset -> (matrix part, finite part)
+    PRODUCT = {
+        "heisenberg": ("heisenberg", "1"),
+        "z": ("z", "1"),
+        "z2": ("z2", "1"),
+        "ut4": ("ut4", "1"),
+        "heis5": ("heis5", "1"),
+        "zxc2": ("z", "C2"),
+        "zxc3": ("z", "C3"),
+        "zxc6": ("z", "C6"),
+        "zxq8": ("z", "Q8"),
+        "zxd4": ("z", "D4"),
+        "heisxc2": ("heisenberg", "C2"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MATRIX))
+    def test_matrix_preset_fields(self, name):
+        ctor, n, gens, centre, (z2_pos, z2_name), cls, basis = self.MATRIX[name]
+        spec = getattr(groupspec, ctor)()
+
+        def unit(pos):
+            return UTMatrix.from_entries(n, {pos: 1})
+
+        assert groupspec._MATRIX_PRESETS[name] is getattr(groupspec, ctor)
+        assert (spec.name, spec.n, spec.declared_class) == (name, n, cls)
+        assert spec.gen_names == tuple(nm for nm, _ in gens)
+        assert spec.generators == tuple(unit(pos) for _, pos in gens)
+        assert spec.center_names == tuple(nm for nm, _ in centre)
+        assert spec.center_gens == tuple(unit(pos) for _, pos in centre)
+        assert spec.z2_rep == (None if z2_pos is None else unit(z2_pos))
+        assert spec.z2_name == z2_name
+        assert spec.malcev_basis == tuple((nm, unit(pos)) for nm, pos in basis)
+        assert all(isinstance(u, UTMatrix) for u in spec.generators + spec.center_gens)
+
+    def test_preset_names_and_product_parts(self):
+        assert sorted(groupspec._MATRIX_PRESETS) == sorted(self.MATRIX)
+        assert preset_names() == tuple(sorted(self.PRODUCT))
+        for name, (matrix, finite) in self.PRODUCT.items():
+            product = preset(name)
+            assert product.name == name
+            assert product.matrix_part.name == matrix
+            assert product.finite_part.name == finite
 
 
 class TestAbelianAndTorsion:
