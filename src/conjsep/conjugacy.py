@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import reduce
+from itertools import product
 
 from .errors import ClassTooHigh, NonAbelianPart, SizeLimit, VerificationFailed
 from .finite import FiniteGroup
@@ -23,7 +24,7 @@ from .groupspec import (
     center_vector,
     is_abelian,
 )
-from .intlin import Lattice, prime_power_exponent
+from .intlin import Lattice, is_prime, prime_power_exponent
 from .unitri import UTMatrix, commutator
 
 
@@ -142,13 +143,16 @@ def enumerate_p_quotient_kernels(
     """Normal subgroups H with [G : H] a power of p, smallest first.
 
     Always contains the whole group (trivial quotient).  Raises SizeLimit when
-    the group is beyond the enumeration budget, on every call.  The list is
-    computed once per group and prime and kept on the group.
+    the group is beyond the enumeration budget, on every call, and ValueError
+    when p is not prime.  The list is computed once per group and prime and
+    kept on the group.
     """
     if group.order > max_order:
         raise SizeLimit(f"group of order {group.order} exceeds budget {max_order}")
     kernels = group._kernels.get(p)
     if kernels is None:
+        if not is_prime(p):
+            raise ValueError(f"p must be prime, got {p}")
         kernels = group._kernels[p] = tuple(
             sub for sub in group.normal_subgroups()
             if prime_power_exponent(group.order // len(sub), p) is not None
@@ -198,18 +202,18 @@ def coset_conjugacy_separable(query: CosetQuery) -> CosetAnswer:
     quantifies only over non-conjugate probes); otherwise YES with the first
     separating kernel, or NO after exhausting all kernels.
     """
-    group = query.ambient
-    coset = query.coset()
-    probe_class = group.class_of(query.probe)
-    if probe_class & coset:
+    return _separate_from_coset(query.ambient, query.coset(), query.probe, query.p)
+
+
+def _separate_from_coset(group: FiniteGroup, coset: frozenset, probe, p: int) -> CosetAnswer:
+    """coset_conjugacy_separable on a coset already built.  The kernel K
+    separates when no coset of K in the class of probe*K meets the coset."""
+    if not group.class_of(probe).isdisjoint(coset):
         return CosetAnswer(CosetDecision.VACUOUS)
-    kernels = enumerate_p_quotient_kernels(group, query.p)
+    kernels = enumerate_p_quotient_kernels(group, p)
     for count, kernel in enumerate(kernels, start=1):
         quot, hom = group.quotient(kernel)
-        image = hom(query.probe)
-        image_class = quot.class_of(image)
-        coset_images = {hom(m) for m in coset}
-        if not image_class & coset_images:
+        if all(k_coset.isdisjoint(coset) for k_coset in quot.class_of(hom(probe))):
             return CosetAnswer(CosetDecision.YES, kernel, count)
     return CosetAnswer(CosetDecision.NO, None, len(kernels))
 
@@ -249,28 +253,20 @@ class EquivalenceReport:
 def quotient_coset_equivalence(group: FiniteGroup, normal_n, p: int) -> EquivalenceReport:
     """Check: G/N conjugacy p-separable <=> every coset of N separable in G.
 
-    The left side runs coset_conjugacy_separable for every (probe, coset)
-    pair; the right side tests the quotient against all of its own p-power
+    The left side decides every (probe, coset) pair as
+    coset_conjugacy_separable does, each coset an element of the quotient;
+    the right side tests the quotient against all of its own p-power
     kernels.  Both sides are exhaustive enumerations.
     """
-    nsub = frozenset(normal_n)
-    quot, hom = group.quotient(nsub)
-    reps = [hom.section[coset] for coset in quot.elements]
-    left = True
-    detail = ""
-    for rep in reps:
-        for probe in group.elements:
-            ans = coset_conjugacy_separable(
-                CosetQuery(group, nsub, rep, probe, p)
+    quot, hom = group.quotient(normal_n)
+    left, detail = True, ""
+    for coset, probe in product(quot.elements, group.elements):
+        if _separate_from_coset(group, coset, probe, p).decision is CosetDecision.NO:
+            left = False
+            detail = (
+                f"probe {group.label(probe)} vs coset "
+                f"{group.label(hom.section[coset])}*N is never separated"
             )
-            if ans.decision is CosetDecision.NO:
-                left = False
-                detail = (
-                    f"probe {group.label(probe)} vs coset "
-                    f"{group.label(rep)}*N is never separated"
-                )
-                break
-        if not left:
             break
     right, failing = is_conjugacy_p_separable(quot, p)
     if not right and not detail:

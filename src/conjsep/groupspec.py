@@ -5,6 +5,12 @@ the data the algorithms need: generators of the centre, an optional element of
 the second centre that is not central, and the nilpotency class.  Declared
 data is verified, never trusted: verify_spec re-derives every claim by
 commutator arithmetic and lattice membership.
+
+A matrix preset is written as its Mal'cev basis, a table of (name, (i, j))
+pairs for the elementary matrices I + E_ij in collection order.  The
+generators, the centre generators and the second-centre representative are
+named from that table (`_preset`), and coordinate tuples are exponents of its
+elements in that order (`coords_to_element`).
 """
 
 from __future__ import annotations
@@ -85,11 +91,7 @@ QUOTIENT_CACHE_SIZE = 32
 @lru_cache(maxsize=QUOTIENT_CACHE_SIZE)
 def center_support(spec: MatrixGroupSpec) -> tuple:
     """Strictly-upper positions where some declared centre generator is nonzero."""
-    positions = set()
-    for z in spec.center_gens:
-        for (i, j), _ in z.strict_upper_items():
-            positions.add((i, j))
-    return tuple(sorted(positions))
+    return tuple(sorted({pos for z in spec.center_gens for pos, _ in z.strict_upper_items()}))
 
 
 @lru_cache(maxsize=QUOTIENT_CACHE_SIZE)
@@ -103,9 +105,8 @@ def center_lattice(spec: MatrixGroupSpec) -> Lattice:
 def center_vector(spec: MatrixGroupSpec, u: UTMatrix) -> tuple | None:
     """Coordinates of u at the centre support, or None if u sticks out of it."""
     support = center_support(spec)
-    support_set = set(support)
-    for (i, j), v in u.strict_upper_items():
-        if (i, j) not in support_set:
+    for pos, _ in u.strict_upper_items():
+        if pos not in support:
             return None
     return tuple(u[pos] for pos in support)
 
@@ -296,106 +297,49 @@ def element_coords(spec: MatrixGroupSpec, u: UTMatrix) -> tuple | None:
 # -- matrix presets ----------------------------------------------------------
 
 
-def _e(n, entries):
-    return UTMatrix.from_entries(n, entries)
+def _preset(name, n, basis, gens, center, z2, declared_class) -> MatrixGroupSpec:
+    """A matrix preset read off its Mal'cev basis: `basis` lists (name, (i, j))
+    for the elementary matrices I + E_ij in collection order, and `gens`,
+    `center` and `z2` (None for an abelian group) name basis elements."""
+    table = {nm: UTMatrix.from_entries(n, {pos: 1}) for nm, pos in basis}
+    return MatrixGroupSpec(
+        name=name,
+        n=n,
+        generators=tuple(table[nm] for nm in gens),
+        gen_names=gens,
+        center_gens=tuple(table[nm] for nm in center),
+        center_names=center,
+        z2_rep=table.get(z2),
+        z2_name=z2 or MatrixGroupSpec.z2_name,
+        declared_class=declared_class,
+        malcev_basis=tuple((nm, table[nm]) for nm, _ in basis),
+    )
 
 
 def heisenberg_spec() -> MatrixGroupSpec:
-    a = _e(3, {(0, 1): 1})
-    b = _e(3, {(1, 2): 1})
-    c = _e(3, {(0, 2): 1})
-    return MatrixGroupSpec(
-        name="heisenberg",
-        n=3,
-        generators=(a, b),
-        gen_names=("a", "b"),
-        center_gens=(c,),
-        center_names=("c",),
-        z2_rep=a,
-        z2_name="a",
-        declared_class=2,
-        malcev_basis=(("a", a), ("b", b), ("c", c)),
-    )
+    basis = (("a", (0, 1)), ("b", (1, 2)), ("c", (0, 2)))
+    return _preset("heisenberg", 3, basis, ("a", "b"), ("c",), "a", 2)
 
 
 def free_abelian_rank1_spec() -> MatrixGroupSpec:
-    a = _e(2, {(0, 1): 1})
-    return MatrixGroupSpec(
-        name="z",
-        n=2,
-        generators=(a,),
-        gen_names=("a",),
-        center_gens=(a,),
-        center_names=("a",),
-        z2_rep=None,
-        declared_class=1,
-        malcev_basis=(("a", a),),
-    )
+    return _preset("z", 2, (("a", (0, 1)),), ("a",), ("a",), None, 1)
 
 
 def free_abelian_rank2_spec() -> MatrixGroupSpec:
-    a = _e(3, {(0, 1): 1})
-    b = _e(3, {(0, 2): 1})
-    return MatrixGroupSpec(
-        name="z2",
-        n=3,
-        generators=(a, b),
-        gen_names=("a", "b"),
-        center_gens=(a, b),
-        center_names=("a", "b"),
-        z2_rep=None,
-        declared_class=1,
-        malcev_basis=(("a", a), ("b", b)),
-    )
+    basis = (("a", (0, 1)), ("b", (0, 2)))
+    return _preset("z2", 3, basis, ("a", "b"), ("a", "b"), None, 1)
 
 
 def ut4_spec() -> MatrixGroupSpec:
-    x12 = _e(4, {(0, 1): 1})
-    x23 = _e(4, {(1, 2): 1})
-    x34 = _e(4, {(2, 3): 1})
-    x13 = _e(4, {(0, 2): 1})
-    x24 = _e(4, {(1, 3): 1})
-    x14 = _e(4, {(0, 3): 1})
-    return MatrixGroupSpec(
-        name="ut4",
-        n=4,
-        generators=(x12, x23, x34),
-        gen_names=("x12", "x23", "x34"),
-        center_gens=(x14,),
-        center_names=("x14",),
-        z2_rep=x13,
-        z2_name="x13",
-        declared_class=3,
-        malcev_basis=(
-            ("x12", x12),
-            ("x23", x23),
-            ("x34", x34),
-            ("x13", x13),
-            ("x24", x24),
-            ("x14", x14),
-        ),
-    )
+    basis = (("x12", (0, 1)), ("x23", (1, 2)), ("x34", (2, 3)),
+             ("x13", (0, 2)), ("x24", (1, 3)), ("x14", (0, 3)))
+    return _preset("ut4", 4, basis, ("x12", "x23", "x34"), ("x14",), "x13", 3)
 
 
 def heis5_spec() -> MatrixGroupSpec:
     """Five-dimensional Heisenberg group: two commuting pairs, one shared centre."""
-    a1 = _e(4, {(0, 1): 1})
-    a2 = _e(4, {(0, 2): 1})
-    b1 = _e(4, {(1, 3): 1})
-    b2 = _e(4, {(2, 3): 1})
-    c = _e(4, {(0, 3): 1})
-    return MatrixGroupSpec(
-        name="heis5",
-        n=4,
-        generators=(a1, a2, b1, b2),
-        gen_names=("a1", "a2", "b1", "b2"),
-        center_gens=(c,),
-        center_names=("c",),
-        z2_rep=a1,
-        z2_name="a1",
-        declared_class=2,
-        malcev_basis=(("a1", a1), ("a2", a2), ("b1", b1), ("b2", b2), ("c", c)),
-    )
+    basis = (("a1", (0, 1)), ("a2", (0, 2)), ("b1", (1, 3)), ("b2", (2, 3)), ("c", (0, 3)))
+    return _preset("heis5", 4, basis, ("a1", "a2", "b1", "b2"), ("c",), "a1", 2)
 
 
 _MATRIX_PRESETS = {
@@ -406,12 +350,9 @@ _MATRIX_PRESETS = {
     "heis5": heis5_spec,
 }
 
+# Product presets: (matrix part, finite part or None for the trivial group).
 _PRODUCT_PRESETS = {
-    "heisenberg": ("heisenberg", None),
-    "z": ("z", None),
-    "z2": ("z2", None),
-    "ut4": ("ut4", None),
-    "heis5": ("heis5", None),
+    **{name: (name, None) for name in _MATRIX_PRESETS},
     "zxc2": ("z", "c2"),
     "zxc3": ("z", "c3"),
     "zxc6": ("z", "c6"),

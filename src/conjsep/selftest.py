@@ -51,32 +51,31 @@ def _random_matrix(rng, max_dim=5, span=9) -> IntMatrix:
     )
 
 
-def lattice_suite() -> list[Check]:
-    rng = random.Random(LATTICE_SEED)
-    checks: list[Check] = []
+def _check(name: str, failures) -> Check:
+    """The check named `name`, failed with the first detail that `failures`
+    yields.  The rest of the generator never runs, so a check that fails
+    stops drawing from the seeded generator at its first failure."""
+    detail = next(failures, None)
+    return (name, detail is None, detail or "")
 
-    ok = True
-    detail = ""
+
+def _hnf_failures(rng):
     for _ in range(LATTICE_ROUNDS):
         a = _random_matrix(rng)
         h, u = hnf(a)
         if a @ u != h or abs(det(u)) != 1 or not is_column_hnf(h):
-            ok, detail = False, f"hnf identity broke on {a!r}"
-            break
-        h2, _ = hnf(h)
-        if h2 != h:
-            ok, detail = False, f"hnf is not idempotent on {a!r}"
-            break
-    checks.append(("hnf-identities", ok, detail))
+            yield f"hnf identity broke on {a!r}"
+        elif hnf(h)[0] != h:
+            yield f"hnf is not idempotent on {a!r}"
 
-    ok = True
-    detail = ""
+
+def _snf_failures(rng):
     for _ in range(LATTICE_ROUNDS):
         a = _random_matrix(rng)
         d, u, v = snf(a)
         if (u @ a) @ v != d or abs(det(u)) != 1 or abs(det(v)) != 1:
-            ok, detail = False, f"snf identity broke on {a!r}"
-            break
+            yield f"snf identity broke on {a!r}"
+            continue
         diag = [d.at(i, i) for i in range(min(d.rows, d.cols))]
         off = any(
             d.at(i, j) for i in range(d.rows) for j in range(d.cols) if i != j
@@ -86,27 +85,19 @@ def lattice_suite() -> list[Check]:
             diag[i + 1] % diag[i] == 0 for i in range(len(diag) - 1) if diag[i]
         )
         if off or any(x < 0 for x in diag) or not chain:
-            ok, detail = False, f"snf shape broke on {a!r}"
-            break
-    checks.append(("snf-identities", ok, detail))
+            yield f"snf shape broke on {a!r}"
 
-    ok = True
-    detail = ""
+
+def _mod_inverse_failures():
     for m in range(2, 301):
         for a in range(1, m):
-            g, _, _ = xgcd(a, m)
-            if g != 1:
-                continue
-            k = mod_inverse(a, m)
-            if not (1 <= k < m and (a * k) % m == 1):
-                ok, detail = False, f"mod_inverse({a}, {m}) = {k}"
-                break
-        if not ok:
-            break
-    checks.append(("mod-inverse-exhaustive", ok, detail))
+            if xgcd(a, m)[0] == 1:
+                k = mod_inverse(a, m)
+                if not (1 <= k < m and (a * k) % m == 1):
+                    yield f"mod_inverse({a}, {m}) = {k}"
 
-    ok = True
-    detail = ""
+
+def _power_solvable_failures(rng):
     for _ in range(LATTICE_ROUNDS):
         ambient = rng.randint(1, 3)
         w = tuple(rng.randint(-4, 4) for _ in range(ambient))
@@ -116,14 +107,11 @@ def lattice_suite() -> list[Check]:
         t = rng.randint(-6, 6)
         e = rng.randint(1, 5)
         target = tuple(t * x for x in w)
-        sol = power_solvable(lat, target, e)
-        if sol.solvable != (t % e == 0):
-            ok, detail = False, f"rank-1 power solvability disagrees with {e} | {t}"
-            break
-    checks.append(("power-solvable-rank1", ok, detail))
+        if power_solvable(lat, target, e).solvable != (t % e == 0):
+            yield f"rank-1 power solvability disagrees with {e} | {t}"
 
-    ok = True
-    detail = ""
+
+def _membership_failures(rng):
     for _ in range(LATTICE_ROUNDS):
         ambient = rng.randint(1, 3)
         ncols = rng.randint(1, 3)
@@ -141,10 +129,39 @@ def lattice_suite() -> list[Check]:
             for i in range(ambient)
         ) == vec
         if not good:
-            ok, detail = False, f"membership certificate broke on {cols} -> {vec}"
-            break
-    checks.append(("lattice-membership-certificates", ok, detail))
-    return checks
+            yield f"membership certificate broke on {cols} -> {vec}"
+
+
+def lattice_suite() -> list[Check]:
+    rng = random.Random(LATTICE_SEED)
+    return [
+        _check("hnf-identities", _hnf_failures(rng)),
+        _check("snf-identities", _snf_failures(rng)),
+        _check("mod-inverse-exhaustive", _mod_inverse_failures()),
+        _check("power-solvable-rank1", _power_solvable_failures(rng)),
+        _check("lattice-membership-certificates", _membership_failures(rng)),
+    ]
+
+
+def _equivalence_failures(group: FiniteGroup, p: int):
+    for i, nsub in enumerate(group.normal_subgroups()):
+        report = quotient_coset_equivalence(group, nsub, p)
+        if not report.holds:
+            yield f"N{i}: {report.detail}"
+
+
+def _quotient_failures(group: FiniteGroup, p: int):
+    for i, nsub in enumerate(group.normal_subgroups()):
+        separable, pair = is_conjugacy_p_separable(group.quotient(nsub)[0], p)
+        if not separable:
+            yield f"quotient by N{i} fails at pair {pair}"
+
+
+def _spec_failures(name: str):
+    try:
+        verify_spec(preset(name).matrix_part)
+    except Exception as exc:  # noqa: BLE001 - report, do not crash the suite
+        yield str(exc)
 
 
 def corpus_suite(corpus: list[tuple[str, FiniteGroup]] | None = None) -> list[Check]:
@@ -153,48 +170,24 @@ def corpus_suite(corpus: list[tuple[str, FiniteGroup]] | None = None) -> list[Ch
     healthy = []
     for name, group in groups:
         outcomes = group.validate()
-        bad = False
-        for cname, ok, detail in outcomes:
-            checks.append((f"{cname}:{name}", ok, detail))
-            bad = bad or not ok
-        if not bad:
+        checks.extend((f"{cname}:{name}", ok, detail) for cname, ok, detail in outcomes)
+        if all(ok for _, ok, _ in outcomes):
             healthy.append((name, group))
-    for name, group in healthy:
-        for p in SELFTEST_PRIMES:
-            holds = True
-            detail = ""
-            for i, nsub in enumerate(group.normal_subgroups()):
-                report = quotient_coset_equivalence(group, nsub, p)
-                if not report.holds:
-                    holds = False
-                    detail = f"N{i}: {report.detail}"
-                    break
-            checks.append((f"coset-equivalence:{name}:p{p}", holds, detail))
-    for name, group in healthy:
-        if not group.is_p_group(2):
-            continue
-        ok = True
-        detail = ""
-        for i, nsub in enumerate(group.normal_subgroups()):
-            quot, _ = group.quotient(nsub)
-            separable, pair = is_conjugacy_p_separable(quot, 2)
-            if not separable:
-                ok = False
-                detail = f"quotient by N{i} fails at pair {pair}"
-                break
-        checks.append((f"quotient-separability:{name}:p2", ok, detail))
+    checks.extend(
+        _check(f"coset-equivalence:{name}:p{p}", _equivalence_failures(group, p))
+        for name, group in healthy
+        for p in SELFTEST_PRIMES
+    )
+    checks.extend(
+        _check(f"quotient-separability:{name}:p2", _quotient_failures(group, 2))
+        for name, group in healthy
+        if group.is_p_group(2)
+    )
     return checks
 
 
 def preset_suite() -> list[Check]:
-    checks: list[Check] = []
-    for name in preset_names():
-        try:
-            verify_spec(preset(name).matrix_part)
-            checks.append((f"spec:{name}", True, ""))
-        except Exception as exc:  # noqa: BLE001 - report, do not crash the suite
-            checks.append((f"spec:{name}", False, str(exc)))
-    return checks
+    return [_check(f"spec:{name}", _spec_failures(name)) for name in preset_names()]
 
 
 def run_selftest(
