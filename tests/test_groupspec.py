@@ -262,7 +262,6 @@ class TestPresetPins:
         assert spec.z2_rep == (None if z2_pos is None else unit(z2_pos))
         assert spec.z2_name == z2_name
         assert spec.malcev_basis == tuple((nm, unit(pos)) for nm, pos in basis)
-        assert all(isinstance(u, UTMatrix) for u in spec.generators + spec.center_gens)
 
     def test_preset_names_and_product_parts(self):
         assert sorted(groupspec._MATRIX_PRESETS) == sorted(self.MATRIX)
