@@ -207,10 +207,14 @@ def coset_conjugacy_separable(query: CosetQuery) -> CosetAnswer:
 
 def _separate_from_coset(group: FiniteGroup, coset: frozenset, probe, p: int) -> CosetAnswer:
     """coset_conjugacy_separable on a coset already built.  The kernel K
-    separates when no coset of K in the class of probe*K meets the coset."""
+    separates when no coset of K in the class of probe*K meets the coset.
+    A trivial first kernel (G a p-group) separates every non-vacuous probe,
+    since G/1 is G, so no quotient is built for it."""
     if not group.class_of(probe).isdisjoint(coset):
         return CosetAnswer(CosetDecision.VACUOUS)
     kernels = enumerate_p_quotient_kernels(group, p)
+    if len(kernels[0]) == 1:
+        return CosetAnswer(CosetDecision.YES, kernels[0], 1)
     for count, kernel in enumerate(kernels, start=1):
         quot, hom = group.quotient(kernel)
         if all(k_coset.isdisjoint(coset) for k_coset in quot.class_of(hom(probe))):
@@ -224,6 +228,8 @@ def is_conjugacy_p_separable(group: FiniteGroup, p: int) -> tuple[bool, tuple | 
     Returns (True, None) or (False, (x, y)) with a failing pair.
     """
     kernels = enumerate_p_quotient_kernels(group, p)
+    if len(kernels[0]) == 1:  # G/1 is G: every non-conjugate pair stays apart
+        return True, None
     quotients = [group.quotient(k) for k in kernels]
     for i, x in enumerate(group.elements):
         x_class = group.class_of(x)

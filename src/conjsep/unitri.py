@@ -7,8 +7,12 @@ their images modulo p^k, which are elements of finite p-groups.  Entrywise
 reduction is a group homomorphism, so the reductions realize the whole
 congruence tower of finite p-quotients.
 
-Powers and inverses of both kinds, and the s^-1 of `conjugation_kernel`, come
-from one finite binomial series, `_power`, whatever the exponent.
+The general product `_matmul` adds up, for row i of a*b, the rows of b that
+the nonzero entries of row i of a pick out, so a sparse Mal'cev basis element
+I + E_ij costs a row or two.  Powers and inverses of both kinds, and the s^-1
+of `conjugation_kernel`, come from one finite binomial series, `_power`,
+whatever the exponent, its powers of N built by the same product.  A
+commutator takes one inverse.
 """
 
 from __future__ import annotations
@@ -17,14 +21,20 @@ from .errors import DimensionMismatch
 
 
 def _matmul(a, b, n, mod=None):
+    """Rows of a*b for upper triangular a and b, diagonals 1 or 0 alike.
+
+    Row i of a*b is the sum of a[i][k] * (row k of b) over the k with
+    a[i][k] != 0, all k >= i; row k of b is 0 left of column k, so each term
+    is added from column k on, and the row is reduced once at the end."""
     out = []
-    for i in range(n):
-        ai = a[i]
-        row = []
-        for j in range(n):
-            s = sum(ai[k] * b[k][j] for k in range(i, j + 1)) if j >= i else 0
-            row.append(s % mod if mod else s)
-        out.append(tuple(row))
+    for ai in a:
+        row = [0] * n
+        for k, c in enumerate(ai):
+            if c:
+                bk = b[k]
+                for j in range(k, n):
+                    row[j] += c * bk[j]
+        out.append(tuple([v % mod for v in row]) if mod else tuple(row))
     return tuple(out)
 
 
@@ -32,9 +42,12 @@ def _power(rows, n, e, mod=None):
     """Rows of u**e, reduced mod `mod` if given, for unitriangular u = I + N.
 
     N^n = 0, so u^e = sum over i < n of C(e, i) * N^i for every integer e, with
-    C(e, i) = e(e-1)...(e-i+1)/i! (e = -1 gives the inverse): <= n - 2 products."""
-    nil = tuple(tuple(v if j > i else 0 for j, v in enumerate(r)) for i, r in enumerate(rows))
-    acc = [[1 if i == j else e * v for j, v in enumerate(r)] for i, r in enumerate(nil)]
+    C(e, i) = e(e-1)...(e-i+1)/i! (e = -1 gives the inverse): <= n - 2 products
+    N^i = N^(i-1) * N, each through `_matmul` on zero-diagonal rows."""
+    nil = tuple(r[:i] + (0,) + r[i + 1:] for i, r in enumerate(rows))
+    acc = [[e * v for v in r] for r in nil]
+    for i, row in enumerate(acc):
+        row[i] = 1
     power, coeff = nil, e
     for i in range(2, n):
         coeff = coeff * (e - i + 1) // i
@@ -43,8 +56,9 @@ def _power(rows, n, e, mod=None):
         power = _matmul(power, nil, n, mod)
         for row, prow in zip(acc, power):
             for j, v in enumerate(prow):
-                row[j] += coeff * v
-    return tuple(tuple(v % mod for v in row) if mod else tuple(row) for row in acc)
+                if v:
+                    row[j] += coeff * v
+    return tuple(tuple([v % mod for v in row]) if mod else tuple(row) for row in acc)
 
 
 class _Unitri:
@@ -161,8 +175,9 @@ class UTMatrix(_Unitri):
 
 
 def commutator(x: UTMatrix, y: UTMatrix) -> UTMatrix:
-    """The commutator x^-1 y^-1 x y (so that g^-1 x g = x * commutator(x, g))."""
-    return x.inverse() * y.inverse() * x * y
+    """The commutator x^-1 y^-1 x y (so that g^-1 x g = x * commutator(x, g)),
+    taken as (y x)^-1 (x y): three products and one inverse."""
+    return (y * x).inverse() * (x * y)
 
 
 def _modulus(p: int, k: int) -> int:
@@ -287,10 +302,14 @@ def conjugation_kernel(s: ResidueUT):
 def reduce_mod(u: UTMatrix, p: int, k: int) -> ResidueUT:
     """Entrywise reduction modulo p^k; a homomorphism onto a finite p-group.
 
-    The rows are already checked integers, so they are reduced and the slots
-    filled as `_wrap` fills them, without the ResidueUT constructor's checks.
+    A residue reduces only to its own prime at its own or a lower level; any
+    other map of residues is no homomorphism, and raises ValueError.  The rows
+    are already checked integers, so they are reduced and the slots filled as
+    `_wrap` fills them, without the ResidueUT constructor's checks.
     """
     mod = _modulus(p, k)
+    if u.mod and (u.p != p or k > u.k):
+        raise ValueError(f"a residue mod {u.p}^{u.k} does not reduce mod {p}^{k}")
     out = _new(ResidueUT)
     _set_n(out, u.n)
     _set_rows(out, tuple(tuple(v % mod for v in row) for row in u.rows))

@@ -15,7 +15,12 @@ import operator
 
 import sympy
 
-from conjsep.conjugacy import conjugate_in_finite
+from conjsep.conjugacy import (
+    CosetAnswer,
+    CosetDecision,
+    conjugate_in_finite,
+    enumerate_p_quotient_kernels,
+)
 from conjsep.groupspec import congruence_quotient, element_coords, preset
 from conjsep.intlin import Lattice, Membership, hnf
 from conjsep.separability import make_witness, verify_witness_global
@@ -158,6 +163,21 @@ def reference_conjugate(group, x, y):
                 return True, g, "*".join(map(group.label, path))
             queue.append(f)
     return False, None, ""
+
+
+def reference_separate_from_coset(group, coset, probe, p) -> CosetAnswer:
+    """The coset-separability answer by the older kernel loop: after the
+    vacuous test, the quotient by every p-power-index kernel, smallest first,
+    the trivial one included, until one keeps the class of the probe off the
+    coset."""
+    if not group.class_of(probe).isdisjoint(coset):
+        return CosetAnswer(CosetDecision.VACUOUS)
+    kernels = enumerate_p_quotient_kernels(group, p)
+    for count, kernel in enumerate(kernels, start=1):
+        quot, hom = group.quotient(kernel)
+        if all(k_coset.isdisjoint(coset) for k_coset in quot.class_of(hom(probe))):
+            return CosetAnswer(CosetDecision.YES, kernel, count)
+    return CosetAnswer(CosetDecision.NO, None, len(kernels))
 
 
 def naive_normal(group, subset) -> bool:

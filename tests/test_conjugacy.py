@@ -39,7 +39,7 @@ from conjsep.groupspec import (
 from conjsep.intlin import valuation
 from conjsep.unitri import ResidueUT, UTMatrix, reduce_mod
 
-from _oracles import brute_conjugate, reference_conjugate
+from _oracles import brute_conjugate, reference_conjugate, reference_separate_from_coset
 
 HEIS = heisenberg_spec()
 
@@ -312,6 +312,82 @@ class TestCosetSeparability:
         d4 = dihedral4()
         with pytest.raises(ValueError):
             CosetQuery(d4, frozenset({d4.identity, (0, 1)}), d4.identity, (1, 0), 2)
+
+
+COSET_GROUPS = {
+    "D4": dihedral4,
+    "Q8": quaternion8,
+    "D4xC2": lambda: direct_product(dihedral4(), cyclic(2)),
+    "heisenberg mod 4": lambda: heis_quotient(2, 2),
+}
+
+
+def coset_answers(group, p):
+    """The coset-separability answer of every (coset, probe) pair over every
+    normal subgroup, cosets read off the cached quotients."""
+    return [
+        coset_conjugacy_separable(CosetQuery(group, nsub, rep, probe, p))
+        for nsub in group.normal_subgroups()
+        for rep in group.quotient(nsub)[1].section.values()
+        for probe in group.elements
+    ]
+
+
+def reference_coset_answers(group, p):
+    return [
+        reference_separate_from_coset(group, coset, probe, p)
+        for nsub in group.normal_subgroups()
+        for coset in group.quotient(nsub)[0].elements
+        for probe in group.elements
+    ]
+
+
+class TestTrivialKernelShortcut:
+    """In a p-group the first p-power kernel is trivial and G/1 is G, so the
+    coset layer answers from the vacuous test alone; elsewhere it still walks
+    the kernels' quotients."""
+
+    @pytest.mark.parametrize("name", sorted(COSET_GROUPS))
+    def test_answers_match_the_kernel_loop(self, name):
+        group = COSET_GROUPS[name]()
+        answers = coset_answers(group, 2)
+        assert answers == reference_coset_answers(group, 2)
+        assert {a.decision for a in answers} == {CosetDecision.YES, CosetDecision.VACUOUS}
+        assert all(a.kernels_checked == 1 for a in answers if a.decision is CosetDecision.YES)
+        assert is_conjugacy_p_separable(group, 2) == (True, None)
+
+    @pytest.mark.parametrize("make", [sym3, lambda: cyclic(6)])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_other_groups_take_the_kernel_loop(self, make, p, monkeypatch):
+        group = make()
+        kernels = enumerate_p_quotient_kernels(group, p)
+        assert len(kernels[0]) > 1
+        assert coset_answers(group, p) == reference_coset_answers(group, p)
+        queries = [CosetQuery(group, nsub, rep, probe, p)
+                   for nsub in group.normal_subgroups()
+                   for rep in group.quotient(nsub)[1].section.values()
+                   for probe in group.elements]
+        built = []
+        general = FiniteGroup.quotient
+
+        def quotient(self, nsub):
+            built.append(frozenset(nsub))
+            return general(self, nsub)
+
+        monkeypatch.setattr(FiniteGroup, "quotient", quotient)
+        for query in queries:
+            built.clear()
+            answer = coset_conjugacy_separable(query)
+            if answer.decision is not CosetDecision.VACUOUS:
+                assert built == list(kernels[:answer.kernels_checked])
+
+    def test_equivalence_builds_no_trivial_quotient(self):
+        group = heis_quotient(2, 2)
+        nsub = next(n for n in group.normal_subgroups() if len(n) == 4)
+        report = quotient_coset_equivalence(group, nsub, 2)
+        assert report.all_cosets_separable and report.quotient_separable and report.holds
+        assert frozenset({group.identity}) not in group._quotients
+        assert nsub in group._quotients
 
 
 class TestEquivalence:
@@ -591,6 +667,8 @@ for bad in (
     lambda: ResidueUT([[1, 1], [0, 1]], 1, 1),
     lambda: reduce_mod(UTMatrix([[1, 1], [0, 1]]), 1, 1),
     lambda: reduce_mod(UTMatrix([[1, 1], [0, 1]]), 2, 0),
+    lambda: reduce_mod(ResidueUT([[1, 3], [0, 1]], 2, 2), 2, 3),
+    lambda: reduce_mod(ResidueUT([[1, 3], [0, 1]], 2, 2), 3, 1),
 ):
     try:
         bad()

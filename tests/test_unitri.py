@@ -6,6 +6,7 @@ from conjsep.errors import DimensionMismatch
 from conjsep.unitri import (
     ResidueUT,
     UTMatrix,
+    _matmul,
     commutator,
     conjugation_kernel,
     reduce_mod,
@@ -37,6 +38,30 @@ def ut_matrices(draw, n=None, digits=30):
         for i in range(n)
     ]
     return UTMatrix(rows)
+
+
+@st.composite
+def triangular_pairs(draw):
+    """(a, b, n, mod): upper triangular rows with about half of their upper
+    entries zero and diagonals all 1 or, as `_power` multiplies them, all 0;
+    integers up to 10^30 in size, or residues mod p^k when mod is given."""
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        mod = None
+        entry = st.integers(-(10**30), 10**30)
+    else:
+        mod = draw(st.sampled_from([2, 3, 5])) ** draw(st.integers(1, 4))
+        entry = st.integers(0, mod - 1)
+
+    def rows():
+        diag = draw(st.sampled_from([0, 1]))
+        return tuple(
+            tuple(diag if i == j else (draw(st.just(0) | entry) if j > i else 0)
+                  for j in range(n))
+            for i in range(n)
+        )
+
+    return rows(), rows(), n, mod
 
 
 @st.composite
@@ -201,6 +226,51 @@ class TestArithmetic:
         assert calls == []
 
 
+class TestProductKernel:
+    """The row-combination product against the dense naive product, on the
+    integers, on residues and on the zero-diagonal rows of `_power`."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(triangular_pairs())
+    def test_matmul_matches_naive_product(self, case):
+        a, b, n, mod = case
+        expected = naive_ut_mul(a, b)
+        if mod:
+            expected = tuple(tuple(v % mod for v in row) for row in expected)
+        assert _matmul(a, b, n, mod) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(ut_matrices(digits=12), ut_matrices(digits=12))
+    def test_commutator_matches_reference(self, x, y):
+        n = min(x.n, y.n)
+        x = UTMatrix([r[:n] for r in x.rows[:n]])
+        y = UTMatrix([r[:n] for r in y.rows[:n]])
+        xi, yi = reference_power(x.rows, -1), reference_power(y.rows, -1)
+        expected = naive_ut_mul(naive_ut_mul(naive_ut_mul(xi, yi), x.rows), y.rows)
+        assert commutator(x, y).rows == expected
+        r, s = reduce_mod(x, 3, 2), reduce_mod(y, 3, 2)
+        assert commutator(r, s) == reduce_mod(commutator(x, y), 3, 2)
+
+    @pytest.mark.parametrize("cls", [UTMatrix, ResidueUT])
+    def test_commutator_takes_one_inverse(self, cls, monkeypatch):
+        calls = []
+        general = cls.inverse
+
+        def counted(x):
+            calls.append(1)
+            return general(x)
+
+        monkeypatch.setattr(cls, "inverse", counted)
+        x = UTMatrix.from_entries(4, {(0, 1): 3, (1, 2): -2, (2, 3): 7})
+        y = UTMatrix.from_entries(4, {(0, 2): 5, (1, 3): 1, (0, 1): -1})
+        if cls is ResidueUT:
+            x, y = reduce_mod(x, 5, 2), reduce_mod(y, 5, 2)
+        expected = x.inverse() * y.inverse() * x * y
+        calls.clear()
+        assert commutator(x, y) == expected
+        assert len(calls) == 1
+
+
 class TestCommutator:
     def test_self_commutator_trivial(self):
         u = UTMatrix.from_entries(3, {(0, 1): 4, (1, 2): -3})
@@ -245,6 +315,14 @@ class TestResidue:
         assert r == ref and hash(r) == hash(ref)
         # A residue's rows reduce further, as the constructor reduces them.
         assert reduce_mod(r, p, 1) == ResidueUT(u.rows, p, 1)
+
+    def test_reduce_rejects_other_primes_and_higher_levels(self):
+        r = reduce_mod(A3 * B3**3, 2, 2)
+        for p, k in ((2, 3), (3, 1), (3, 2)):
+            with pytest.raises(ValueError, match="does not reduce"):
+                reduce_mod(r, p, k)
+        assert reduce_mod(r, 2, 2) == r
+        assert reduce_mod(r, 2, 1) == reduce_mod(A3 * B3**3, 2, 1)
 
     def test_reduce_rejects_bad_modulus(self):
         for p, k in ((1, 1), (2, 0)):
