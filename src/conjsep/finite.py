@@ -5,21 +5,24 @@ so residue-matrix groups of a few hundred thousand elements stay cheap to
 build while table-backed presets keep exact, human-readable element names.
 
 A group whose order and membership are known without its elements defers
-its element list (`_DeferredGroup`) until something enumerates it: a
-closure of residue matrices that generates all of UT(n, Z/p^k), which the
-Hermite form of the generators' superdiagonals and p*Z^(n-1) decides
-(`_full_order`), and a direct product with such a factor.  Orbit search,
+its element list (`_DeferredGroup`) until something enumerates it: every
+closure of residue matrices, and a direct product with such a factor.  A
+closure is known by an induced pcgs along the p-adic refinement of the
+superdiagonal series of UT(n, Z/p^k) (`_induced_pcgs`): its order is p^r
+for a pcgs of length r, and its members are the p^r normal forms of the
+pcgs, held as a set of row tuples, or every residue matrix of the shape
+when the generators' superdiagonals span F_p^(n-1).  Orbit search,
 membership, products and labels need no element list.
 
-Every search is one breadth-first `orbit`.  `finite_closure` runs it over
-row tuples, stepping by each generator's `right_mul_kernel`, which touches
-only the entries that generator changes.  Each group also carries one
-conjugation step per generator (`Conjugation`): a closure's steps are the
-generators' `conjugation_kernel`s on row tuples, so the class partition,
-orbit search and normality test take no general product; every other group
-conjugates with its own `mul` and `inverse`.  The group's `mul` stays the
-general residue product, which the conjugator re-checks use.  Quotients are
-cached on their group with no strong reference back to it.
+Every search is one breadth-first `orbit`.  A closure's element list is
+one, over row tuples, stepping by each generator's `right_mul_kernel`,
+which touches only the entries that generator changes.  Each group also
+carries one conjugation step per generator (`Conjugation`): a closure's
+steps are the generators' `conjugation_kernel`s on row tuples, so the class
+partition, orbit search and normality test take no general product; every
+other group conjugates with its own `mul` and `inverse`.  The group's `mul`
+stays the general residue product, which the conjugator re-checks use.
+Quotients are cached on their group with no strong reference back to it.
 
 Normal subgroups are unions of classes, so their enumeration runs on bit
 masks over class indices.  Its only products are the class products
@@ -39,8 +42,9 @@ from math import gcd
 from typing import Callable, NamedTuple
 
 from .errors import DimensionMismatch, SizeLimit, VerificationFailed
-from .intlin import Lattice, prime_power_exponent
+from .intlin import prime_power_exponent
 from .unitri import ResidueUT, conjugation_kernel, right_mul_kernel
+from .unitri import _left_mul_kernel, _matmul, _power
 
 # `validate` checks associativity on every triple up to this order, and on a
 # sample of about 12 elements above it.
@@ -485,26 +489,124 @@ class _DeferredGroup(FiniteGroup):
             )
         self._store(elements)
         # A class with `__getattr__` slows every attribute load of its
-        # instances, so a built group sheds it.
+        # instances, so a built group sheds it, and with it the membership
+        # predicate, which may hold a set as large as the group.
         self.__class__ = FiniteGroup
+        del self._contains
         return getattr(self, name)
 
 
-def _full_order(gens) -> int | None:
-    """p^(k*n(n-1)/2), the order of U = UT(n, Z/p^k), if gens generate U; else None.
+def _spans_mod_p(vectors, p: int, dim: int) -> bool:
+    """Whether the integer vectors span F_p^dim: an echelon mod p that finds a
+    pivot in every column."""
+    rows = [[v % p for v in vec] for vec in vectors]
+    for col in range(dim):
+        pivot = next((r for r in rows if r[col]), None)
+        if pivot is None:
+            return False
+        rows.remove(pivot)
+        scale = pow(pivot[col], -1, p)
+        for r in rows:
+            if r[col]:
+                f = r[col] * scale
+                r[col:] = [(v - f * u) % p for v, u in zip(r[col:], pivot[col:])]
+    return True
 
-    Burnside's basis theorem: a subset generates a finite p-group P iff its
-    image generates P/Phi(P).  Phi(U) is the set of matrices whose
-    superdiagonal is 0 mod p, and U/Phi(U) = F_p^(n-1) by the superdiagonal
-    mod p.  So gens generate U iff their superdiagonals together with
-    p*e_1, ..., p*e_(n-1) span Z^(n-1), that is iff the canonical basis of
-    that lattice is the identity.
+
+def _lead(rows, n: int, p: int):
+    """The leading key (w, d, i) of unitriangular rows and its digit: the
+    first superdiagonal w with a nonzero entry, the least p-adic valuation d
+    on it and the first row i with that valuation; None for the identity.
+
+    Keys in lexicographic order index the refined series of UT(n, Z/p^k):
+    superdiagonal, then p-adic digit, then row.  Each factor is C_p, central
+    in UT(n), and the digit is its coordinate, additive on the factor."""
+    for w in range(1, n):
+        lead = None
+        for i in range(n - w):
+            v = rows[i][i + w]
+            if v:
+                d = 0
+                while not v % p:
+                    v //= p
+                    d += 1
+                if lead is None or d < lead[0][1]:
+                    lead = (w, d, i), v % p
+        if lead is not None:
+            return lead
+    return None
+
+
+def _induced_pcgs(ident: ResidueUT, gens, max_order: int):
+    """An induced pcgs of the group gens generate, or None when that group is
+    all of UT(n, Z/p^k); the group has order p^len, and SizeLimit is raised
+    as soon as that exceeds max_order.
+
+    Burnside's basis theorem settles the full image before any product: a
+    subset generates the p-group U = UT(n, Z/p^k) iff its image generates
+    U/Phi(U) = F_p^(n-1), the superdiagonal mod p.  Otherwise each element
+    is sifted along the series of `_lead`: while its leading key has a table
+    entry h, it is left-multiplied by h^-1 once per unit of its digit, which
+    clears that digit; an element with a new key is raised to the power that
+    makes its digit 1 and becomes the entry for that key.  Each new entry
+    queues its p-th power and its commutators with the entries before it, so
+    the table is closed when the queue is empty (Holt, Eick & O'Brien,
+    Handbook of Computational Group Theory, 2005, ch. 8).  Returns the
+    entries' rows in series order.
     """
-    n, p, k = gens[0].n, gens[0].p, gens[0].k
-    unit = tuple(tuple(int(i == j) for i in range(n - 1)) for j in range(n - 1))
+    n, p, k, mod = ident.n, ident.p, ident.k, ident.mod
     supers = [[g.rows[i][i + 1] for i in range(n - 1)] for g in gens]
-    span = Lattice(n - 1, supers + [[p * x for x in e] for e in unit])
-    return p ** (k * n * (n - 1) // 2) if span.canonical().basis == unit else None
+    if _spans_mod_p(supers, p, n - 1):
+        if p ** (k * n * (n - 1) // 2) > max_order:
+            raise _closure_limit(max_order, ident)
+        return None
+    table = {}  # leading key -> (rows, left multiplication by their inverse)
+    queue = deque(g.rows for g in gens)
+    while queue:
+        rows = queue.popleft()
+        while (lead := _lead(rows, n, p)) is not None:
+            key, digit = lead
+            if key not in table:
+                break
+            unstep = table[key][1]
+            for _ in range(digit):
+                rows = unstep(rows)
+        else:
+            continue
+        if digit != 1:
+            rows = _power(rows, n, pow(digit, -1, p), mod)
+        for other_key, (other, _) in table.items():
+            if key[0] + other_key[0] >= n:  # [U_v, U_w] lies in U_(v+w), and U_n = 1
+                continue
+            ab, ba = _matmul(rows, other, n, mod), _matmul(other, rows, n, mod)
+            if ab != ba:
+                queue.append(_matmul(_power(ba, n, -1, mod), ab, n, mod))
+        queue.append(_power(rows, n, p, mod))
+        table[key] = (rows, _left_mul_kernel(_power(rows, n, -1, mod), n, mod))
+        if p ** len(table) > max_order:
+            raise _closure_limit(max_order, ident)
+    return tuple(table[key][0] for key in sorted(table))
+
+
+def _normal_forms(ident: ResidueUT, pcgs) -> frozenset:
+    """The rows of every h_1^e_1 * ... * h_r^e_r, 0 <= e_i < p, for the
+    induced pcgs h_1, ..., h_r: from h_r up, the forms so far and their
+    left multiples by h_i up to the (p-1)-th, one kernel step per element.
+    Distinct exponents give distinct elements, so there must be p^r."""
+    n, p, mod = ident.n, ident.p, ident.mod
+    forms = [ident.rows]
+    for h in reversed(pcgs):
+        step = _left_mul_kernel(h, n, mod)
+        layer = forms
+        for _ in range(1, p):
+            layer = list(map(step, layer))
+            forms += layer
+    found = frozenset(forms)
+    if len(found) != p ** len(pcgs):
+        raise VerificationFailed(
+            "order", f"{len(found)} distinct normal forms for a pcgs of length {len(pcgs)}"
+        )
+    return found
 
 
 def _closure_limit(max_order: int, ident: ResidueUT) -> SizeLimit:
@@ -528,16 +630,17 @@ def _closure_elements(ident: ResidueUT, gens, max_order: int) -> list:
 def finite_closure(
     gens, max_order: int = 10**6, name: str | None = None, labels=None
 ) -> FiniteGroup:
-    """Breadth-first closure of residue matrices under multiplication.
+    """The group generated by residue matrices, known by its induced pcgs.
 
-    Elements come out in the order that right multiplication by the
-    generators, in listed order, would give them (`_closure_elements`).
-    When the generators generate all of UT(n, Z/p^k) (`_full_order`), the
-    group's order is known and membership is "a residue matrix of the same
-    shape", so the element list is built only on first use; otherwise it is
-    built here.  The group conjugates on row tuples by the generators'
-    `conjugation_kernel`s.  Raises SizeLimit when the group would exceed
-    max_order elements, before any element is built if the order is known.
+    Its order is p^r for an induced pcgs of length r (`_induced_pcgs`), and
+    membership is a residue matrix of the same shape, among the normal forms
+    of the pcgs (`_normal_forms`) unless the group is all of UT(n, Z/p^k).
+    The element list is built on first use, in the order that right
+    multiplication by the generators, in listed order, reaches them
+    (`_closure_elements`), and checked against the order.  The group
+    conjugates on row tuples by the generators' `conjugation_kernel`s.
+    Raises SizeLimit when the group would exceed max_order elements, before
+    any element is listed.
     """
     gens = tuple(gens)
     if not gens:
@@ -548,8 +651,24 @@ def finite_closure(
         if (g.n, g.p, g.k) != shape:
             raise DimensionMismatch("generators live in different residue groups")
     ident = ResidueUT.identity(*shape)
-    parts = dict(
+    pcgs = _induced_pcgs(ident, gens, max_order)
+    if pcgs is None:
+        order = first.p ** (first.k * first.n * (first.n - 1) // 2)
+
+        def contains(x):
+            return isinstance(x, ResidueUT) and (x.n, x.p, x.k) == shape
+
+    else:
+        order, forms = first.p ** len(pcgs), _normal_forms(ident, pcgs)
+
+        def contains(x):
+            return isinstance(x, ResidueUT) and (x.n, x.p, x.k) == shape and x.rows in forms
+
+    group = _DeferredGroup(
         name=name or f"closure in UT({first.n}, Z/{first.p}^{first.k})",
+        order=order,
+        contains=contains,
+        build=partial(_closure_elements, ident, gens, max_order),
         mul=operator.mul,
         identity=ident,
         generators=gens,
@@ -557,18 +676,6 @@ def finite_closure(
         or (lambda r: "(" + ",".join(str(v) for v in r.upper_entries()) + ")"),
         inv=lambda x: x.inverse(),
     )
-    order = _full_order(gens)
-    if order is None:
-        group = FiniteGroup(elements=_closure_elements(ident, gens, max_order), **parts)
-    elif order > max_order:
-        raise _closure_limit(max_order, ident)
-    else:
-        group = _DeferredGroup(
-            order=order,
-            contains=lambda x: isinstance(x, ResidueUT) and (x.n, x.p, x.k) == shape,
-            build=partial(_closure_elements, ident, gens, max_order),
-            **parts,
-        )
     group._conjugation = Conjugation(
         operator.attrgetter("rows"), ident._wrap, tuple(map(conjugation_kernel, gens))
     )

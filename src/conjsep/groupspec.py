@@ -230,8 +230,8 @@ def congruence_quotient(
     spec: MatrixGroupSpec, p: int, k: int, max_order: int = 10**6
 ) -> tuple:
     """The image of the group under entrywise reduction mod p^k, as a
-    `finite_closure` (whose element list waits for first use when the image
-    is all of UT(n, Z/p^k)).
+    `finite_closure`, known by its order and membership until its element
+    list is first used.
 
     Returns (FiniteGroup, GroupHom).  Cached, for the QUOTIENT_CACHE_SIZE most
     recently used arguments: specs and elements are immutable.

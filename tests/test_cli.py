@@ -350,6 +350,23 @@ class TestDeferredQuotients:
         assert methods == ["orbit", "orbit", "skipped"]
         assert builds == []
 
+    def test_heis5_witness_builds_no_element_list(self, capsys, builds):
+        argv = ["witness", "--preset", "heis5", "-p", "2", "-K", "8", "--max-order", "4096",
+                "--json"]
+        code, report = run_json(capsys, argv)
+        assert code == 0
+        assert [lv["orbit_checked"] for lv in report["result"]["local_checks"]] == [True] * 2 + [False] * 6
+        assert builds == []
+
+    def test_heis5_scan_builds_no_element_list(self, capsys, builds):
+        argv = ["scan", "--preset", "heis5", "-p", "3", "-K", "3",
+                "-x", "1,0,0,0,0", "-y", "1,0,0,0,1", "--json"]
+        code, report = run_json(capsys, argv)
+        assert code == 0
+        methods = [lv["method"] for lv in report["result"]["levels"]]
+        assert methods == ["orbit", "skipped", "skipped"]
+        assert builds == []
+
     def test_separate_reports_product_order_without_building_it(self, capsys, builds):
         argv = ["separate", "--preset", "zxq8", "-p", "2", "-a", "8192|i", "-b", "0|i", "--json"]
         code, report = run_json(capsys, argv)

@@ -644,16 +644,30 @@ except VerificationFailed:
 else:
     raise SystemExit("class-2 conjugator re-check did not raise")
 
-# A full image declared with the wrong order: building its element list must
-# notice that the list is shorter than the declared order.
-conjsep.finite._full_order = lambda gens: 10**3
-wrong_order = finite_closure([reduce_mod(g, 3, 2) for g in heis.generators])
+# heis5 mod 3 (order 3^5) declared with the wrong order: declared full (3^6),
+# or by a pcgs one entry short (3^4), building its element list must notice
+# the mismatch; with an entry repeated, its normal forms collide at once.
+from conjsep.groupspec import heis5_spec
+
+heis5_gens = [reduce_mod(g, 3, 1) for g in heis5_spec().generators]
+pcgs = conjsep.finite._induced_pcgs
+for wrong in (lambda *args: None, lambda *args: pcgs(*args)[:-1]):
+    conjsep.finite._induced_pcgs = wrong
+    wrong_order = finite_closure(heis5_gens)
+    try:
+        wrong_order.elements
+    except VerificationFailed:
+        pass
+    else:
+        raise SystemExit("declared-order check did not raise")
+conjsep.finite._induced_pcgs = lambda *args: pcgs(*args) + pcgs(*args)[-1:]
 try:
-    wrong_order.elements
+    finite_closure(heis5_gens)
 except VerificationFailed:
     pass
 else:
-    raise SystemExit("declared-order check did not raise")
+    raise SystemExit("normal-form count check did not raise")
+conjsep.finite._induced_pcgs = pcgs
 
 # Unitriangular constructors and reduce_mod check their input with explicit raises.
 from conjsep.unitri import ResidueUT, UTMatrix

@@ -1,5 +1,6 @@
 import gc
 import weakref
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -489,10 +490,11 @@ class TestDeferredGroups:
         n, p, k = gens[0].n, gens[0].p, gens[0].k
         reference = reference_closure(gens)
         full = p ** (k * n * (n - 1) // 2)
-        is_full = len(reference) == full
-        assert finite._full_order(gens) == (full if is_full else None)
+        pcgs = finite._induced_pcgs(ResidueUT.identity(n, p, k), gens, 10**6)
+        assert (pcgs is None) == (len(reference) == full)
+        assert len(reference) == (full if pcgs is None else p ** len(pcgs))
         group = finite_closure(gens)
-        assert isinstance(group, finite._DeferredGroup) == is_full
+        assert isinstance(group, finite._DeferredGroup)
         probes = [data.draw(residue_matrices(n, p, k)) for _ in range(4)]
         probes += [reference[data.draw(st.integers(0, len(reference) - 1))]]
         probes += foreign_values(n, p, k)
@@ -540,14 +542,77 @@ class TestDeferredGroups:
             finite_closure(gens, max_order=16384)
         assert steps == []
         assert finite_closure(gens, max_order=32768).order == 32768
+        # heis5 mod 2^3 has 2^15 elements, which its pcgs counts.
+        gens = [reduce_mod(g, 2, 3) for g in heis5_spec().generators]
+        with pytest.raises(SizeLimit, match=r"closure exceeded 4096 elements \(UT\(4\) mod 2\^3\)"):
+            finite_closure(gens, max_order=4096)
         assert steps == []
 
     def test_wrong_declared_order_raises_when_built(self, monkeypatch):
-        monkeypatch.setattr(finite, "_full_order", lambda gens: 128)
-        group = finite_closure(heis_residue_gens(2, 2))
-        assert group.order == 128
-        with pytest.raises(VerificationFailed, match="64 elements, declared 128"):
-            group.elements
+        # heis5 mod 2 has order 32: declared full it claims 2^6, and a pcgs
+        # one entry short claims 2^4 and lists a consistent set of 2^4 forms.
+        gens = [reduce_mod(g, 2, 1) for g in heis5_spec().generators]
+        pcgs = finite._induced_pcgs
+        for wrong, declared in ((lambda *args: None, 64), (lambda *args: pcgs(*args)[:-1], 16)):
+            monkeypatch.setattr(finite, "_induced_pcgs", wrong)
+            group = finite_closure(gens)
+            assert group.order == declared
+            with pytest.raises(VerificationFailed, match=f"32 elements, declared {declared}"):
+                group.elements
+
+    def test_repeated_pcgs_entry_raises_when_its_forms_collide(self, monkeypatch):
+        pcgs = finite._induced_pcgs
+        monkeypatch.setattr(finite, "_induced_pcgs", lambda *args: pcgs(*args) + pcgs(*args)[-1:])
+        gens = [reduce_mod(g, 2, 1) for g in heis5_spec().generators]
+        with pytest.raises(VerificationFailed, match="32 distinct normal forms for a pcgs of length 6"):
+            finite_closure(gens)
+
+    @pytest.mark.parametrize(
+        "gens,full,order",
+        [
+            # Superdiagonals (1,1,0), (1,0,1), (1,0,0) all lead at position 0
+            # and still span F_2^3.
+            ([ResidueUT([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 2, 1),
+              ResidueUT([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]], 2, 1),
+              ResidueUT([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 2, 1)], True, 64),
+            # Leads at digit 1 and 0: <I + 2E01, I + E12> mod 8.
+            ([ResidueUT([[1, 2, 0], [0, 1, 0], [0, 0, 1]], 2, 3),
+              ResidueUT([[1, 0, 0], [0, 1, 1], [0, 0, 1]], 2, 3)], False, 128),
+            # p = 5: a cyclic group mod 25, one with a Frattini generator, heis5.
+            ([ResidueUT([[1, 1, 0], [0, 1, 5], [0, 0, 1]], 5, 2)], False, 25),
+            ([ResidueUT([[1, 1, 0], [0, 1, 0], [0, 0, 1]], 5, 2),
+              ResidueUT([[1, 0, 0], [0, 1, 5], [0, 0, 1]], 5, 2)], False, 625),
+            ([reduce_mod(g, 5, 1) for g in heis5_spec().generators], False, 3125),
+        ],
+        ids=["shared-lead-full", "digit-1-lead-mod-8", "p5-cyclic", "p5-frattini", "heis5-5"],
+    )
+    def test_pcgs_edge_cases_match_reference_closure(self, gens, full, order):
+        first = gens[0]
+        pcgs = finite._induced_pcgs(ResidueUT.identity(first.n, first.p, first.k), gens, 10**6)
+        assert (pcgs is None) == full
+        group = finite_closure(gens)
+        assert group.order == order
+        reference = reference_closure(gens)
+        members = set(reference)
+        n, mod = first.n, first.mod
+        positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        ambient = []  # every residue matrix of the shape
+        for values in product(range(mod), repeat=len(positions)):
+            rows = [[int(i == j) for j in range(n)] for i in range(n)]
+            for (i, j), v in zip(positions, values):
+                rows[i][j] = v
+            ambient.append(ResidueUT(rows, first.p, first.k))
+        assert [x in group for x in ambient] == [x in members for x in ambient]
+        assert group.elements == reference
+
+    def test_heis5_mod_2_built_after_membership_queries(self):
+        gens = [reduce_mod(g, 2, 1) for g in heis5_spec().generators]
+        group = finite_closure(gens)
+        a1, a2, b1, b2 = gens
+        assert a1 * b1 in group and b2 * a2 in group
+        assert ResidueUT([[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 2, 1) not in group
+        assert group.elements == reference_closure(gens)
+        assert group.normal_subgroups() == reference_normal_subgroups(group)
 
     def test_built_once_on_first_use(self, monkeypatch):
         builds = []
