@@ -18,6 +18,7 @@ import functools
 import json
 import sys
 import time
+from pathlib import Path
 
 from .errors import (
     AbelianGroup,
@@ -32,6 +33,7 @@ from .errors import (
 )
 from .groupspec import (
     ProductGroupSpec,
+    _parse_matrix,
     coords_to_element,
     element_coords,
     load_spec,
@@ -177,10 +179,10 @@ def run_witness(args) -> dict:
     spec = group.matrix_part
     if args.z2_rep:
         try:
-            data = json.loads(open(args.z2_rep).read())
-            spec = spec.with_z2_rep(UTMatrix(data))
-        except (OSError, json.JSONDecodeError, ValueError) as exc:
+            data = json.loads(Path(args.z2_rep).read_text())
+        except (OSError, ValueError) as exc:
             raise SpecParseError(f"cannot use --z2-rep file: {exc}") from exc
+        spec = spec.with_z2_rep(_parse_matrix(data, spec.n, "--z2-rep file"))
     witness = make_witness(spec, p)
     glob = verify_witness_global(spec, witness)
     tower = scan_tower(spec, witness.u, witness.v, p, depth, witness=witness,

@@ -16,7 +16,7 @@ elements in that order (`coords_to_element`).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -50,6 +50,13 @@ class MatrixGroupSpec:
             object.__setattr__(
                 self, "center_names", tuple(f"z{i}" for i in range(len(self.center_gens)))
             )
+        # The caches below look a spec up on every call, so it is hashed once.
+        object.__setattr__(
+            self, "_hash", hash(tuple(getattr(self, f.name) for f in fields(self)))
+        )
+
+    def __hash__(self):
+        return self._hash
 
     def with_z2_rep(self, rep: UTMatrix, name: str = "z2-override") -> "MatrixGroupSpec":
         return replace(self, z2_rep=rep, z2_name=name)

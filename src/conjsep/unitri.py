@@ -7,12 +7,13 @@ their images modulo p^k, which are elements of finite p-groups.  Entrywise
 reduction is a group homomorphism, so the reductions realize the whole
 congruence tower of finite p-quotients.
 
-The general product `_matmul` adds up, for row i of a*b, the rows of b that
-the nonzero entries of row i of a pick out, so a sparse Mal'cev basis element
-I + E_ij costs a row or two.  Powers and inverses of both kinds, and the s^-1
-of `conjugation_kernel`, come from one finite binomial series, `_power`,
-whatever the exponent, its powers of N built by the same product.  A
-commutator takes one inverse.
+The general product `_matmul` and every power and inverse of both kinds,
+`_power`, run straight-line kernels: Python source written out entry by entry
+for one matrix size, compiled by `exec` on first use and kept, one per size
+and kind.  A power is the finite binomial series u^e = sum of C(e, t) N^t for
+u = I + N, whatever the exponent, so an inverse takes no loop either.  The
+sparse kernels of `right_mul_kernel` and `conjugation_kernel` are planned
+per generator instead, and a commutator takes one inverse.
 """
 
 from __future__ import annotations
@@ -20,45 +21,92 @@ from __future__ import annotations
 from .errors import DimensionMismatch
 
 
-def _matmul(a, b, n, mod=None):
-    """Rows of a*b for upper triangular a and b, diagonals 1 or 0 alike.
+class _Kernels(dict):
+    """Straight-line kernels keyed by (n, reduced), each generated from the
+    source that `write` returns for its key on first use and kept from then
+    on: one per matrix size and kind."""
 
-    Row i of a*b is the sum of a[i][k] * (row k of b) over the k with
-    a[i][k] != 0, all k >= i; row k of b is 0 left of column k, so each term
-    is added from column k on, and the row is reduced once at the end."""
-    out = []
-    for ai in a:
-        row = [0] * n
-        for k, c in enumerate(ai):
-            if c:
-                bk = b[k]
-                for j in range(k, n):
-                    row[j] += c * bk[j]
-        out.append(tuple([v % mod for v in row]) if mod else tuple(row))
-    return tuple(out)
+    def __init__(self, write):
+        super().__init__()
+        self.write = write
+
+    def __missing__(self, key):
+        namespace = {}
+        exec(self.write(*key), namespace)
+        kernel = self[key] = namespace["kernel"]
+        return kernel
+
+
+def _grid(n, item):
+    """Nested tuple display of n rows of n items, item (i, j) the string
+    `item(i, j)`: a target that unpacks rows, or an expression that builds them."""
+    return "(" + "".join(
+        "(" + "".join(f"{item(i, j)}, " for j in range(n)) + "), " for i in range(n)
+    ) + ")"
+
+
+def _product_source(n, reduced):
+    """`kernel(a, b, m)`: rows of a*b, entry (i, j) the sum of a_ik * b_kj over
+    i <= k <= j, each entry above the diagonal reduced mod m when `reduced`.
+    The diagonal is a_ii * b_ii, so diagonals of 1 and of 0 both work."""
+
+    def entry(i, j):
+        if j < i:
+            return "0"
+        terms = " + ".join(f"a{i}_{k}*b{k}_{j}" for k in range(i, j + 1))
+        return f"({terms}) % m" if reduced and j > i else terms
+
+    a = _grid(n, lambda i, j: f"a{i}_{j}" if j >= i else "_")
+    b = _grid(n, lambda i, j: f"b{i}_{j}" if j >= i else "_")
+    return f"def kernel(a, b, m):\n {a} = a\n {b} = b\n return {_grid(n, entry)}\n"
+
+
+def _power_source(n, reduced):
+    """`kernel(rows, e, m)`: rows of u**e for unitriangular u = I + N and any
+    integer e, each entry above the diagonal reduced mod m when `reduced`.
+
+    N^n = 0, so u^e is the finite sum over t < n of C(e, t) * N^t, with
+    C(e, t) = e(e-1)...(e-t+1)/t! (e = -1 gives the inverse).  c{t} is C(e, t)
+    by the exact recurrence C(e, t) = C(e, t-1) * (e-t+1) // t, and p{t}_i_j
+    is entry (i, j) of N^t, which is 0 unless j - i >= t."""
+
+    def power(t, i, j):
+        return f"n{i}_{j}" if t == 1 else f"p{t}_{i}_{j}"
+
+    nil = _grid(n, lambda i, j: f"n{i}_{j}" if j > i else "_")
+    lines = ["def kernel(r, e, m):", f" {nil} = r", " c1 = e"]
+    for t in range(2, n):
+        lines.append(f" c{t} = c{t - 1} * (e - {t - 1}) // {t}")
+        lines += [
+            f" {power(t, i, j)} = "
+            + " + ".join(f"{power(t - 1, i, k)}*n{k}_{j}" for k in range(i + t - 1, j))
+            for i in range(n) for j in range(i + t, n)
+        ]
+
+    def entry(i, j):
+        if i >= j:
+            return int(i == j)
+        terms = " + ".join(f"c{t}*{power(t, i, j)}" for t in range(1, j - i + 1))
+        return f"({terms}) % m" if reduced else terms
+
+    lines.append(f" return {_grid(n, entry)}")
+    return "\n".join(lines) + "\n"
+
+
+_PRODUCTS = _Kernels(_product_source)
+_POWERS = _Kernels(_power_source)
+
+
+def _matmul(a, b, n, mod=None):
+    """Rows of a*b for upper triangular n x n rows a and b, diagonals 1 or 0
+    alike, reduced mod `mod` if given: one generated kernel per (n, kind)."""
+    return _PRODUCTS[n, mod is not None](a, b, mod)
 
 
 def _power(rows, n, e, mod=None):
-    """Rows of u**e, reduced mod `mod` if given, for unitriangular u = I + N.
-
-    N^n = 0, so u^e = sum over i < n of C(e, i) * N^i for every integer e, with
-    C(e, i) = e(e-1)...(e-i+1)/i! (e = -1 gives the inverse): <= n - 2 products
-    N^i = N^(i-1) * N, each through `_matmul` on zero-diagonal rows."""
-    nil = tuple(r[:i] + (0,) + r[i + 1:] for i, r in enumerate(rows))
-    acc = [[e * v for v in r] for r in nil]
-    for i, row in enumerate(acc):
-        row[i] = 1
-    power, coeff = nil, e
-    for i in range(2, n):
-        coeff = coeff * (e - i + 1) // i
-        if not coeff:  # 0 <= e < i: every later C(e, i) is 0 too
-            break
-        power = _matmul(power, nil, n, mod)
-        for row, prow in zip(acc, power):
-            for j, v in enumerate(prow):
-                if v:
-                    row[j] += coeff * v
-    return tuple(tuple([v % mod for v in row]) if mod else tuple(row) for row in acc)
+    """Rows of u**e, reduced mod `mod` if given, for unitriangular rows u and
+    any integer e, by the finite binomial series of `_power_source`."""
+    return _POWERS[n, mod is not None](rows, e, mod)
 
 
 class _Unitri:
@@ -158,7 +206,10 @@ class UTMatrix(_Unitri):
 
     @classmethod
     def identity(cls, n: int) -> "UTMatrix":
-        return cls.from_entries(n, {})
+        out = _new(cls)
+        _set_n(out, n)
+        _set_rows(out, tuple((0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)))
+        return out
 
     @classmethod
     def from_entries(cls, n: int, entries: dict) -> "UTMatrix":

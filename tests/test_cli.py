@@ -239,6 +239,25 @@ class TestClassifyAndSeparate:
         assert code == 0
         assert report["result"]["b"] == "a"  # now the first non-commuting generator is a
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("5", "--z2-rep file must be a list of 3 lists of 3 integers"),
+            ("[[1, 1, 0], [0, 1, 0], [0, 0, 1.5]]", "--z2-rep file has a non-integer entry 1.5"),
+            ("[[1, 1], [0, 1]]", "--z2-rep file must be a list of 3 lists of 3 integers"),
+            ("[[1, 1, 0], [0, 1, 0], [0, 0, 1]", "cannot use --z2-rep file"),
+        ],
+    )
+    def test_bad_z2_rep_file_is_3(self, tmp_path, capsys, text, message):
+        override = tmp_path / "rep.json"
+        override.write_text(text)
+        argv = ["witness", "--preset", "heisenberg", "-p", "2", "-K", "2",
+                "--z2-rep", str(override)]
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
 
 class TestWitnessVerifiesSpecOnce:
     @pytest.fixture

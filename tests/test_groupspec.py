@@ -157,6 +157,30 @@ class TestCenterCoordinates:
         for cached in (center_support, center_lattice):
             assert cached.cache_info().maxsize == QUOTIENT_CACHE_SIZE
 
+    def test_equal_specs_hash_equal_and_share_one_entry(self, monkeypatch):
+        rep = UTMatrix.from_entries(5, {(0, 1): 1, (3, 4): 1})
+        pairs = [
+            (heis5_spec(), heis5_spec()),
+            (heis5_spec().with_z2_rep(rep), heis5_spec().with_z2_rep(rep, "z2-override")),
+        ]
+        for first, second in pairs:
+            assert first is not second and first == second
+            assert hash(first) == hash(second)
+            assert hash(first) == hash(tuple(getattr(first, f.name)
+                                             for f in dataclasses.fields(first)))
+            center_support.cache_clear()
+            assert center_support(first) == center_support(second)
+            info = center_support.cache_info()
+            assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        assert hash(pairs[0][0]) != hash(pairs[1][0])
+        # The hash is taken once, at construction: hashing again hashes no matrix.
+        spec = heis5_spec()
+        calls = []
+        monkeypatch.setattr(UTMatrix, "__hash__", lambda u: calls.append(u) or 0)
+        hash(spec)
+        center_support(spec)
+        assert calls == []
+
 
 class TestCoordinates:
     def test_heisenberg_round_trip(self):

@@ -4,9 +4,12 @@ from hypothesis import strategies as st
 
 from conjsep.errors import DimensionMismatch
 from conjsep.unitri import (
+    _POWERS,
+    _PRODUCTS,
     ResidueUT,
     UTMatrix,
     _matmul,
+    _power,
     commutator,
     conjugation_kernel,
     reduce_mod,
@@ -42,10 +45,10 @@ def ut_matrices(draw, n=None, digits=30):
 
 @st.composite
 def triangular_pairs(draw):
-    """(a, b, n, mod): upper triangular rows with about half of their upper
-    entries zero and diagonals all 1 or, as `_power` multiplies them, all 0;
+    """(a, b, n, mod) for n <= 9: upper triangular rows with about half of
+    their upper entries zero and diagonals all 1, all 0 or mixed 0s and 1s;
     integers up to 10^30 in size, or residues mod p^k when mod is given."""
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 9))
     if draw(st.booleans()):
         mod = None
         entry = st.integers(-(10**30), 10**30)
@@ -54,14 +57,32 @@ def triangular_pairs(draw):
         entry = st.integers(0, mod - 1)
 
     def rows():
-        diag = draw(st.sampled_from([0, 1]))
+        diag = st.sampled_from(draw(st.sampled_from([(0,), (1,), (0, 1)])))
         return tuple(
-            tuple(diag if i == j else (draw(st.just(0) | entry) if j > i else 0)
+            tuple(draw(diag) if i == j else (draw(st.just(0) | entry) if j > i else 0)
                   for j in range(n))
             for i in range(n)
         )
 
     return rows(), rows(), n, mod
+
+
+@st.composite
+def powers(draw):
+    """(rows, e, mod) for n <= 9: unitriangular rows with about half of their
+    upper entries zero, integers up to 10^12 or residues mod p^k, and an
+    exponent -1, 0, 1, p (2 on the integers) or past 2^100 of either sign."""
+    n = draw(st.integers(1, 9))
+    p = draw(st.sampled_from([2, 3, 5]))
+    mod = draw(st.sampled_from([None, p, p**3]))
+    entry = st.integers(-(10**12), 10**12) if mod is None else st.integers(0, mod - 1)
+    rows = tuple(
+        tuple(1 if i == j else (draw(st.just(0) | entry) if j > i else 0) for j in range(n))
+        for i in range(n)
+    )
+    big = st.builds(lambda sign, r: sign * (2**100 + r), st.sampled_from([1, -1]),
+                    st.integers(0, 40))
+    return rows, draw(st.sampled_from([-1, 0, 1, p]) | big), mod
 
 
 @st.composite
@@ -108,6 +129,15 @@ class TestConstruction:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             A3 * UTMatrix.identity(4)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_identity_matches_constructed(self, n):
+        ident, ref = UTMatrix.identity(n), UTMatrix.from_entries(n, {})
+        assert type(ident) is UTMatrix and ident.n == n
+        assert ident.rows == ref.rows and ident == ref and hash(ident) == hash(ref)
+        assert ident.is_identity() and ident * ref == ref
+        with pytest.raises(AttributeError):
+            ident.rows = ref.rows
 
     def test_immutable_and_hashable(self):
         assert hash(A3) == hash(UTMatrix.from_entries(3, {(0, 1): 1}))
@@ -227,8 +257,8 @@ class TestArithmetic:
 
 
 class TestProductKernel:
-    """The row-combination product against the dense naive product, on the
-    integers, on residues and on the zero-diagonal rows of `_power`."""
+    """The generated product and power kernels against the dense naive product
+    and square-and-multiply, on the integers and on residues, for n <= 9."""
 
     @settings(max_examples=300, deadline=None)
     @given(triangular_pairs())
@@ -238,6 +268,46 @@ class TestProductKernel:
         if mod:
             expected = tuple(tuple(v % mod for v in row) for row in expected)
         assert _matmul(a, b, n, mod) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(powers())
+    def test_power_matches_reference(self, case):
+        rows, e, mod = case
+        assert _power(rows, len(rows), e, mod) == reference_power(rows, e, mod)
+
+    @pytest.mark.parametrize("mod", [None, 7])
+    def test_sizes_one_and_two(self, mod):
+        def reduce(v):
+            return v % mod if mod else v
+
+        one, two = ((1,),), ((1, 3), (0, 1))
+        assert _matmul(one, one, 1, mod) == one
+        assert _matmul(((0,),), one, 1, mod) == ((0,),)
+        assert _power(one, 1, -5, mod) == one
+        assert _matmul(two, two, 2, mod) == ((1, 6), (0, 1))
+        assert _matmul(two, ((0, 5), (0, 1)), 2, mod) == ((0, reduce(8)), (0, 1))
+        for e in (-1, 0, 2, -(2**100)):
+            assert _power(two, 2, e, mod) == ((1, reduce(3 * e)), (0, 1))
+        assert UTMatrix.identity(1).rows == one and UTMatrix(one) ** 9 == UTMatrix(one)
+        u = UTMatrix(two)
+        assert u**-3 == UTMatrix([[1, -9], [0, 1]]) and u * u.inverse() == UTMatrix.identity(2)
+
+    def test_one_kernel_per_size_and_kind(self):
+        n, kinds = 7, {(7, False), (7, True)}
+        u = UTMatrix.from_entries(n, {(0, 1): 3, (1, 4): -2, (2, 6): 7, (5, 6): 1})
+
+        def work():
+            for x in (u, reduce_mod(u, 3, 2), reduce_mod(u, 5, 4), reduce_mod(u, 2, 1)):
+                for e in (-1, 2, 2**100):
+                    x * x**e * x.inverse()
+
+        work()
+        kept = [{key: cache[key] for key in kinds} for cache in (_PRODUCTS, _POWERS)]
+        for _ in range(50):
+            work()
+        for cache, before in zip((_PRODUCTS, _POWERS), kept):
+            assert {key for key in cache if key[0] == n} == kinds
+            assert all(cache[key] is before[key] for key in kinds)
 
     @settings(max_examples=100, deadline=None)
     @given(ut_matrices(digits=12), ut_matrices(digits=12))
