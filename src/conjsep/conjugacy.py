@@ -137,8 +137,23 @@ def conjugate_in_product(group: ProductGroupSpec, a, b) -> ConjugacyAnswer:
     return ConjugacyAnswer(True, conj, "product", inner.word)
 
 
+# The largest group whose normal subgroups the kernel queries list.
+KERNEL_BUDGET = 512
+
+
+def _is_p_group_within_budget(
+    group: FiniteGroup, p: int, max_order: int = KERNEL_BUDGET
+) -> bool:
+    """Whether the group is a p-group, after the checks every kernel query
+    makes: SizeLimit when the group is beyond the enumeration budget, and
+    ValueError when p is not prime."""
+    if group.order > max_order:
+        raise SizeLimit(f"group of order {group.order} exceeds budget {max_order}")
+    return group.is_p_group(p)
+
+
 def enumerate_p_quotient_kernels(
-    group: FiniteGroup, p: int, max_order: int = 512
+    group: FiniteGroup, p: int, max_order: int = KERNEL_BUDGET
 ) -> tuple:
     """Normal subgroups H with [G : H] a power of p, smallest first.
 
@@ -147,12 +162,9 @@ def enumerate_p_quotient_kernels(
     when p is not prime.  The list is computed once per group and prime and
     kept on the group.
     """
-    if group.order > max_order:
-        raise SizeLimit(f"group of order {group.order} exceeds budget {max_order}")
     kernels = group._kernels.get(p)
-    if kernels is None:
-        if not is_prime(p):
-            raise ValueError(f"p must be prime, got {p}")
+    if kernels is None or group.order > max_order:
+        _is_p_group_within_budget(group, p, max_order)  # raises SizeLimit or ValueError
         kernels = group._kernels[p] = tuple(
             sub for sub in group.normal_subgroups()
             if prime_power_exponent(group.order // len(sub), p) is not None
@@ -177,6 +189,8 @@ class CosetQuery:
     p: int
 
     def __post_init__(self):
+        if not is_prime(self.p):
+            raise ValueError(f"p must be prime, got {self.p}")
         object.__setattr__(self, "subgroup_n", frozenset(self.subgroup_n))
         if not self.ambient.is_normal(self.subgroup_n):
             raise ValueError("subgroup_n must be a normal subgroup of the ambient group")
@@ -208,13 +222,13 @@ def coset_conjugacy_separable(query: CosetQuery) -> CosetAnswer:
 def _separate_from_coset(group: FiniteGroup, coset: frozenset, probe, p: int) -> CosetAnswer:
     """coset_conjugacy_separable on a coset already built.  The kernel K
     separates when no coset of K in the class of probe*K meets the coset.
-    A trivial first kernel (G a p-group) separates every non-vacuous probe,
-    since G/1 is G, so no quotient is built for it."""
+    In a p-group the first kernel is trivial and separates every
+    non-vacuous probe, since G/1 is G, so no kernel is listed for it."""
     if not group.class_of(probe).isdisjoint(coset):
         return CosetAnswer(CosetDecision.VACUOUS)
+    if _is_p_group_within_budget(group, p):
+        return CosetAnswer(CosetDecision.YES, frozenset({group.identity}), 1)
     kernels = enumerate_p_quotient_kernels(group, p)
-    if len(kernels[0]) == 1:
-        return CosetAnswer(CosetDecision.YES, kernels[0], 1)
     for count, kernel in enumerate(kernels, start=1):
         quot, hom = group.quotient(kernel)
         if all(k_coset.isdisjoint(coset) for k_coset in quot.class_of(hom(probe))):
@@ -227,10 +241,9 @@ def is_conjugacy_p_separable(group: FiniteGroup, p: int) -> tuple[bool, tuple | 
 
     Returns (True, None) or (False, (x, y)) with a failing pair.
     """
-    kernels = enumerate_p_quotient_kernels(group, p)
-    if len(kernels[0]) == 1:  # G/1 is G: every non-conjugate pair stays apart
-        return True, None
-    quotients = [group.quotient(k) for k in kernels]
+    if _is_p_group_within_budget(group, p):
+        return True, None  # G/1 is G: every non-conjugate pair stays apart
+    quotients = [group.quotient(k) for k in enumerate_p_quotient_kernels(group, p)]
     for i, x in enumerate(group.elements):
         x_class = group.class_of(x)
         for y in group.elements[i + 1 :]:
@@ -262,7 +275,9 @@ def quotient_coset_equivalence(group: FiniteGroup, normal_n, p: int) -> Equivale
     The left side decides every (probe, coset) pair as
     coset_conjugacy_separable does, each coset an element of the quotient;
     the right side tests the quotient against all of its own p-power
-    kernels.  Both sides are exhaustive enumerations.
+    kernels.  Both sides are exhaustive, except where G or G/N is a p-group:
+    its trivial kernel separates every non-conjugate pair, so that side is
+    answered without listing any normal subgroup.
     """
     quot, hom = group.quotient(normal_n)
     left, detail = True, ""

@@ -28,6 +28,8 @@ Normal subgroups are unions of classes, so their enumeration runs on bit
 masks over class indices.  Its only products are the class products
 C_i * C_j it reaches, each taken once, and one walk along the powers of an
 element per new normal closure; closures and joins are then integer ORs.
+A close-by-one search (`_close_by_one`) reaches each normal subgroup once,
+from one parent, and the list is sorted by an element mask per subgroup.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from math import gcd
 from typing import Callable, NamedTuple
 
 from .errors import DimensionMismatch, SizeLimit, VerificationFailed
-from .intlin import prime_power_exponent
+from .intlin import is_prime
 from .unitri import ResidueUT, conjugation_kernel, right_mul_kernel
 from .unitri import _left_mul_kernel, _matmul, _power
 
@@ -97,6 +99,40 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _close_by_one(bottom: int, reps: list, join: Callable) -> list:
+    """Every mask reached from bottom by joins, each listed once: the
+    close-by-one enumeration of closed sets (Kuznetsov, 1993).
+
+    reps[t] = (closure, j): the closed mask generated by class j, with the
+    classes j increasing.  join(N, j) is the least closed mask over N and
+    class j.  A closed N reached at position start tries each t >= start with
+    j outside N; the join M is kept only if it adds no representative class
+    before j (the canonicity test, one AND, since class j' lies in a closed
+    M iff its closure does), and is then searched from t + 1.  A closure
+    that already holds a representative class before j that N lacks would
+    fail that test, so it is skipped before any join.  Each closed mask has
+    exactly one parent, so none is listed twice; VerificationFailed if one is.
+    """
+    below = [0] * len(reps)  # below[t]: the classes of reps[:t]
+    for t in range(1, len(reps)):
+        below[t] = below[t - 1] | 1 << reps[t - 1][1]
+    found, stack = [bottom], [(bottom, 0)]
+    while stack:
+        current, start = stack.pop()
+        for t in range(start, len(reps)):
+            closure, j = reps[t]
+            lacking = below[t] & ~current
+            if current >> j & 1 or closure & lacking:
+                continue
+            joined = join(current, j)
+            if joined & lacking == 0:
+                found.append(joined)
+                stack.append((joined, t + 1))
+    if len(set(found)) != len(found):
+        raise VerificationFailed("close-by-one", "a closed mask was listed twice")
+    return found
 
 
 def _label(labels, x) -> str:
@@ -168,7 +204,15 @@ class FiniteGroup:
         return y
 
     def is_p_group(self, p: int) -> bool:
-        return prime_power_exponent(self.order, p) is not None
+        """Whether the order is a power of p; ValueError when p is not prime.
+
+        The order divides a power of p only if it is one, and p^b, for b the
+        bit length of the order, is a multiple of every power of p up to the
+        order, so one modular power decides it.
+        """
+        if not is_prime(p):
+            raise ValueError(f"p must be prime, got {p}")
+        return pow(p, self.order.bit_length(), self.order) == 0
 
     # -- structure ---------------------------------------------------------
 
@@ -260,9 +304,17 @@ class FiniteGroup:
         closure of C_j, and for normal N the join N * <C_j> is the union of
         C_i * <C_j> over the classes i of N.  x and x^e (e prime to the order
         of x) have the same closure, so one walk along the powers of x
-        settles all their classes.  Every normal subgroup is the join of the
-        closures of its classes, so joining the distinct closures from the
-        trivial subgroup finds them all.
+        settles all their classes.
+
+        Every normal subgroup is the join of the closures of its classes, so
+        the classes with a distinct closure, in class order, are the
+        representatives of a close-by-one search from the trivial subgroup
+        (`_close_by_one`), which reaches each normal subgroup once: <C_i>
+        lies in a normal M iff class i does, so its canonicity test is one
+        AND of masks.  The list is sorted by (size, -mask) over an element
+        mask with element i at bit order-1-i, the order of (size, sorted
+        element indices), and each subgroup's frozenset is built once, in
+        that order.
         """
         if self._normals is None:
             classes = self.conjugacy_classes()
@@ -306,34 +358,33 @@ class FiniteGroup:
                 settled.update(
                     class_of[y] for e, y in enumerate(powers, 1) if gcd(e, len(powers)) == 1
                 )
-            triv = 1 << one
-            found = {triv}
-            queue = [triv]
-            while queue:
-                current = queue.pop()
-                for closure, j in closures.items():
-                    if closure & ~current == 0:
-                        continue
-                    # N * <C_j> is the union of C_i * <C_j> over i in N, and a
-                    # class inside one already taken adds nothing more.
-                    col, joined, rest = cols[j], 0, current
-                    while rest:
-                        i = (rest & -rest).bit_length() - 1
-                        joined |= col[i] or row(i, j)
-                        rest &= ~joined
-                    if joined not in found:
-                        found.add(joined)
-                        queue.append(joined)
-            subgroups = [
-                frozenset().union(*(classes[i] for i in _bits(mask))) for mask in found
-            ]
+
+            def join(current, j):
+                """N * <C_j>: the union of C_i * <C_j> over i in N, where a
+                class inside one already taken adds nothing more."""
+                col, joined, rest = cols[j], 0, current
+                while rest:
+                    i = (rest & -rest).bit_length() - 1
+                    joined |= col[i] or row(i, j)
+                    rest &= ~joined
+                return joined
+
+            found = _close_by_one(1 << one, list(closures.items()), join)
+            # A subgroup's element mask has element i at bit order-1-i, so the
+            # key (size, -mask) orders as (size, sorted element indices).
+            top, spread = self.order - 1, [0] * size
+            for e, i in self._index.items():
+                spread[class_of[e]] |= 1 << (top - i)
+
+            def key(mask):
+                elements = sum(spread[i] for i in _bits(mask))  # classes are disjoint
+                return elements.bit_count(), -elements
+
+            found.sort(key=key)
             self._normals = tuple(
-                sorted(
-                    subgroups,
-                    key=lambda sub: (len(sub), sorted(self._index[e] for e in sub)),
-                )
+                frozenset().union(*(classes[i] for i in _bits(mask))) for mask in found
             )
-            self._normal_set = frozenset(subgroups)
+            self._normal_set = frozenset(self._normals)
         return self._normals
 
     def quotient(self, normal_subgroup) -> tuple["FiniteGroup", "GroupHom"]:

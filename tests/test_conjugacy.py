@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from conjsep.conjugacy import (
+    CosetAnswer,
     CosetDecision,
     CosetQuery,
     class2_conjugate,
@@ -278,6 +279,9 @@ class TestKernelEnumeration:
             is_conjugacy_p_separable(d4, p)
         with pytest.raises(ValueError, match="prime"):
             quotient_coset_equivalence(d4, frozenset({d4.identity}), p)
+        # A probe conjugate into its coset used to answer VACUOUS for any p.
+        with pytest.raises(ValueError, match="prime"):
+            CosetQuery(d4, frozenset({d4.identity}), d4.identity, d4.identity, p)
         assert p not in d4._kernels
 
 
@@ -380,6 +384,29 @@ class TestTrivialKernelShortcut:
             answer = coset_conjugacy_separable(query)
             if answer.decision is not CosetDecision.VACUOUS:
                 assert built == list(kernels[:answer.kernels_checked])
+
+    def test_p_groups_list_no_normal_subgroups(self, monkeypatch):
+        group = direct_product(direct_product(quaternion8(), cyclic(2)), cyclic(2))
+        nsub = next(n for n in group.normal_subgroups() if len(n) == 2)
+        quot, _ = group.quotient(nsub)
+        coset = quot.elements[0]
+        probe = next(x for x in group.elements if group.class_of(x).isdisjoint(coset))
+
+        def unlisted(self):
+            raise AssertionError(f"{self.name} listed its normal subgroups")
+
+        monkeypatch.setattr(FiniteGroup, "normal_subgroups", unlisted)
+        assert is_conjugacy_p_separable(quot, 2) == (True, None)
+        answer = coset_conjugacy_separable(CosetQuery(group, nsub, next(iter(coset)), probe, 2))
+        assert answer == CosetAnswer(CosetDecision.YES, frozenset({group.identity}), 1)
+        assert quot._kernels == {} and group._kernels == {}
+
+    def test_p_group_shortcut_keeps_the_budget(self):
+        big = cyclic(1024)
+        with pytest.raises(SizeLimit):
+            is_conjugacy_p_separable(big, 2)
+        with pytest.raises(SizeLimit):
+            coset_conjugacy_separable(CosetQuery(big, frozenset({0}), 0, 1, 2))
 
     def test_equivalence_builds_no_trivial_quotient(self):
         group = heis_quotient(2, 2)
@@ -690,6 +717,15 @@ for bad in (
         pass
     else:
         raise SystemExit("a unitriangular constructor accepted bad input")
+
+# A close-by-one join that forgets the subgroup it starts from reaches one
+# mask from two parents; the enumeration must notice the repeat.
+try:
+    conjsep.finite._close_by_one(1, [(1, 0), (2, 1), (4, 2)], lambda current, j: 1 << j)
+except VerificationFailed:
+    pass
+else:
+    raise SystemExit("a normal subgroup listed twice went unnoticed")
 """
 
 

@@ -70,6 +70,12 @@ class TestPresets:
         assert not cyclic(6).is_p_group(2)
         assert trivial_group().is_p_group(2)
 
+    @pytest.mark.parametrize("p", [4, 6, 1, 0, -2])
+    def test_is_p_group_rejects_non_prime(self, p):
+        # D4xC2 has order 16 = 4^2, so p = 4 used to answer True.
+        with pytest.raises(ValueError, match="prime"):
+            direct_product(dihedral4(), cyclic(2)).is_p_group(p)
+
     def test_d4_conjugacy_classes(self):
         d4 = dihedral4()
         classes = {frozenset(d4.label(x) for x in cl) for cl in d4.conjugacy_classes()}
@@ -183,6 +189,58 @@ class TestNormalSubgroups:
     def test_residue_groups_mod_2_match_reference(self, spec):
         group = finite_closure([reduce_mod(g, 2, 1) for g in spec().generators])
         assert group.normal_subgroups() == reference_normal_subgroups(group)
+
+    @pytest.mark.parametrize(
+        "maker,count",
+        [(lambda: direct_product(sym3(), sym3()), 10),
+         (lambda: direct_product(cyclic(6), sym3()), 14),
+         (lambda: direct_product(dihedral4(), dihedral4()), 91),
+         (lambda: cyclic(12), 6),
+         (lambda: direct_product(direct_product(cyclic(2), cyclic(2)),
+                                 direct_product(direct_product(cyclic(2), cyclic(2)), cyclic(2))),
+          374),
+         (lambda: finite_closure(heis_residue_gens(2, 2)), 27)],
+        ids=["S3xS3", "C6xS3", "D4xD4", "C12", "C2^5", "heisenberg-mod-4"],
+    )
+    def test_larger_groups_match_reference(self, maker, count):
+        group = maker()
+        normals = group.normal_subgroups()
+        assert len(normals) == count
+        assert normals == reference_normal_subgroups(group)
+
+    @pytest.mark.parametrize(
+        "maker,joins",
+        [(lambda: direct_product(direct_product(quaternion8(), cyclic(2)), cyclic(2)), 386),
+         (lambda: direct_product(dihedral4(), quaternion8()), 514)],
+        ids=["Q8xC2xC2", "D4xQ8"],
+    )
+    def test_close_by_one_joins(self, maker, joins, monkeypatch):
+        # The breadth-first search this replaced joined every subgroup found
+        # with every closure: 1,109 and 1,588 joins on these two groups.
+        calls = []
+        search = finite._close_by_one
+
+        def counted(bottom, reps, join):
+            def counted_join(current, j):
+                calls.append(1)
+                return join(current, j)
+
+            return search(bottom, reps, counted_join)
+
+        monkeypatch.setattr(finite, "_close_by_one", counted)
+        group = maker()
+        assert group.normal_subgroups() == reference_normal_subgroups(group)
+        assert len(calls) <= joins
+
+    def test_close_by_one_lists_each_closed_mask_once(self):
+        # Three classes whose closures are the classes themselves: every
+        # mask over the identity class is closed.
+        reps = [(1, 0), (2, 1), (4, 2)]
+        found = finite._close_by_one(1, reps, lambda current, j: current | 1 << j)
+        assert sorted(found) == [1, 3, 5, 7]
+        # A join that forgets N reaches the mask 4 from both 1 and 2.
+        with pytest.raises(VerificationFailed):
+            finite._close_by_one(1, reps, lambda current, j: 1 << j)
 
     @pytest.mark.parametrize(
         "maker,bound",
@@ -656,3 +714,14 @@ class TestValidationCatchesCorruption:
         )
         outcomes = {name: ok for name, ok, _ in bad.validate()}
         assert outcomes["closure"] is False
+
+    def test_corrupted_table_lists_a_normal_subgroup_twice(self):
+        # With 1 * 1 = 1, conjugation by 1 takes 1 to the identity: the
+        # "classes" {0} and {0, 1} overlap, and one mask is reached from two
+        # parents.
+        table = {(x, y): (x + y) % 5 for x in range(5) for y in range(5)}
+        table[1, 1] = 1
+        bad = FiniteGroup("C5corrupt", range(5), lambda x, y: table[x, y], 0, (1,),
+                          inv=lambda x: -x % 5)
+        with pytest.raises(VerificationFailed, match="listed twice"):
+            bad.normal_subgroups()
