@@ -24,7 +24,7 @@ from .groupspec import (
     center_vector,
     is_abelian,
 )
-from .intlin import Lattice, is_prime, prime_power_exponent
+from .intlin import Lattice, prime_power_exponent, require_prime
 from .unitri import UTMatrix, commutator
 
 
@@ -189,8 +189,7 @@ class CosetQuery:
     p: int
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
+        require_prime(self.p)
         object.__setattr__(self, "subgroup_n", frozenset(self.subgroup_n))
         if not self.ambient.is_normal(self.subgroup_n):
             raise ValueError("subgroup_n must be a normal subgroup of the ambient group")

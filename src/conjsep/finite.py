@@ -15,13 +15,15 @@ when the generators' superdiagonals span F_p^(n-1).  Orbit search,
 membership, products and labels need no element list.
 
 Every search is one breadth-first `orbit`.  A closure's element list is
-one, over row tuples, stepping by each generator's `right_mul_kernel`,
-which touches only the entries that generator changes.  Each group also
-carries one conjugation step per generator (`Conjugation`): a closure's
-steps are the generators' `conjugation_kernel`s on row tuples, so the class
-partition, orbit search and normality test take no general product; every
-other group conjugates with its own `mul` and `inverse`.  The group's `mul`
-stays the general residue product, which the conjugator re-checks use.
+one, over row tuples, stepping by right multiplication by each generator.
+Each group also carries one conjugation step per generator
+(`Conjugation`): a closure's steps are the generators' `conjugation_kernel`s
+on row tuples, so the class partition, orbit search and normality test
+wrap no residue matrix; every other group conjugates with its own `mul` and
+`inverse`.  Every residue step, in a closure's pcgs, normal forms, element
+list and conjugation alike, is the product kernel that `unitri` generates
+per matrix size.  The group's `mul` stays the general residue product,
+which the conjugator re-checks use.
 Quotients are cached on their group with no strong reference back to it.
 
 Normal subgroups are unions of classes, so their enumeration runs on bit
@@ -44,9 +46,8 @@ from math import gcd
 from typing import Callable, NamedTuple
 
 from .errors import DimensionMismatch, SizeLimit, VerificationFailed
-from .intlin import is_prime
-from .unitri import ResidueUT, conjugation_kernel, right_mul_kernel
-from .unitri import _left_mul_kernel, _matmul, _power
+from .intlin import require_prime
+from .unitri import _PRODUCTS, ResidueUT, _power, conjugation_kernel
 
 # `validate` checks associativity on every triple up to this order, and on a
 # sample of about 12 elements above it.
@@ -210,8 +211,7 @@ class FiniteGroup:
         bit length of the order, is a multiple of every power of p up to the
         order, so one modular power decides it.
         """
-        if not is_prime(p):
-            raise ValueError(f"p must be prime, got {p}")
+        require_prime(p)
         return pow(p, self.order.bit_length(), self.order) == 0
 
     # -- structure ---------------------------------------------------------
@@ -354,6 +354,8 @@ class FiniteGroup:
                 x = next(iter(cls))
                 powers = [x]
                 while powers[-1] != self.identity:
+                    if len(powers) >= self.order:  # x^|G| = 1 in every group
+                        raise VerificationFailed("group law", f"no power of {self.label(x)} is 1")
                     powers.append(mul(powers[-1], x))
                 settled.update(
                     class_of[y] for e, y in enumerate(powers, 1) if gcd(e, len(powers)) == 1
@@ -611,7 +613,8 @@ def _induced_pcgs(ident: ResidueUT, gens, max_order: int):
         if p ** (k * n * (n - 1) // 2) > max_order:
             raise _closure_limit(max_order, ident)
         return None
-    table = {}  # leading key -> (rows, left multiplication by their inverse)
+    mul = _PRODUCTS[n, True]
+    table = {}  # leading key -> (rows, rows of their inverse)
     queue = deque(g.rows for g in gens)
     while queue:
         rows = queue.popleft()
@@ -619,9 +622,9 @@ def _induced_pcgs(ident: ResidueUT, gens, max_order: int):
             key, digit = lead
             if key not in table:
                 break
-            unstep = table[key][1]
+            inverse = table[key][1]
             for _ in range(digit):
-                rows = unstep(rows)
+                rows = mul(inverse, rows, mod)
         else:
             continue
         if digit != 1:
@@ -629,11 +632,11 @@ def _induced_pcgs(ident: ResidueUT, gens, max_order: int):
         for other_key, (other, _) in table.items():
             if key[0] + other_key[0] >= n:  # [U_v, U_w] lies in U_(v+w), and U_n = 1
                 continue
-            ab, ba = _matmul(rows, other, n, mod), _matmul(other, rows, n, mod)
+            ab, ba = mul(rows, other, mod), mul(other, rows, mod)
             if ab != ba:
-                queue.append(_matmul(_power(ba, n, -1, mod), ab, n, mod))
+                queue.append(mul(_power(ba, n, -1, mod), ab, mod))
         queue.append(_power(rows, n, p, mod))
-        table[key] = (rows, _left_mul_kernel(_power(rows, n, -1, mod), n, mod))
+        table[key] = (rows, _power(rows, n, -1, mod))
         if p ** len(table) > max_order:
             raise _closure_limit(max_order, ident)
     return tuple(table[key][0] for key in sorted(table))
@@ -642,15 +645,14 @@ def _induced_pcgs(ident: ResidueUT, gens, max_order: int):
 def _normal_forms(ident: ResidueUT, pcgs) -> frozenset:
     """The rows of every h_1^e_1 * ... * h_r^e_r, 0 <= e_i < p, for the
     induced pcgs h_1, ..., h_r: from h_r up, the forms so far and their
-    left multiples by h_i up to the (p-1)-th, one kernel step per element.
+    left multiples by h_i up to the (p-1)-th, one product per element.
     Distinct exponents give distinct elements, so there must be p^r."""
-    n, p, mod = ident.n, ident.p, ident.mod
+    p, mod, mul = ident.p, ident.mod, _PRODUCTS[ident.n, True]
     forms = [ident.rows]
     for h in reversed(pcgs):
-        step = _left_mul_kernel(h, n, mod)
         layer = forms
         for _ in range(1, p):
-            layer = list(map(step, layer))
+            layer = [mul(h, f, mod) for f in layer]
             forms += layer
     found = frozenset(forms)
     if len(found) != p ** len(pcgs):
@@ -667,10 +669,11 @@ def _closure_limit(max_order: int, ident: ResidueUT) -> SizeLimit:
 
 
 def _closure_elements(ident: ResidueUT, gens, max_order: int) -> list:
-    """The orbit of the identity on row tuples, each edge one generator's
-    `right_mul_kernel`, wrapped as residue matrices in the order reached."""
+    """The orbit of the identity on row tuples, each edge a right product by
+    one generator, wrapped as residue matrices in the order reached."""
+    mod, mul = ident.mod, _PRODUCTS[ident.n, True]
     ordered = [ident]
-    steps = orbit(ident.rows, [right_mul_kernel(g) for g in gens], _step)
+    steps = orbit(ident.rows, [g.rows for g in gens], lambda x, s: mul(x, s, mod))
     for rows, _, _ in islice(steps, 1, None):
         if len(ordered) >= max_order:
             raise _closure_limit(max_order, ident)

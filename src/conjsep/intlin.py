@@ -74,6 +74,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def require_prime(p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+
+
 def smallest_prime_excluding(p: int) -> int:
     q = 2
     while True:

@@ -39,6 +39,7 @@ from .intlin import (
     mod_inverse,
     power_solvable,
     prime_power_exponent,
+    require_prime,
     smallest_prime_excluding,
     valuation,
 )
@@ -68,8 +69,10 @@ def classify(group: ProductGroupSpec, p: int) -> SeparabilityVerdict:
     """Conjugacy separability in finite p-groups, decided by the criterion.
 
     Separable iff the torsion subgroup is a p-group and the group modulo
-    torsion (here: the matrix part) is abelian.
+    torsion (here: the matrix part) is abelian.  ValueError when p is not
+    prime.
     """
+    require_prime(p)
     verify_spec(group.matrix_part)
     torsion = torsion_subgroup(group)
     exponent = prime_power_exponent(torsion.order, p)
@@ -138,8 +141,9 @@ def make_witness(spec: MatrixGroupSpec, p: int) -> WitnessReport:
     Deterministic choices: a is the declared second-centre representative,
     b the first generator whose commutator with a is nontrivial, q the
     smallest prime other than p, and n the least exponent for which c has
-    no q^n-th root in the centre.
+    no q^n-th root in the centre.  ValueError when p is not prime.
     """
+    require_prime(p)
     verify_spec(spec)
     abelian = is_abelian(spec)
     if abelian.abelian:
@@ -319,9 +323,11 @@ def separate_elements(
     by an independent orbit search in the quotient, which needs its order and
     membership but not its element list.
 
-    Raises NotApplicable when the hypotheses fail and AreConjugate (carrying
-    a verified conjugator) when the pair is conjugate.
+    Raises ValueError when p is not prime, NotApplicable when the hypotheses
+    fail and AreConjugate (carrying a verified conjugator) when the pair is
+    conjugate.
     """
+    require_prime(p)
     abelian = is_abelian(group.matrix_part)
     if not abelian.abelian:
         raise NotApplicable(

@@ -11,14 +11,18 @@ The general product `_matmul` and every power and inverse of both kinds,
 `_power`, run straight-line kernels: Python source written out entry by entry
 for one matrix size, compiled by `exec` on first use and kept, one per size
 and kind.  A power is the finite binomial series u^e = sum of C(e, t) N^t for
-u = I + N, whatever the exponent, so an inverse takes no loop either.  The
-sparse kernels of `right_mul_kernel` and `conjugation_kernel` are planned
-per generator instead, and a commutator takes one inverse.
+u = I + N, whatever the exponent, so an inverse takes no loop either.  Every
+other product step runs the same kernels: a conjugation step
+(`conjugation_kernel`) is two products, and a commutator takes one inverse.
+A modulus p^k needs p prime and k >= 1.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import DimensionMismatch
+from .intlin import require_prime
 
 
 class _Kernels(dict):
@@ -231,9 +235,13 @@ def commutator(x: UTMatrix, y: UTMatrix) -> UTMatrix:
     return (y * x).inverse() * (x * y)
 
 
+@lru_cache(maxsize=64)
 def _modulus(p: int, k: int) -> int:
+    """p^k for a prime p and a level k >= 1, else ValueError; cached, so that
+    `reduce_mod` decides primality once per (p, k)."""
     if p < 2:
         raise ValueError(f"p must be >= 2, got {p}")
+    require_prime(p)
     if k < 1:
         raise ValueError(f"level must be >= 1, got {k}")
     return p**k
@@ -271,81 +279,14 @@ _set_k = ResidueUT.k.__set__
 _set_mod = ResidueUT.mod.__set__
 
 
-def right_mul_kernel(s: ResidueUT):
-    """The map rows -> rows of x * s on residue matrices x shaped like s.
-
-    Since s is unitriangular, (x*s)[i][j] = x[i][j] + sum of x[i][k] * s[k][j]
-    over k < j with s[k][j] != 0, and x[i][k] = 0 for k < i.  Only the rows
-    with such a term are recomputed; the others are reused as they are.
-    """
-    n, mod, srows = s.n, s.mod, s.rows
-    plan = []
-    for i in range(n):
-        cols = []
-        for j in range(i + 1, n):
-            terms = tuple((k, srows[k][j]) for k in range(i, j) if srows[k][j])
-            if terms:
-                cols.append((j, terms))
-        if cols:
-            plan.append((i, tuple(cols)))
-
-    def apply(rows):
-        out = list(rows)
-        for i, cols in plan:
-            row = rows[i]
-            new = list(row)
-            for j, terms in cols:
-                acc = row[j]
-                for k, v in terms:
-                    acc += row[k] * v
-                new[j] = acc % mod
-            out[i] = tuple(new)
-        return tuple(out)
-
-    return apply
-
-
-def _left_mul_kernel(trows, n, mod):
-    """The map rows -> rows of t * x for the unitriangular rows t.
-
-    (t*x)[i][j] = x[i][j] + sum of t[i][k] * x[k][j] over i < k <= j with
-    t[i][k] != 0, so only the rows i where t has an entry right of the
-    diagonal are recomputed, from column min(k) on.
-    """
-    plan = []
-    for i in range(n):
-        terms = tuple((k, trows[i][k]) for k in range(i + 1, n) if trows[i][k])
-        if terms:
-            cols = tuple(
-                (j, tuple((k, v) for k, v in terms if k <= j))
-                for j in range(terms[0][0], n)
-            )
-            plan.append((i, cols))
-
-    def apply(rows):
-        out = list(rows)
-        for i, cols in plan:
-            row = rows[i]
-            new = list(row)
-            for j, terms in cols:
-                acc = row[j]
-                for k, v in terms:
-                    acc += v * rows[k][j]
-                new[j] = acc % mod
-            out[i] = tuple(new)
-        return tuple(out)
-
-    return apply
-
-
 def conjugation_kernel(s: ResidueUT):
     """The map rows -> rows of s^-1 * x * s on residue matrices x shaped like s:
-    a sparse left product by s^-1, then `right_mul_kernel(s)`."""
-    left = _left_mul_kernel(_power(s.rows, s.n, -1, s.mod), s.n, s.mod)
-    right = right_mul_kernel(s)
+    two products by the generated kernel, s^-1 on the left and s on the right."""
+    n, mod, srows = s.n, s.mod, s.rows
+    mul, inverse = _PRODUCTS[n, True], _power(srows, n, -1, mod)
 
     def apply(rows):
-        return right(left(rows))
+        return mul(mul(inverse, rows, mod), srows, mod)
 
     return apply
 

@@ -650,9 +650,9 @@ conjsep.separability.conjugate_in_finite = conjugate_in_finite
 # A residue closure whose conjugation step is right multiplication, x -> x * s:
 # the search then reaches y, but the conjugator fails its re-check.
 import conjsep.finite
-from conjsep.unitri import right_mul_kernel
+from conjsep.unitri import _matmul
 
-conjsep.finite.conjugation_kernel = right_mul_kernel
+conjsep.finite.conjugation_kernel = lambda s: lambda rows: _matmul(rows, s.rows, s.n, s.mod)
 wrong_steps = finite_closure([reduce_mod(g, 3, 2) for g in heis.generators])
 try:
     conjugate_in_finite(wrong_steps, ra, ra * rc**8)
@@ -726,6 +726,22 @@ except VerificationFailed:
     pass
 else:
     raise SystemExit("a normal subgroup listed twice went unnoticed")
+
+# C5 with the one product 2*1 changed to 1 is no group: the powers of 1 cycle
+# 1, 2, 1, ... and never reach 0, so the power walk must stop at the order.
+from conjsep.finite import cyclic
+
+c5 = cyclic(5)
+not_a_group = FiniteGroup(
+    "C5, 2*1 = 1", c5.elements, lambda x, y: 1 if (x, y) == (2, 1) else c5.mul(x, y),
+    c5.identity, c5.generators,
+)
+try:
+    not_a_group.normal_subgroups()
+except VerificationFailed:
+    pass
+else:
+    raise SystemExit("a power walk past the group order went unnoticed")
 """
 
 

@@ -286,6 +286,21 @@ class TestNormalSubgroups:
         assert len(group.conjugacy_classes()) == group.order
         assert group.normal_subgroups() == reference_normal_subgroups(group)
 
+    def test_table_that_is_no_group_law_is_rejected(self):
+        # C5 with 2*1 changed to 1: the powers of 1 cycle 1, 2, 1, ... and
+        # never reach 0.  The product count bounds the test if the walk runs on.
+        c5, calls = cyclic(5), []
+
+        def mul(x, y):
+            calls.append(1)
+            if len(calls) > 10_000:
+                raise RuntimeError("the power walk did not stop")
+            return 1 if (x, y) == (2, 1) else c5.mul(x, y)
+
+        group = FiniteGroup("C5, 2*1 = 1", c5.elements, mul, c5.identity, c5.generators)
+        with pytest.raises(VerificationFailed, match="group law"):
+            group.normal_subgroups()
+
     def test_cyclic_512_takes_few_products(self):
         # A full table of its 512 classes' products would take 131,328.
         group = cyclic(512)

@@ -15,13 +15,16 @@ from conjsep.errors import (
     VerificationFailed,
 )
 from conjsep import intlin, separability
+from conjsep.finite import cyclic, finite_closure
 from conjsep.groupspec import (
     MatrixGroupSpec,
+    ProductGroupSpec,
     center_lattice,
     center_vector,
     congruence_quotient,
     coords_to_element,
     element_coords,
+    free_abelian_rank1_spec,
     heis5_spec,
     heisenberg_spec,
     is_abelian,
@@ -49,6 +52,27 @@ HEIS = heisenberg_spec()
 
 def heis(x, y, z):
     return coords_to_element(HEIS, (x, y, z))
+
+
+ZXC4 = ProductGroupSpec("zxc4", free_abelian_rank1_spec(), cyclic(4))
+T = ZXC4.matrix_part.generators[0]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: classify(ZXC4, p),
+        lambda p: make_witness(HEIS, p),
+        lambda p: scan_tower(HEIS, heis(1, 0, 0), heis(0, 1, 0), p, 2),
+        lambda p: separate_elements(ZXC4, (T**16, 0), (T**0, 0), p),
+        lambda p: finite_closure([reduce_mod(g, p, 1) for g in HEIS.generators]),
+    ],
+    ids=["classify", "make_witness", "scan_tower", "separate_elements", "finite_closure"],
+)
+@pytest.mark.parametrize("p", [1, 4, 6])
+def test_non_prime_p_is_rejected(call, p):
+    with pytest.raises(ValueError, match=f"p must be (>= 2|prime), got {p}"):
+        call(p)
 
 
 class TestClassify:

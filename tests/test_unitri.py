@@ -14,7 +14,6 @@ from conjsep.unitri import (
     conjugation_kernel,
     reduce_mod,
     residue_order_exponent,
-    right_mul_kernel,
 )
 
 from _oracles import naive_ut_mul, reference_power
@@ -89,7 +88,7 @@ def powers(draw):
 def residue_pairs(draw):
     """(x, s) residue matrices of one shape; s is the identity or has entries
     that are often zero, so both sparse and dense generators occur."""
-    n = draw(st.integers(2, 5))
+    n = draw(st.integers(2, 9))
     p = draw(st.sampled_from([2, 3, 5]))
     k = draw(st.integers(1, 3))
     mod = p**k
@@ -407,22 +406,12 @@ class TestResidue:
 
     @settings(max_examples=200, deadline=None)
     @given(residue_pairs())
-    def test_right_mul_kernel_matches_product(self, pair):
-        x, s = pair
-        assert right_mul_kernel(s)(x.rows) == (x * s).rows
-
-    def test_right_mul_kernel_reuses_unchanged_rows(self):
-        s = reduce_mod(UTMatrix.from_entries(4, {(1, 2): 3, (0, 3): 1}), 3, 2)
-        x = reduce_mod(UTMatrix.from_entries(4, {(0, 1): 2, (2, 3): 5}), 3, 2)
-        out = right_mul_kernel(s)(x.rows)
-        assert out == (x * s).rows
-        assert out[2] is x.rows[2] and out[3] is x.rows[3]
-
-    @settings(max_examples=200, deadline=None)
-    @given(residue_pairs())
     def test_conjugation_kernel_matches_product(self, pair):
         x, s = pair
-        assert conjugation_kernel(s)(x.rows) == (s.inverse() * x * s).rows
+        mod = s.mod
+        inverse = reference_power(s.rows, -1, mod)
+        expected = naive_ut_mul(naive_ut_mul(inverse, x.rows), s.rows)
+        assert conjugation_kernel(s)(x.rows) == tuple(tuple(v % mod for v in r) for r in expected)
 
     def test_wrapped_residue_is_immutable_and_equal_to_constructed(self):
         r = reduce_mod(UTMatrix.from_entries(4, {(0, 1): 2, (1, 3): 7}), 3, 2)
