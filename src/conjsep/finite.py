@@ -20,10 +20,11 @@ Each group also carries one conjugation step per generator
 (`Conjugation`): a closure's steps are the generators' `conjugation_kernel`s
 on row tuples, so the class partition, orbit search and normality test
 wrap no residue matrix; every other group conjugates with its own `mul` and
-`inverse`.  Every residue step, in a closure's pcgs, normal forms, element
-list and conjugation alike, is the product kernel that `unitri` generates
-per matrix size.  The group's `mul` stays the general residue product,
-which the conjugator re-checks use.
+`inverse`.  A closure's pcgs, normal forms and element list step by the
+product kernel that `unitri` generates per matrix size, and its conjugation
+steps are `unitri`'s fused conjugation kernel, one call per step.  The
+group's `mul` stays the general residue product, which the conjugator
+re-checks use.
 Quotients are cached on their group with no strong reference back to it.
 
 Normal subgroups are unions of classes, so their enumeration runs on bit
@@ -139,8 +140,8 @@ def _close_by_one(bottom: int, reps: list, join: Callable) -> list:
 def _label(labels, x) -> str:
     if callable(labels):
         return labels(x)
-    if labels is not None:
-        return labels.get(x, str(x))
+    if labels is not None and (name := labels.get(x)) is not None:
+        return name
     return str(x)
 
 

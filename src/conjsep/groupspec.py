@@ -247,13 +247,13 @@ def congruence_quotient(
     named = {}
     for gname, rgen in zip(spec.gen_names, rgens):
         named.setdefault(rgen, gname)
+
+    def label(r):
+        name = named.get(r)
+        return "(" + ",".join(map(str, r.upper_entries())) + ")" if name is None else name
+
     quot = finite_closure(
-        rgens,
-        max_order=max_order,
-        name=f"{spec.name} mod {p}^{k}",
-        labels=lambda r: named.get(
-            r, "(" + ",".join(str(v) for v in r.upper_entries()) + ")"
-        ),
+        rgens, max_order=max_order, name=f"{spec.name} mod {p}^{k}", labels=label
     )
     hom = GroupHom(
         description=f"entrywise reduction of {spec.name} mod {p}^{k}",
@@ -390,6 +390,12 @@ def preset_names() -> tuple:
 # -- JSON input --------------------------------------------------------------
 
 
+def _is_int(value) -> bool:
+    """An integer of the document: JSON's true and false load as bools, which
+    Python counts as ints, and are rejected."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_matrix(data, n: int, what: str) -> UTMatrix:
     if (
         not isinstance(data, list)
@@ -399,7 +405,7 @@ def _parse_matrix(data, n: int, what: str) -> UTMatrix:
         raise SpecParseError(f"{what} must be a list of {n} lists of {n} integers")
     for row in data:
         for v in row:
-            if not isinstance(v, int) or isinstance(v, bool):
+            if not _is_int(v):
                 raise SpecParseError(f"{what} has a non-integer entry {v!r}")
     try:
         return UTMatrix(data)
@@ -439,7 +445,7 @@ def load_spec(source) -> ProductGroupSpec:
         raise SpecParseError(f"missing keys: {', '.join(missing)}")
     name = data["name"]
     n = data["n"]
-    if not isinstance(name, str) or not isinstance(n, int) or n < 1:
+    if not isinstance(name, str) or not _is_int(n) or n < 1:
         raise SpecParseError("'name' must be a string and 'n' a positive integer")
     if not isinstance(data["generators"], list) or not data["generators"]:
         raise SpecParseError("'generators' must be a nonempty list of matrices")
@@ -453,7 +459,7 @@ def load_spec(source) -> ProductGroupSpec:
     z2 = data.get("z2_rep")
     z2_rep = _parse_matrix(z2, n, "z2_rep") if z2 is not None else None
     declared = data["declared_class"]
-    if not isinstance(declared, int) or declared < 1:
+    if not _is_int(declared) or declared < 1:
         raise SpecParseError("'declared_class' must be a positive integer")
     finite = data.get("finite_part")
     if finite is None:

@@ -59,14 +59,50 @@ def prime_power_exponent(n: int, p: int) -> int | None:
     return e if n == 1 else None
 
 
+# The first 13 primes, and the least composite n that passes the strong
+# probable-prime test to all of them as bases (Sorenson & Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 86, 2017).  The first 12
+# alone would not do: 318665857834031151167461 passes all of them.
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSEUDOPRIME_BOUND = 3317044064679887385961981
+
+
+def _strong_probable_prime(n: int) -> bool:
+    """The strong probable-prime test of odd n > 41 to every base a in
+    `_BASES`: with n - 1 = d * 2^s and d odd, a^d = 1 or a^(d * 2^r) = -1
+    mod n for some r < s."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality.  Trial division by the primes in `_BASES` decides
+    every n < 41^2 and every n with a factor in `_BASES`; below
+    `_PSEUDOPRIME_BOUND` (about 3.3e24) the strong probable-prime tests to
+    those bases decide the rest; above it, trial division by odd numbers."""
     if n < 2:
         return False
     if n < 4:
         return True
-    if n % 2 == 0:
-        return False
-    f = 3
+    for q in _BASES:
+        if q * q > n:
+            return True
+        if n % q == 0:
+            return False
+    if n < _PSEUDOPRIME_BOUND:
+        return _strong_probable_prime(n)
+    f = 43
     while f * f <= n:
         if n % f == 0:
             return False

@@ -254,10 +254,15 @@ class LocalCheck:
     bfs_checked: bool
 
 
+def _ut_order(n: int, p: int, k: int) -> int:
+    """The order of UT(n) mod p^k, which bounds every congruence quotient there."""
+    return p ** (k * n * (n - 1) // 2)
+
+
 def _orbit_quotient(spec: MatrixGroupSpec, p: int, k: int, cap: int) -> FiniteGroup | None:
     """The congruence quotient mod p^k when all of UT(n) mod p^k has order at
     most cap, so that orbit search there is affordable; None otherwise."""
-    if p ** (k * spec.n * (spec.n - 1) // 2) > cap:
+    if _ut_order(spec.n, p, k) > cap:
         return None
     return congruence_quotient(spec, p, k, max(cap, 2))[0]
 
@@ -408,7 +413,8 @@ def scan_tower(
     pairs, a witness pair scanned at another prime among them, if exactly one
     image is the identity the pair is separated (the identity is conjugate
     only to itself), small quotients are decided by orbit search, and
-    oversized levels are reported as skipped and the scan continues.
+    oversized levels are reported as skipped, with their size against the
+    cap, and the scan continues.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -429,7 +435,8 @@ def scan_tower(
                 k, "identity-image", False, "the identity is conjugate only to itself"
             )
         elif (quot := _orbit_quotient(spec, p, k, max_order)) is None:
-            entry = TowerLevel(k, "skipped", None, "size limit")
+            size = f"UT({spec.n}) mod {p}^{k} has {_ut_order(spec.n, p, k)} elements"
+            entry = TowerLevel(k, "skipped", None, f"size limit: {size} > cap {max_order}")
         elif rx in quot and ry in quot:
             entry = TowerLevel(k, "orbit", conjugate_in_finite(quot, rx, ry).conjugate)
         else:

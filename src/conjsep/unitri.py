@@ -7,14 +7,16 @@ their images modulo p^k, which are elements of finite p-groups.  Entrywise
 reduction is a group homomorphism, so the reductions realize the whole
 congruence tower of finite p-quotients.
 
-The general product `_matmul` and every power and inverse of both kinds,
-`_power`, run straight-line kernels: Python source written out entry by entry
-for one matrix size, compiled by `exec` on first use and kept, one per size
-and kind.  A power is the finite binomial series u^e = sum of C(e, t) N^t for
-u = I + N, whatever the exponent, so an inverse takes no loop either.  Every
-other product step runs the same kernels: a conjugation step
-(`conjugation_kernel`) is two products, and a commutator takes one inverse.
-A modulus p^k needs p prime and k >= 1.
+Every matrix operation runs one of four straight-line kernels, each Python
+source written out entry by entry for one matrix size, compiled by `exec` on
+first use and kept, keyed by the size (and, for products and powers, the
+kind) alone: the general product `_matmul`; every power and inverse of both
+kinds, `_power`, by the finite binomial series u^e = sum of C(e, t) N^t for
+u = I + N, whatever the exponent, so an inverse takes no loop either; a
+conjugation step (`conjugation_kernel`), one call of the fused kernel for
+s^-1 * x * s with one reduction per entry; and the entrywise reduction of
+`reduce_mod`.  A commutator takes one inverse.  A modulus p^k needs p prime
+and k >= 1.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from .intlin import require_prime
 
 
 class _Kernels(dict):
-    """Straight-line kernels keyed by (n, reduced), each generated from the
-    source that `write` returns for its key on first use and kept from then
-    on: one per matrix size and kind."""
+    """Straight-line kernels keyed by the arguments of `write`, (n, reduced)
+    or n alone, each generated from the source that `write` returns for its
+    key on first use and kept from then on: one per matrix size and kind."""
 
     def __init__(self, write):
         super().__init__()
@@ -36,7 +38,7 @@ class _Kernels(dict):
 
     def __missing__(self, key):
         namespace = {}
-        exec(self.write(*key), namespace)
+        exec(self.write(*key) if isinstance(key, tuple) else self.write(key), namespace)
         kernel = self[key] = namespace["kernel"]
         return kernel
 
@@ -97,8 +99,46 @@ def _power_source(n, reduced):
     return "\n".join(lines) + "\n"
 
 
+def _conjugation_source(n):
+    """`kernel(a, b, m)`: the step rows -> rows of a * x * b for unitriangular
+    a, x and b, entry (i, j) the sum of a_ik * x_kl * b_lj over
+    i <= k <= l <= j reduced mod m once.  The unit diagonals are folded in,
+    and the sum is taken as a * t for t = x * b, whose entries t{k}_{j} are
+    kept unreduced: about n^3/6 terms where the expanded triple sum has n^4/24.
+    a and b are unpacked once, when the step is made."""
+
+    def upper(name):
+        return _grid(n, lambda i, j: f"{name}{i}_{j}" if j > i else "_")
+
+    def xb(k, j):
+        terms = [f"b{k}_{j}"] + [f"x{k}_{l}*b{l}_{j}" for l in range(k + 1, j)] + [f"x{k}_{j}"]
+        return " + ".join(terms)
+
+    def entry(i, j):
+        if i >= j:
+            return int(i == j)
+        terms = [f"t{i}_{j}"] + [f"a{i}_{k}*t{k}_{j}" for k in range(i + 1, j)] + [f"a{i}_{j}"]
+        return f"({' + '.join(terms)}) % m"
+
+    lines = ["def kernel(a, b, m):", f" {upper('a')} = a", f" {upper('b')} = b",
+             " def step(x):", f"  {upper('x')} = x"]
+    lines += [f"  t{k}_{j} = {xb(k, j)}" for k in range(n) for j in range(k + 1, n)]
+    lines += [f"  return {_grid(n, entry)}", " return step"]
+    return "\n".join(lines) + "\n"
+
+
+def _reduction_source(n):
+    """`kernel(rows, m)`: unitriangular rows with each entry above the
+    diagonal reduced mod m, the diagonal 1 and the entries below it 0."""
+    r = _grid(n, lambda i, j: f"r{i}_{j}" if j > i else "_")
+    out = _grid(n, lambda i, j: f"r{i}_{j} % m" if j > i else int(i == j))
+    return f"def kernel(r, m):\n {r} = r\n return {out}\n"
+
+
 _PRODUCTS = _Kernels(_product_source)
 _POWERS = _Kernels(_power_source)
+_CONJUGATIONS = _Kernels(_conjugation_source)
+_REDUCTIONS = _Kernels(_reduction_source)
 
 
 def _matmul(a, b, n, mod=None):
@@ -281,14 +321,9 @@ _set_mod = ResidueUT.mod.__set__
 
 def conjugation_kernel(s: ResidueUT):
     """The map rows -> rows of s^-1 * x * s on residue matrices x shaped like s:
-    two products by the generated kernel, s^-1 on the left and s on the right."""
-    n, mod, srows = s.n, s.mod, s.rows
-    mul, inverse = _PRODUCTS[n, True], _power(srows, n, -1, mod)
-
-    def apply(rows):
-        return mul(mul(inverse, rows, mod), srows, mod)
-
-    return apply
+    one call of the fused conjugation kernel, s^-1 and s bound into it."""
+    n, mod = s.n, s.mod
+    return _CONJUGATIONS[n](_power(s.rows, n, -1, mod), s.rows, mod)
 
 
 def reduce_mod(u: UTMatrix, p: int, k: int) -> ResidueUT:
@@ -296,15 +331,16 @@ def reduce_mod(u: UTMatrix, p: int, k: int) -> ResidueUT:
 
     A residue reduces only to its own prime at its own or a lower level; any
     other map of residues is no homomorphism, and raises ValueError.  The rows
-    are already checked integers, so they are reduced and the slots filled as
-    `_wrap` fills them, without the ResidueUT constructor's checks.
+    are already checked unitriangular integers, so the reduction kernel
+    reduces them and the slots are filled as `_wrap` fills them, without the
+    ResidueUT constructor's checks.
     """
     mod = _modulus(p, k)
     if u.mod and (u.p != p or k > u.k):
         raise ValueError(f"a residue mod {u.p}^{u.k} does not reduce mod {p}^{k}")
     out = _new(ResidueUT)
     _set_n(out, u.n)
-    _set_rows(out, tuple(tuple(v % mod for v in row) for row in u.rows))
+    _set_rows(out, _REDUCTIONS[u.n](u.rows, mod))
     _set_p(out, p)
     _set_k(out, k)
     _set_mod(out, mod)

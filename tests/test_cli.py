@@ -71,6 +71,15 @@ class TestExitCodes:
         assert cli.main(["classify", "--spec", "/no/such/file.json", "-p", "2"]) == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize("key", ["n", "declared_class"])
+    def test_boolean_spec_integer_is_3(self, tmp_path, capsys, key):
+        doc = {"name": "x", "n": 1, "generators": [[[1]]], "center_gens": [], "declared_class": 1}
+        doc[key] = True
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["classify", "--spec", str(path), "-p", "2"]) == 3
+        assert "positive integer" in capsys.readouterr().err
+
     def test_nonprime_is_3(self, capsys):
         assert cli.main(["classify", "--preset", "z2", "-p", "6"]) == 3
         capsys.readouterr()

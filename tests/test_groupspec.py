@@ -28,7 +28,7 @@ from conjsep.groupspec import (
     ut4_spec,
     verify_spec,
 )
-from conjsep.unitri import UTMatrix
+from conjsep.unitri import ResidueUT, UTMatrix
 
 
 class TestVerifySpec:
@@ -325,6 +325,18 @@ class TestCongruenceQuotient:
         q2, _ = congruence_quotient(heis, 2, 1)
         assert q1 is q2
 
+    def test_generator_labels_format_no_entries(self, monkeypatch):
+        heis = heisenberg_spec()
+        quot, hom = congruence_quotient(heis, 3, 2)
+        calls = []
+        entries = ResidueUT.upper_entries
+        monkeypatch.setattr(ResidueUT, "upper_entries", lambda r: calls.append(r) or entries(r))
+        a, b = heis.generators
+        assert [quot.label(hom(g)) for g in (a, b)] == ["a", "b"]
+        assert calls == []
+        assert quot.label(hom(a * b**-1)) == "(1,8,8)"
+        assert calls == [hom(a * b**-1)]
+
     def test_cache_is_bounded_and_counted(self):
         before = congruence_quotient.cache_info()
         # room for every level of a few towers, but not unbounded
@@ -383,6 +395,14 @@ class TestJsonInput:
         doc = self.heisenberg_doc()
         mutate(doc)
         with pytest.raises(SpecParseError):
+            load_spec(doc)
+
+    @pytest.mark.parametrize("key", ["n", "declared_class"])
+    def test_booleans_are_not_integers(self, key):
+        doc = {"name": "x", "n": 1, "generators": [[[1]]], "center_gens": [], "declared_class": 1}
+        assert load_spec(dict(doc)).matrix_part.n == 1
+        doc[key] = True
+        with pytest.raises(SpecParseError, match="positive integer"):
             load_spec(doc)
 
     def test_bad_json_text(self):

@@ -1,9 +1,11 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -80,6 +82,28 @@ class TestScalarArithmetic:
         assert smallest_prime_excluding(2) == 3
         assert smallest_prime_excluding(3) == 2
         assert smallest_prime_excluding(7) == 2
+
+    def test_is_prime_matches_sympy(self):
+        assert all(is_prime(n) == sympy.isprime(n) for n in range(-10, 10**5))
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(0, 2**64 - 1))
+    def test_is_prime_matches_sympy_on_64_bit(self, n):
+        assert is_prime(n) == sympy.isprime(n)
+
+    def test_is_prime_rejects_strong_pseudoprimes(self):
+        # Strong pseudoprimes to the bases 2, 3, 5 and 7; to every prime base
+        # up to 31; and to every one up to 37, which only base 41 exposes.
+        for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+            assert not is_prime(n)
+        # A Mersenne prime, and the largest prime below the bound of the
+        # deterministic test.
+        assert is_prime(2**61 - 1) and is_prime(3317044064679887385961813)
+
+    def test_is_prime_is_fast_on_a_large_prime(self):
+        start = time.perf_counter()
+        assert is_prime(10**16 + 61)
+        assert time.perf_counter() - start < 0.01
 
     def test_valuation(self):
         assert valuation(8, 2) == 3

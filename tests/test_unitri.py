@@ -4,8 +4,10 @@ from hypothesis import strategies as st
 
 from conjsep.errors import DimensionMismatch
 from conjsep.unitri import (
+    _CONJUGATIONS,
     _POWERS,
     _PRODUCTS,
+    _REDUCTIONS,
     ResidueUT,
     UTMatrix,
     _matmul,
@@ -294,19 +296,25 @@ class TestProductKernel:
     def test_one_kernel_per_size_and_kind(self):
         n, kinds = 7, {(7, False), (7, True)}
         u = UTMatrix.from_entries(n, {(0, 1): 3, (1, 4): -2, (2, 6): 7, (5, 6): 1})
+        s = UTMatrix.from_entries(n, {(0, 2): 5, (3, 4): -1, (1, 6): 2})
 
         def work():
-            for x in (u, reduce_mod(u, 3, 2), reduce_mod(u, 5, 4), reduce_mod(u, 2, 1)):
+            for p, k in ((3, 2), (5, 4), (2, 1)):
+                x = reduce_mod(u, p, k)
+                conjugation_kernel(reduce_mod(s, p, k))(x.rows)
                 for e in (-1, 2, 2**100):
                     x * x**e * x.inverse()
+                    u * u**e * u.inverse()
 
         work()
-        kept = [{key: cache[key] for key in kinds} for cache in (_PRODUCTS, _POWERS)]
+        caches = ((_PRODUCTS, kinds), (_POWERS, kinds), (_CONJUGATIONS, {n}), (_REDUCTIONS, {n}))
+        kept = [{key: cache[key] for key in keys} for cache, keys in caches]
         for _ in range(50):
             work()
-        for cache, before in zip((_PRODUCTS, _POWERS), kept):
-            assert {key for key in cache if key[0] == n} == kinds
-            assert all(cache[key] is before[key] for key in kinds)
+        for (cache, keys), before in zip(caches, kept):
+            sizes = {key: key[0] if isinstance(key, tuple) else key for key in cache}
+            assert {key for key, size in sizes.items() if size == n} == keys
+            assert all(cache[key] is before[key] for key in keys)
 
     @settings(max_examples=100, deadline=None)
     @given(ut_matrices(digits=12), ut_matrices(digits=12))
@@ -384,6 +392,19 @@ class TestResidue:
         assert r == ref and hash(r) == hash(ref)
         # A residue's rows reduce further, as the constructor reduces them.
         assert reduce_mod(r, p, 1) == ResidueUT(u.rows, p, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 9).flatmap(lambda n: ut_matrices(n=n, digits=40)),
+           st.sampled_from([2, 3, 5, 7]), st.integers(1, 4), st.integers(0, 3))
+    def test_reduce_matches_entrywise_remainder(self, u, p, k, drop):
+        """Entries of either sign up to 10^40, past 2^100, and a residue
+        reduced again to its own or a lower level."""
+        r = reduce_mod(u, p, k)
+        assert r.rows == tuple(tuple(v % p**k for v in row) for row in u.rows)
+        lower = max(1, k - drop)
+        assert reduce_mod(r, p, lower).rows == tuple(
+            tuple(v % p**lower for v in row) for row in u.rows
+        )
 
     def test_reduce_rejects_other_primes_and_higher_levels(self):
         r = reduce_mod(A3 * B3**3, 2, 2)
