@@ -41,7 +41,7 @@ from .groupspec import (
     preset,
     preset_names,
 )
-from .intlin import is_prime
+from .intlin import require_prime
 from .selftest import run_selftest
 from .separability import (
     ORBIT_CAP,
@@ -75,8 +75,10 @@ def _resolve(args) -> ProductGroupSpec:
 
 
 def _require_prime(p: int) -> int:
-    if not is_prime(p):
-        raise SpecParseError(f"-p must be a prime, got {p}")
+    try:
+        require_prime(p)
+    except ValueError as exc:
+        raise SpecParseError(f"-p: {exc}") from exc
     return p
 
 

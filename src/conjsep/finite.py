@@ -48,7 +48,7 @@ from typing import Callable, NamedTuple
 
 from .errors import DimensionMismatch, SizeLimit, VerificationFailed
 from .intlin import require_prime
-from .unitri import _PRODUCTS, ResidueUT, _power, conjugation_kernel
+from .unitri import _COMMUTATORS, _PRODUCTS, ResidueUT, _power, conjugation_kernel
 
 # `validate` checks associativity on every triple up to this order, and on a
 # sample of about 12 elements above it.
@@ -614,7 +614,7 @@ def _induced_pcgs(ident: ResidueUT, gens, max_order: int):
         if p ** (k * n * (n - 1) // 2) > max_order:
             raise _closure_limit(max_order, ident)
         return None
-    mul = _PRODUCTS[n, True]
+    mul, comm = _PRODUCTS[n, True], _COMMUTATORS[n, True]
     table = {}  # leading key -> (rows, rows of their inverse)
     queue = deque(g.rows for g in gens)
     while queue:
@@ -633,9 +633,9 @@ def _induced_pcgs(ident: ResidueUT, gens, max_order: int):
         for other_key, (other, _) in table.items():
             if key[0] + other_key[0] >= n:  # [U_v, U_w] lies in U_(v+w), and U_n = 1
                 continue
-            ab, ba = mul(rows, other, mod), mul(other, rows, mod)
-            if ab != ba:
-                queue.append(mul(_power(ba, n, -1, mod), ab, mod))
+            c = comm(rows, other, mod)
+            if c != ident.rows:
+                queue.append(c)
         queue.append(_power(rows, n, p, mod))
         table[key] = (rows, _power(rows, n, -1, mod))
         if p ** len(table) > max_order:

@@ -7,15 +7,20 @@ coefficients, divisibility failures) instead of trusting the algorithm.
 
 There is one elimination loop, the row Hermite reduction `_row_hnf`; any
 transform rides along as extra columns of the rows it reduces.  `hnf` is
-one pass of it, `snf` alternates row and column passes until the matrix is
-diagonal, and a `Lattice` reduces its generators once, on first use, and
-answers membership, rank and equality from that one form.  The Bareiss
-`det` is separate on purpose: it is the reference for unimodularity.
+one pass of it, on rows built straight from the entries and read back by
+slicing, with no transposed or identity matrix in between; `snf` alternates
+row and column passes until the matrix is diagonal, and a `Lattice` reduces
+its generators once, on first use, by one call of `hnf`, and answers
+membership, rank and equality from that one form.  Lattice generators and
+vectors are read through `operator.index`: a float raises TypeError, never
+truncated.  The Bareiss `det` is separate on purpose: it is the reference
+for unimodularity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 from .errors import DimensionMismatch, NotCoprime, NotInLattice
 
@@ -111,6 +116,11 @@ def is_prime(n: int) -> bool:
 
 
 def require_prime(p: int) -> None:
+    """ValueError unless p is a prime below `_PSEUDOPRIME_BOUND`.  Above the
+    bound `is_prime` falls back to trial division, which would not return
+    for a p of 25 digits with no small factor, so such p are refused at once."""
+    if p >= _PSEUDOPRIME_BOUND:
+        raise ValueError(f"p must be below {_PSEUDOPRIME_BOUND}, got {p}")
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
 
@@ -147,14 +157,12 @@ class IntMatrix:
             raise DimensionMismatch(
                 f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
             )
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
+        _set_rows(self, rows)
+        _set_cols(self, cols)
+        _set_entries(self, entries)
 
     def __setattr__(self, name, value):
-        if hasattr(self, "entries"):
-            raise AttributeError("IntMatrix is immutable")
-        object.__setattr__(self, name, value)
+        raise AttributeError("IntMatrix is immutable")
 
     @classmethod
     def from_rows(cls, rows_list) -> "IntMatrix":
@@ -226,6 +234,13 @@ class IntMatrix:
 
     def __repr__(self):
         return f"IntMatrix({self.to_rows()!r})"
+
+
+# IntMatrix and Lattice fill their slots through the slot descriptors, which
+# bypasses the raising `__setattr__`.
+_set_rows = IntMatrix.rows.__set__
+_set_cols = IntMatrix.cols.__set__
+_set_entries = IntMatrix.entries.__set__
 
 
 def det(a: IntMatrix) -> int:
@@ -322,11 +337,14 @@ def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     pivots are positive, entries to the right of a pivot in its row are zero
     and entries to the left are reduced into [0, pivot).
     """
-    h_t, u_t = _carry_hnf(a.transpose().to_rows(), a.rows, IntMatrix.identity(a.cols).to_rows())
-    return (
-        IntMatrix(a.rows, a.cols, [x for r in _transposed(h_t, a.rows) for x in r]),
-        IntMatrix(a.cols, a.cols, [x for r in _transposed(u_t, a.cols) for x in r]),
-    )
+    m, n, entries = a.rows, a.cols, a.entries
+    # Row j is column j of A, then row j of the identity: the row form of
+    # A^T with U^T carried along.  Column i of the reduced rows is then row i
+    # of H (i < m) or of U (i >= m).
+    rows = [[*entries[j::n]] + [0] * j + [1] + [0] * (n - 1 - j) for j in range(n)]
+    _row_hnf(rows, m)
+    flat = [x for col in zip(*rows) for x in col]
+    return IntMatrix(m, n, flat[: m * n]), IntMatrix(n, n, flat[m * n :])
 
 
 def is_column_hnf(h: IntMatrix) -> bool:
@@ -419,15 +437,15 @@ class Lattice:
     __slots__ = ("ambient_rank", "basis", "_echelon")
 
     def __init__(self, ambient_rank: int, basis=()):
-        basis = tuple(tuple(int(x) for x in col) for col in basis)
+        basis = tuple(tuple(map(index, col)) for col in basis)
         for col in basis:
             if len(col) != ambient_rank:
                 raise DimensionMismatch(
                     f"basis vector of length {len(col)} in ambient rank {ambient_rank}"
                 )
-        object.__setattr__(self, "ambient_rank", ambient_rank)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "_echelon", None)
+        _set_ambient_rank(self, ambient_rank)
+        _set_basis(self, basis)
+        _set_echelon(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Lattice is immutable")
@@ -448,12 +466,11 @@ class Lattice:
         """
         if self._echelon is None:
             h, u = hnf(self.matrix())
-            cols = [col for col in map(h.col, range(h.cols)) if any(col)]
+            n = h.cols
+            cols = [col for col in (h.entries[j::n] for j in range(n)) if any(col)]
             pivots = tuple(next(i for i, e in enumerate(col) if e) for col in cols)
-            transform = tuple(u.row(k)[: len(cols)] for k in range(u.rows))
-            object.__setattr__(
-                self, "_echelon", (Lattice(self.ambient_rank, cols), pivots, transform)
-            )
+            transform = tuple(u.entries[k * n : k * n + len(cols)] for k in range(n))
+            _set_echelon(self, (Lattice(self.ambient_rank, cols), pivots, transform))
         return self._echelon
 
     def canonical(self) -> "Lattice":
@@ -476,7 +493,7 @@ class Lattice:
 
     def coordinates(self, v) -> tuple | None:
         """Coordinates of v in the canonical basis, or None when v is outside."""
-        v = tuple(int(x) for x in v)
+        v = tuple(map(index, v))
         if len(v) != self.ambient_rank:
             raise DimensionMismatch("vector length does not match ambient rank")
         canon, pivots, _ = self._reduce()
@@ -500,6 +517,11 @@ class Lattice:
         return Membership(True, tuple(sum(t * c for t, c in zip(row, y)) for row in transform))
 
 
+_set_ambient_rank = Lattice.ambient_rank.__set__
+_set_basis = Lattice.basis.__set__
+_set_echelon = Lattice._echelon.__set__
+
+
 def lattice_contains(lattice: Lattice, v) -> Membership:
     """Functional alias for Lattice.contains."""
     return lattice.contains(v)
@@ -515,7 +537,7 @@ def power_solvable(z1: Lattice, c_vec, e: int) -> PowerSolution:
     """
     if e < 1:
         raise ValueError(f"exponent must be >= 1, got {e}")
-    c_vec = tuple(int(x) for x in c_vec)
+    c_vec = tuple(map(index, c_vec))
     if not z1.contains(c_vec).member:
         raise NotInLattice(f"{c_vec} is not in the given lattice")
     root = tuple(x // e for x in c_vec)

@@ -7,21 +7,24 @@ their images modulo p^k, which are elements of finite p-groups.  Entrywise
 reduction is a group homomorphism, so the reductions realize the whole
 congruence tower of finite p-quotients.
 
-Every matrix operation runs one of four straight-line kernels, each Python
+Every matrix operation runs one of five straight-line kernels, each Python
 source written out entry by entry for one matrix size, compiled by `exec` on
-first use and kept, keyed by the size (and, for products and powers, the
-kind) alone: the general product `_matmul`; every power and inverse of both
-kinds, `_power`, by the finite binomial series u^e = sum of C(e, t) N^t for
-u = I + N, whatever the exponent, so an inverse takes no loop either; a
-conjugation step (`conjugation_kernel`), one call of the fused kernel for
-s^-1 * x * s with one reduction per entry; and the entrywise reduction of
-`reduce_mod`.  A commutator takes one inverse.  A modulus p^k needs p prime
-and k >= 1.
+first use and kept, keyed by the size (and, for products, powers and
+commutators, the kind) alone: the general product `_matmul`; every power and
+inverse of both kinds, `_power`, by the finite binomial series
+u^e = sum of C(e, t) N^t for u = I + N, whatever the exponent, so an inverse
+takes no loop either; a conjugation step (`conjugation_kernel`), one call of
+the fused kernel for s^-1 * x * s with one reduction per entry; the
+commutator x^-1 y^-1 x y, one call that solves (y x) z = x y by back
+substitution with one reduction per entry, no inverse and no product; and
+the entrywise reduction of `reduce_mod`.  A modulus p^k needs p prime and
+k >= 1.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import index
 
 from .errors import DimensionMismatch
 from .intlin import require_prime
@@ -127,6 +130,38 @@ def _conjugation_source(n):
     return "\n".join(lines) + "\n"
 
 
+def _commutator_source(n, reduced):
+    """`kernel(x, y, m)`: rows of the commutator z = x^-1 y^-1 x y of
+    unitriangular x and y, each entry reduced mod m once when `reduced`.
+
+    z solves Q z = P for P = x * y and Q = y * x, so from the bottom row up
+    z_ij = P_ij - Q_ij - the sum of Q_ik * z_kj over i < k < j.  The unit
+    diagonals cancel x_ij + y_ij out of P_ij - Q_ij, which leaves the sum of
+    x_ik * y_kj - y_ik * x_kj over i < k < j: zero on the superdiagonal.  The
+    entries q{i}_{k} of Q are kept unreduced; each z{i}_{j} is reduced before
+    the rows above use it."""
+
+    def upper(name):
+        return _grid(n, lambda i, j: f"{name}{i}_{j}" if j > i else "_")
+
+    def q(i, k):
+        terms = [f"y{i}_{k}", f"x{i}_{k}"] + [f"y{i}_{l}*x{l}_{k}" for l in range(i + 1, k)]
+        return " + ".join(terms)
+
+    def z(i, j):
+        terms = " + ".join(f"x{i}_{k}*y{k}_{j} - y{i}_{k}*x{k}_{j}" for k in range(i + 1, j))
+        terms += "".join(f" - q{i}_{k}*z{k}_{j}" for k in range(i + 1, j - 1))
+        return f"({terms}) % m" if reduced else terms
+
+    lines = ["def kernel(x, y, m):", f" {upper('x')} = x", f" {upper('y')} = y"]
+    for i in reversed(range(n - 2)):
+        lines += [f" q{i}_{k} = {q(i, k)}" for k in range(i + 1, n - 2)]
+        lines += [f" z{i}_{j} = {z(i, j)}" for j in range(i + 2, n)]
+    out = _grid(n, lambda i, j: f"z{i}_{j}" if j > i + 1 else int(i == j))
+    lines.append(f" return {out}")
+    return "\n".join(lines) + "\n"
+
+
 def _reduction_source(n):
     """`kernel(rows, m)`: unitriangular rows with each entry above the
     diagonal reduced mod m, the diagonal 1 and the entries below it 0."""
@@ -139,6 +174,7 @@ _PRODUCTS = _Kernels(_product_source)
 _POWERS = _Kernels(_power_source)
 _CONJUGATIONS = _Kernels(_conjugation_source)
 _REDUCTIONS = _Kernels(_reduction_source)
+_COMMUTATORS = _Kernels(_commutator_source)
 
 
 def _matmul(a, b, n, mod=None):
@@ -164,9 +200,9 @@ class _Unitri:
     def __init__(self, rows):
         mod = self.mod
         if mod:
-            rows = tuple(tuple(int(x) % mod for x in r) for r in rows)
+            rows = tuple(tuple(index(x) % mod for x in r) for r in rows)
         else:
-            rows = tuple(tuple(int(x) for x in r) for r in rows)
+            rows = tuple(tuple(map(index, r)) for r in rows)
         n = len(rows)
         for i, row in enumerate(rows):
             if len(row) != n:
@@ -199,12 +235,16 @@ class _Unitri:
     def __mul__(self, other):
         if type(other) is not type(self):
             return NotImplemented
+        self._match(other)
+        return self._wrap(_matmul(self.rows, other.rows, self.n, self.mod))
+
+    def _match(self, other):
+        """DimensionMismatch unless `other`, of the same kind, has this n, p and k."""
         if self.n != other.n or self.p != other.p or self.k != other.k:
             raise DimensionMismatch(
                 f"incompatible matrices: (n,p,k)=({self.n},{self.p},{self.k}) "
                 f"vs ({other.n},{other.p},{other.k})"
             )
-        return self._wrap(_matmul(self.rows, other.rows, self.n, self.mod))
 
     def inverse(self):
         return self._wrap(_power(self.rows, self.n, -1, self.mod))
@@ -262,7 +302,7 @@ class UTMatrix(_Unitri):
         for (i, j), v in entries.items():
             if not 0 <= i < j < n:
                 raise ValueError(f"({i},{j}) is not a strictly upper position for n={n}")
-            rows[i][j] = int(v)
+            rows[i][j] = v
         return cls(rows)
 
     def __repr__(self):
@@ -271,8 +311,14 @@ class UTMatrix(_Unitri):
 
 def commutator(x: UTMatrix, y: UTMatrix) -> UTMatrix:
     """The commutator x^-1 y^-1 x y (so that g^-1 x g = x * commutator(x, g)),
-    taken as (y x)^-1 (x y): three products and one inverse."""
-    return (y * x).inverse() * (x * y)
+    of two matrices of one kind and shape: one call of the commutator kernel,
+    which solves (y x) z = x y for z without an inverse or a wrapped product."""
+    if type(y) is not type(x):
+        raise TypeError(
+            f"commutator of {type(x).__name__} and {type(y).__name__}: kinds differ"
+        )
+    x._match(y)
+    return x._wrap(_COMMUTATORS[x.n, x.mod is not None](x.rows, y.rows, x.mod))
 
 
 @lru_cache(maxsize=64)

@@ -5,9 +5,10 @@ naive matrix products, and sympy for determinants, so every comparison is a
 genuine cross-check rather than the implementation agreeing with itself.
 The lattice references keep the older per-call algorithms (a fresh Hermite
 form for every membership test, a loop over exponents for the witness) on
-top of the library's `hnf`, which has its own identity tests.  The witness
-report reference keeps the older two-pass `witness` command: a loop of local
-checks, then a separate tower scan over the same levels.
+top of the library's `hnf`, which has its own identity tests; `reference_hnf`
+keeps the older way to that form, through transposed and identity matrices.
+The witness report reference keeps the older two-pass `witness` command: a
+loop of local checks, then a separate tower scan over the same levels.
 """
 
 import itertools
@@ -22,7 +23,7 @@ from conjsep.conjugacy import (
     enumerate_p_quotient_kernels,
 )
 from conjsep.groupspec import congruence_quotient, element_coords, preset
-from conjsep.intlin import Lattice, Membership, hnf
+from conjsep.intlin import IntMatrix, Lattice, Membership, _carry_hnf, _transposed, hnf
 from conjsep.separability import make_witness, verify_witness_global
 from conjsep.unitri import reduce_mod
 
@@ -265,6 +266,25 @@ def reference_normal_subgroups(group) -> tuple:
                 found.add(joined)
                 queue.append(joined)
     return tuple(sorted(found, key=lambda sub: (len(sub), sorted(position[e] for e in sub))))
+
+
+def reference_hnf(a):
+    """(H, U) of `hnf`, taken as the row form of the transpose of A with an
+    identity matrix carried along, both transposed back."""
+    h_t, u_t = _carry_hnf(a.transpose().to_rows(), a.rows, IntMatrix.identity(a.cols).to_rows())
+    return (
+        IntMatrix(a.rows, a.cols, [x for r in _transposed(h_t, a.rows) for x in r]),
+        IntMatrix(a.cols, a.cols, [x for r in _transposed(u_t, a.cols) for x in r]),
+    )
+
+
+def reference_echelon(lattice) -> tuple:
+    """(canonical basis, pivot rows, transform rows) of a lattice, read from
+    `reference_hnf` column by column and row by row."""
+    h, u = reference_hnf(lattice.matrix())
+    cols = tuple(col for col in map(h.col, range(h.cols)) if any(col))
+    pivots = tuple(next(i for i, e in enumerate(col) if e) for col in cols)
+    return cols, pivots, tuple(u.row(k)[: len(cols)] for k in range(u.rows))
 
 
 def reference_canonical_basis(lattice) -> tuple:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -83,6 +84,15 @@ class TestExitCodes:
     def test_nonprime_is_3(self, capsys):
         assert cli.main(["classify", "--preset", "z2", "-p", "6"]) == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize("p", [3317044064679887385961981, 2**89 - 1])
+    def test_prime_past_the_bound_is_3_at_once(self, capsys, p):
+        cli.main(["classify", "--preset", "z2", "-p", "6"])  # the parser is built once
+        capsys.readouterr()
+        start = time.perf_counter()
+        assert cli.main(["classify", "--preset", "z2", "-p", str(p)]) == 3
+        assert time.perf_counter() - start < 0.01
+        assert "must be below 3317044064679887385961981" in capsys.readouterr().err
 
     def test_abelian_witness_is_4(self, capsys):
         assert cli.main(["witness", "--preset", "z2", "-p", "2"]) == 4

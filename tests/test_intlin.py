@@ -21,6 +21,7 @@ from conjsep.intlin import (
     mod_inverse,
     power_solvable,
     prime_power_exponent,
+    require_prime,
     smallest_prime_excluding,
     snf,
     valuation,
@@ -31,6 +32,8 @@ from _oracles import (
     brute_lattice_member,
     reference_canonical_basis,
     reference_contains,
+    reference_echelon,
+    reference_hnf,
     sympy_det,
 )
 
@@ -43,6 +46,16 @@ def small_matrices(draw, max_dim=5, span=9):
         st.lists(st.integers(-span, span), min_size=rows * cols, max_size=rows * cols)
     )
     return IntMatrix(rows, cols, entries)
+
+
+@st.composite
+def big_matrices(draw, max_dim=5):
+    """Matrices of up to max_dim rows and columns, either possibly 0, with
+    entries often 0 or small and otherwise up to 10^12 in size."""
+    rows = draw(st.integers(0, max_dim))
+    cols = draw(st.integers(0, max_dim))
+    entry = st.just(0) | st.integers(-9, 9) | st.integers(-(10**12), 10**12)
+    return IntMatrix(rows, cols, draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols)))
 
 
 class TestScalarArithmetic:
@@ -103,6 +116,15 @@ class TestScalarArithmetic:
     def test_is_prime_is_fast_on_a_large_prime(self):
         start = time.perf_counter()
         assert is_prime(10**16 + 61)
+        assert time.perf_counter() - start < 0.01
+
+    @pytest.mark.parametrize("p", [3317044064679887385961981, 2**89 - 1])
+    def test_require_prime_refuses_p_past_the_bound_at_once(self, p):
+        # A strong pseudoprime to all 13 bases, and a prime: trial division
+        # on either would not return.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"p must be below {intlin._PSEUDOPRIME_BOUND}"):
+            require_prime(p)
         assert time.perf_counter() - start < 0.01
 
     def test_valuation(self):
@@ -174,6 +196,16 @@ class TestHermiteForm:
         assert is_column_hnf(h)
         h2, _ = hnf(h)
         assert h2 == h
+
+    @settings(max_examples=300, deadline=None)
+    @given(big_matrices())
+    def test_hnf_and_echelon_match_transposing_reference(self, a):
+        (h, u), (ref_h, ref_u) = hnf(a), reference_hnf(a)
+        assert (h.rows, h.cols, h.entries) == (ref_h.rows, ref_h.cols, ref_h.entries)
+        assert (u.rows, u.cols, u.entries) == (ref_u.rows, ref_u.cols, ref_u.entries)
+        lat = Lattice(a.rows, [a.col(j) for j in range(a.cols)])
+        canon, pivots, transform = lat._reduce()
+        assert (canon.basis, pivots, transform) == reference_echelon(lat)
 
 
 class TestSmithForm:
@@ -259,6 +291,15 @@ class TestLattice:
         lat = Lattice(2, [(2, 1), (0, 2)])
         hit = lat.contains((2, 3))
         assert hit.member and hit.coefficients == (1, 1)
+
+    def test_rejects_non_integers(self):
+        # int() would truncate 2.9 to 2, a member, and 2.5 to the generator 2.
+        with pytest.raises(TypeError):
+            Lattice(1, [(2,)]).contains((2.9,))
+        with pytest.raises(TypeError):
+            Lattice(1, [(2.5,)])
+        with pytest.raises(TypeError):
+            power_solvable(Lattice(1, [(1,)]), (2.9,), 1)
 
     def test_empty_basis(self):
         lat = Lattice(3)

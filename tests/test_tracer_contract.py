@@ -6,8 +6,8 @@ would break ``bench/run.py --trace 1``.  This test installs the tracer,
 runs one traced call, and checks that uninstalling restores every binding.
 A second traced run checks that products and inverses of each unitriangular
 kind count under that kind's name, and a third pins the lattice counters: each
-lattice reduces its generators once, and the witness exponent needs no
-power-solvability test.
+lattice reduces its generators once, by the module-level `hnf` that the tracer
+counts, and the witness exponent needs no power-solvability test.
 """
 
 import importlib.util
@@ -98,5 +98,7 @@ def test_traced_lattice_counters():
     finally:
         tracer.uninstall()
     assert metrics["intlin.lattice_contains.calls"]["value"] > 20
+    # hnf_per_contains < 1 alone would pass with no Hermite form at all.
+    assert metrics["intlin.hnf.calls"]["value"] > 0
     assert metrics["intlin.hnf_per_contains"]["value"] < 1
     assert metrics["intlin.power_solvable.calls"]["value"] == 1

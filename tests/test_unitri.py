@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from conjsep.errors import DimensionMismatch
 from conjsep.unitri import (
+    _COMMUTATORS,
     _CONJUGATIONS,
     _POWERS,
     _PRODUCTS,
@@ -108,6 +109,25 @@ def residue_pairs(draw):
 
 
 @st.composite
+def commutator_pairs(draw):
+    """(x, y, p, k) for n <= 9: unitriangular rows with about half of their
+    upper entries zero, integers up to 10^12 when p is None, else residues
+    mod p^k for p in {2, 3, 5} and k <= 3."""
+    n = draw(st.integers(1, 9))
+    p = draw(st.sampled_from([None, 2, 3, 5]))
+    k = None if p is None else draw(st.integers(1, 3))
+    entry = st.integers(-(10**12), 10**12) if p is None else st.integers(0, p**k - 1)
+
+    def rows():
+        return tuple(
+            tuple(1 if i == j else (draw(st.just(0) | entry) if j > i else 0) for j in range(n))
+            for i in range(n)
+        )
+
+    return rows(), rows(), p, k
+
+
+@st.composite
 def reduced_rows(draw):
     """(rows, p, k): unitriangular rows whose entries already lie in [0, p^k)."""
     n = draw(st.integers(1, 5))
@@ -130,6 +150,18 @@ class TestConstruction:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             A3 * UTMatrix.identity(4)
+        with pytest.raises(DimensionMismatch):
+            commutator(A3, UTMatrix.identity(4))
+
+    @pytest.mark.parametrize("make", [
+        lambda: UTMatrix([[1, 0.5], [0, 1]]),
+        lambda: ResidueUT([[1, 2.7], [0, 1]], 3, 1),
+        lambda: UTMatrix.from_entries(2, {(0, 1): 1.0}),
+    ])
+    def test_rejects_non_integer_entries(self, make):
+        # int() would truncate 0.5 to the identity and 2.7 to the residue 2.
+        with pytest.raises(TypeError):
+            make()
 
     @pytest.mark.parametrize("n", range(7))
     def test_identity_matches_constructed(self, n):
@@ -173,6 +205,10 @@ class TestTwoKinds:
             u * r
         with pytest.raises(TypeError):
             r * u
+        with pytest.raises(TypeError):
+            commutator(u, r)
+        with pytest.raises(TypeError):
+            commutator(r, u)
         others = [ResidueUT(rows, p, k + 1)]  # the same rows one level up
         if (q, m) != (p, k):
             others.append(ResidueUT(rows, q, m))
@@ -182,6 +218,8 @@ class TestTwoKinds:
                 r * other
             with pytest.raises(DimensionMismatch):
                 other * r
+            with pytest.raises(DimensionMismatch):
+                commutator(r, other)
 
 
 class TestArithmetic:
@@ -302,12 +340,15 @@ class TestProductKernel:
             for p, k in ((3, 2), (5, 4), (2, 1)):
                 x = reduce_mod(u, p, k)
                 conjugation_kernel(reduce_mod(s, p, k))(x.rows)
+                commutator(x, reduce_mod(s, p, k))
+                commutator(u, s)
                 for e in (-1, 2, 2**100):
                     x * x**e * x.inverse()
                     u * u**e * u.inverse()
 
         work()
-        caches = ((_PRODUCTS, kinds), (_POWERS, kinds), (_CONJUGATIONS, {n}), (_REDUCTIONS, {n}))
+        caches = ((_PRODUCTS, kinds), (_POWERS, kinds), (_COMMUTATORS, kinds),
+                  (_CONJUGATIONS, {n}), (_REDUCTIONS, {n}))
         kept = [{key: cache[key] for key in keys} for cache, keys in caches]
         for _ in range(50):
             work()
@@ -316,36 +357,37 @@ class TestProductKernel:
             assert {key for key, size in sizes.items() if size == n} == keys
             assert all(cache[key] is before[key] for key in keys)
 
-    @settings(max_examples=100, deadline=None)
-    @given(ut_matrices(digits=12), ut_matrices(digits=12))
-    def test_commutator_matches_reference(self, x, y):
-        n = min(x.n, y.n)
-        x = UTMatrix([r[:n] for r in x.rows[:n]])
-        y = UTMatrix([r[:n] for r in y.rows[:n]])
-        xi, yi = reference_power(x.rows, -1), reference_power(y.rows, -1)
-        expected = naive_ut_mul(naive_ut_mul(naive_ut_mul(xi, yi), x.rows), y.rows)
-        assert commutator(x, y).rows == expected
-        r, s = reduce_mod(x, 3, 2), reduce_mod(y, 3, 2)
-        assert commutator(r, s) == reduce_mod(commutator(x, y), 3, 2)
+    @settings(max_examples=200, deadline=None)
+    @given(commutator_pairs())
+    def test_commutator_matches_reference(self, case):
+        x, y, p, k = case
+        mod = None if p is None else p**k
+        xi, yi = reference_power(x, -1, mod), reference_power(y, -1, mod)
+        expected = reference_power(naive_ut_mul(naive_ut_mul(naive_ut_mul(xi, yi), x), y), 1, mod)
+        if p is None:
+            assert commutator(UTMatrix(x), UTMatrix(y)).rows == expected
+        else:
+            assert commutator(ResidueUT(x, p, k), ResidueUT(y, p, k)).rows == expected
 
     @pytest.mark.parametrize("cls", [UTMatrix, ResidueUT])
-    def test_commutator_takes_one_inverse(self, cls, monkeypatch):
+    def test_commutator_is_one_kernel_call(self, cls, monkeypatch):
         calls = []
-        general = cls.inverse
 
-        def counted(x):
-            calls.append(1)
-            return general(x)
+        def counted(general):
+            def call(*args):
+                calls.append(general.__name__)
+                return general(*args)
+            return call
 
-        monkeypatch.setattr(cls, "inverse", counted)
         x = UTMatrix.from_entries(4, {(0, 1): 3, (1, 2): -2, (2, 3): 7})
         y = UTMatrix.from_entries(4, {(0, 2): 5, (1, 3): 1, (0, 1): -1})
         if cls is ResidueUT:
             x, y = reduce_mod(x, 5, 2), reduce_mod(y, 5, 2)
         expected = x.inverse() * y.inverse() * x * y
-        calls.clear()
+        monkeypatch.setattr(cls, "inverse", counted(cls.inverse))
+        monkeypatch.setattr(cls, "__mul__", counted(cls.__mul__))
         assert commutator(x, y) == expected
-        assert len(calls) == 1
+        assert calls == []
 
 
 class TestCommutator:
