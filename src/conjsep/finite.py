@@ -12,19 +12,20 @@ superdiagonal series of UT(n, Z/p^k) (`_induced_pcgs`): its order is p^r
 for a pcgs of length r, and its members are the p^r normal forms of the
 pcgs, held as a set of row tuples, or every residue matrix of the shape
 when the generators' superdiagonals span F_p^(n-1).  Orbit search,
-membership, products and labels need no element list.
+membership, products and labels need no element list.  A closure lists its
+elements as its normal forms, once the pcgs's power and commutator
+relations show them to be a group holding every generator
+(`_form_elements`); a full image sifts its pcgs for that first.
 
-Every search is one breadth-first `orbit`.  A closure's element list is
-one, over row tuples, stepping by right multiplication by each generator.
-Each group also carries one conjugation step per generator
-(`Conjugation`): a closure's steps are the generators' `conjugation_kernel`s
-on row tuples, so the class partition, orbit search and normality test
-wrap no residue matrix; every other group conjugates with its own `mul` and
-`inverse`.  A closure's pcgs, normal forms and element list step by the
-product kernel that `unitri` generates per matrix size, and its conjugation
-steps are `unitri`'s fused conjugation kernel, one call per step.  The
-group's `mul` stays the general residue product, which the conjugator
-re-checks use.
+Every search is one breadth-first `orbit`.  Each group also carries one
+conjugation step per generator (`Conjugation`): a closure's steps are the
+generators' `conjugation_kernel`s on row tuples, so the class partition,
+orbit search and normality test wrap no residue matrix; every other group
+conjugates with its own `mul` and `inverse`.  A closure's pcgs and normal
+forms step by the product kernel that `unitri` generates per matrix size,
+and its conjugation steps are `unitri`'s fused conjugation kernel, one call
+per step.  The group's `mul` stays the general residue product, which the
+conjugator re-checks use.
 Quotients are cached on their group with no strong reference back to it.
 
 Normal subgroups are unions of classes, so their enumeration runs on bit
@@ -42,7 +43,6 @@ import weakref
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
 from math import gcd
 from typing import Callable, NamedTuple
 
@@ -591,29 +591,20 @@ def _lead(rows, n: int, p: int):
     return None
 
 
-def _induced_pcgs(ident: ResidueUT, gens, max_order: int):
-    """An induced pcgs of the group gens generate, or None when that group is
-    all of UT(n, Z/p^k); the group has order p^len, and SizeLimit is raised
-    as soon as that exceeds max_order.
+def _induced_pcgs(ident: ResidueUT, gens, max_order: int) -> tuple:
+    """An induced pcgs of the group gens generate, which has order p^len;
+    SizeLimit is raised as soon as that exceeds max_order.
 
-    Burnside's basis theorem settles the full image before any product: a
-    subset generates the p-group U = UT(n, Z/p^k) iff its image generates
-    U/Phi(U) = F_p^(n-1), the superdiagonal mod p.  Otherwise each element
-    is sifted along the series of `_lead`: while its leading key has a table
-    entry h, it is left-multiplied by h^-1 once per unit of its digit, which
-    clears that digit; an element with a new key is raised to the power that
-    makes its digit 1 and becomes the entry for that key.  Each new entry
-    queues its p-th power and its commutators with the entries before it, so
-    the table is closed when the queue is empty (Holt, Eick & O'Brien,
-    Handbook of Computational Group Theory, 2005, ch. 8).  Returns the
-    entries' rows in series order.
+    Each element is sifted along the series of `_lead`: while its leading
+    key has a table entry h, it is left-multiplied by h^-1 once per unit of
+    its digit, which clears that digit; an element with a new key is raised
+    to the power that makes its digit 1 and becomes the entry for that key.
+    Each new entry queues its p-th power and its commutators with the entries
+    before it, so the table is closed when the queue is empty (Holt, Eick &
+    O'Brien, Handbook of Computational Group Theory, 2005, ch. 8).  Returns
+    the entries' rows in series order.
     """
-    n, p, k, mod = ident.n, ident.p, ident.k, ident.mod
-    supers = [[g.rows[i][i + 1] for i in range(n - 1)] for g in gens]
-    if _spans_mod_p(supers, p, n - 1):
-        if p ** (k * n * (n - 1) // 2) > max_order:
-            raise _closure_limit(max_order, ident)
-        return None
+    n, p, mod = ident.n, ident.p, ident.mod
     mul, comm = _PRODUCTS[n, True], _COMMUTATORS[n, True]
     table = {}  # leading key -> (rows, rows of their inverse)
     queue = deque(g.rows for g in gens)
@@ -643,11 +634,13 @@ def _induced_pcgs(ident: ResidueUT, gens, max_order: int):
     return tuple(table[key][0] for key in sorted(table))
 
 
-def _normal_forms(ident: ResidueUT, pcgs) -> frozenset:
+def _normal_forms(ident: ResidueUT, pcgs) -> list:
     """The rows of every h_1^e_1 * ... * h_r^e_r, 0 <= e_i < p, for the
     induced pcgs h_1, ..., h_r: from h_r up, the forms so far and their
     left multiples by h_i up to the (p-1)-th, one product per element.
-    Distinct exponents give distinct elements, so there must be p^r."""
+    The form with exponents e is at position sum e_i * p^(r-i): the
+    identity first, and the p^(r-i) forms of each tail h_(i+1), ..., h_r
+    ahead of the rest."""
     p, mod, mul = ident.p, ident.mod, _PRODUCTS[ident.n, True]
     forms = [ident.rows]
     for h in reversed(pcgs):
@@ -655,7 +648,12 @@ def _normal_forms(ident: ResidueUT, pcgs) -> frozenset:
         for _ in range(1, p):
             layer = [mul(h, f, mod) for f in layer]
             forms += layer
-    found = frozenset(forms)
+    return forms
+
+
+def _distinct(found, pcgs, p: int):
+    """found, the normal forms of the pcgs as a set or dict; VerificationFailed
+    unless all p^r are distinct, as distinct exponents give distinct elements."""
     if len(found) != p ** len(pcgs):
         raise VerificationFailed(
             "order", f"{len(found)} distinct normal forms for a pcgs of length {len(pcgs)}"
@@ -669,17 +667,35 @@ def _closure_limit(max_order: int, ident: ResidueUT) -> SizeLimit:
     )
 
 
-def _closure_elements(ident: ResidueUT, gens, max_order: int) -> list:
-    """The orbit of the identity on row tuples, each edge a right product by
-    one generator, wrapped as residue matrices in the order reached."""
-    mod, mul = ident.mod, _PRODUCTS[ident.n, True]
-    ordered = [ident]
-    steps = orbit(ident.rows, [g.rows for g in gens], lambda x, s: mul(x, s, mod))
-    for rows, _, _ in islice(steps, 1, None):
-        if len(ordered) >= max_order:
-            raise _closure_limit(max_order, ident)
-        ordered.append(ident._wrap(rows))
-    return ordered
+def _form_elements(ident: ResidueUT, gens, pcgs, max_order: int):
+    """The elements of the closure of gens: the normal forms of its pcgs,
+    wrapped as residue matrices in the order of `_normal_forms`, once they
+    are shown to be a group that holds every generator.  A full image, with
+    pcgs None, sifts its pcgs here.
+
+    Let G_i be the forms of the tail h_i, ..., h_r, the first p^(r-i+1) of
+    the list.  When each h_i^p lies in G_(i+1) and each [h_i, h_j], i < j,
+    in G_(j+1), then h_i normalises the group G_(i+1) and has its p-th power
+    there, so from i = r down each G_i is a group, and G_1 has order p^r
+    when the forms are distinct.  It holds <gens> when it holds each
+    generator; that it is no larger rests on the sift, which builds each h_i
+    from the generators.  VerificationFailed names the first failure.
+    """
+    if pcgs is None:
+        pcgs = _induced_pcgs(ident, gens, max_order)
+    n, p, mod, r = ident.n, ident.p, ident.mod, len(pcgs)
+    forms, comm = _normal_forms(ident, pcgs), _COMMUTATORS[n, True]
+    position = _distinct(dict(zip(forms, range(len(forms)))), pcgs, p)
+    # (rows, t, name): rows must be among the p^(r-t) forms of pcgs[t:].
+    relations = [(g.rows, 0, f"generator {g!r}") for g in gens]
+    for i, h in enumerate(pcgs):
+        relations.append((_power(h, n, p, mod), i + 1, f"h_{i + 1}^{p}"))
+        relations += [(comm(h, pcgs[j], mod), j + 1, f"[h_{i + 1}, h_{j + 1}]")
+                      for j in range(i + 1, r)]
+    for rows, t, name in relations:
+        if position.get(rows, len(forms)) >= p ** (r - t):
+            raise VerificationFailed("pcgs", f"{name} is not among the first {p ** (r - t)} forms")
+    return map(ident._wrap, forms)
 
 
 def finite_closure(
@@ -687,13 +703,16 @@ def finite_closure(
 ) -> FiniteGroup:
     """The group generated by residue matrices, known by its induced pcgs.
 
-    Its order is p^r for an induced pcgs of length r (`_induced_pcgs`), and
-    membership is a residue matrix of the same shape, among the normal forms
-    of the pcgs (`_normal_forms`) unless the group is all of UT(n, Z/p^k).
-    The element list is built on first use, in the order that right
-    multiplication by the generators, in listed order, reaches them
-    (`_closure_elements`), and checked against the order.  The group
-    conjugates on row tuples by the generators' `conjugation_kernel`s.
+    Burnside's basis theorem settles the full image before any product: a
+    subset generates the p-group U = UT(n, Z/p^k) iff its image generates
+    U/Phi(U) = F_p^(n-1), the superdiagonal mod p (`_spans_mod_p`).  Such a
+    group has the order of U, and membership is a residue matrix of the same
+    shape.  Any other has order p^r for an induced pcgs of length r
+    (`_induced_pcgs`), and membership is being among its normal forms
+    (`_normal_forms`).  The element list is built on first use, as the
+    normal forms of the pcgs in their listing order, after a check of the
+    pcgs's relations (`_form_elements`), and checked against the order.  The
+    group conjugates on row tuples by the generators' `conjugation_kernel`s.
     Raises SizeLimit when the group would exceed max_order elements, before
     any element is listed.
     """
@@ -701,29 +720,31 @@ def finite_closure(
     if not gens:
         raise ValueError("need at least one generator")
     first = gens[0]
-    shape = (first.n, first.p, first.k)
+    shape = n, p, k = (first.n, first.p, first.k)
     for g in gens:
         if (g.n, g.p, g.k) != shape:
             raise DimensionMismatch("generators live in different residue groups")
     ident = ResidueUT.identity(*shape)
-    pcgs = _induced_pcgs(ident, gens, max_order)
-    if pcgs is None:
-        order = first.p ** (first.k * first.n * (first.n - 1) // 2)
+    if _spans_mod_p([[g.rows[i][i + 1] for i in range(n - 1)] for g in gens], p, n - 1):
+        pcgs, order = None, p ** (k * n * (n - 1) // 2)
+        if order > max_order:
+            raise _closure_limit(max_order, ident)
 
         def contains(x):
             return isinstance(x, ResidueUT) and (x.n, x.p, x.k) == shape
 
     else:
-        order, forms = first.p ** len(pcgs), _normal_forms(ident, pcgs)
+        pcgs = _induced_pcgs(ident, gens, max_order)
+        order, forms = p ** len(pcgs), _distinct(frozenset(_normal_forms(ident, pcgs)), pcgs, p)
 
         def contains(x):
             return isinstance(x, ResidueUT) and (x.n, x.p, x.k) == shape and x.rows in forms
 
     group = _DeferredGroup(
-        name=name or f"closure in UT({first.n}, Z/{first.p}^{first.k})",
+        name=name or f"closure in UT({n}, Z/{p}^{k})",
         order=order,
         contains=contains,
-        build=partial(_closure_elements, ident, gens, max_order),
+        build=partial(_form_elements, ident, gens, pcgs, max_order),
         mul=operator.mul,
         identity=ident,
         generators=gens,

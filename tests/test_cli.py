@@ -358,7 +358,7 @@ class TestDeferredQuotients:
     @pytest.fixture
     def builds(self, monkeypatch):
         calls = []
-        for name in ("_closure_elements", "_product_elements"):
+        for name in ("_form_elements", "_product_elements"):
             original = getattr(finite, name)
 
             def counted(*args, original=original, name=name):

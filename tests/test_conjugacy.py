@@ -671,22 +671,27 @@ except VerificationFailed:
 else:
     raise SystemExit("class-2 conjugator re-check did not raise")
 
-# heis5 mod 3 (order 3^5) declared with the wrong order: declared full (3^6),
-# or by a pcgs one entry short (3^4), building its element list must notice
-# the mismatch; with an entry repeated, its normal forms collide at once.
+# heis5 mod 3 (order 3^5) declared full (3^6): listing sifts its pcgs and
+# must notice the declared order is wrong.  By a pcgs one entry short (3^4),
+# listing must notice a broken relation.  With an entry repeated, its normal
+# forms collide at once.
 from conjsep.groupspec import heis5_spec
 
 heis5_gens = [reduce_mod(g, 3, 1) for g in heis5_spec().generators]
-pcgs = conjsep.finite._induced_pcgs
-for wrong in (lambda *args: None, lambda *args: pcgs(*args)[:-1]):
-    conjsep.finite._induced_pcgs = wrong
-    wrong_order = finite_closure(heis5_gens)
+spans, pcgs = conjsep.finite._spans_mod_p, conjsep.finite._induced_pcgs
+for name, wrong, check in (
+    ("_spans_mod_p", lambda *args: True, "order"),
+    ("_induced_pcgs", lambda *args: pcgs(*args)[:-1], "pcgs"),
+):
+    setattr(conjsep.finite, name, wrong)
     try:
-        wrong_order.elements
-    except VerificationFailed:
-        pass
+        finite_closure(heis5_gens).elements
+    except VerificationFailed as failure:
+        if failure.check != check:
+            raise SystemExit(f"a wrong pcgs failed the {failure.check!r} check, not {check!r}")
     else:
-        raise SystemExit("declared-order check did not raise")
+        raise SystemExit(f"the {check!r} check did not raise")
+conjsep.finite._spans_mod_p = spans
 conjsep.finite._induced_pcgs = lambda *args: pcgs(*args) + pcgs(*args)[-1:]
 try:
     finite_closure(heis5_gens)

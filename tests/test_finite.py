@@ -53,6 +53,21 @@ RESIDUE_GENS = [
 RESIDUE_IDS = ["heisenberg-2^3", "heis5-3", "ut4-2^2", "dense-gens-3"]
 
 
+def assert_normal_form_listing(elements, reference):
+    """elements holds what `reference_closure` lists, with equal length, in
+    the listing order of pcgs normal forms: the identity first, and each
+    prefix of length p^j the group that the elements at positions 1, p, ...,
+    p^(j-1) generate, as `reference_closure` finds it."""
+    assert len(elements) == len(reference)
+    assert set(elements) == set(reference)
+    assert elements[0] == reference[0]  # the identity
+    p, size, heads = elements[0].p, 1, []
+    while size * p < len(elements):
+        heads.append(elements[size])
+        size *= p
+        assert set(elements[:size]) == set(reference_closure(heads))
+
+
 class TestPresets:
     @pytest.mark.parametrize(
         "name,order",
@@ -351,6 +366,8 @@ class TestNormalSubgroups:
         group = finite_closure(heis_residue_gens(2, 2))
         subsets = [group.subgroup_closure([x]) for x in group.elements[::5]]
         subsets += [frozenset(group.elements[:4]), frozenset(group.elements)]
+        a = group.generators[0]  # of order 4, so {1, a} is no subgroup
+        subsets += [frozenset({group.identity, a})]
         verdicts = [group.is_subgroup(sub) for sub in subsets]
         assert verdicts == [naive_subgroup(group, sub) for sub in subsets]
         assert False in verdicts
@@ -404,6 +421,8 @@ class TestQuotients:
         group = finite_closure(heis_residue_gens(2, 2))
         subsets = [group.subgroup_closure([x]) for x in group.elements[::5]]
         subsets += [frozenset(group.elements[:4]), frozenset(group.elements)]
+        a = group.generators[0]  # of order 4, so {1, a} is no subgroup
+        subsets += [frozenset({group.identity, a})]
         verdicts = [group.is_normal(sub) for sub in subsets]
         assert verdicts == [naive_normal(group, sub) for sub in subsets]
         assert True in verdicts and False in verdicts
@@ -466,7 +485,20 @@ class TestFiniteClosure:
 
     @pytest.mark.parametrize("gens", RESIDUE_GENS, ids=RESIDUE_IDS)
     def test_matches_reference_closure_in_order(self, gens):
-        assert finite_closure(gens).elements == reference_closure(gens)
+        assert_normal_form_listing(finite_closure(gens).elements, reference_closure(gens))
+
+    @pytest.mark.parametrize("gens", RESIDUE_GENS[:3], ids=RESIDUE_IDS[:3])
+    def test_listing_searches_no_orbit(self, gens, monkeypatch):
+        steps = []
+
+        def counted(*args):
+            steps.append(1)
+            return orbit(*args)
+
+        monkeypatch.setattr(finite, "orbit", counted)
+        group = finite_closure(gens)
+        assert len(group.elements) == group.order
+        assert steps == []
 
     def test_makes_no_general_products(self, monkeypatch):
         gens = heis_residue_gens(2, 3)
@@ -549,6 +581,13 @@ def generator_sets(draw):
     return [draw(residue_matrices(n, p, k, d)) for d in diagonals]
 
 
+def spans_superdiagonal(gens) -> bool:
+    """The Burnside test of `finite_closure`: whether the superdiagonals of
+    gens span F_p^(n-1), so that they generate all of UT(n, Z/p^k)."""
+    n, p = gens[0].n, gens[0].p
+    return finite._spans_mod_p([[g.rows[i][i + 1] for i in range(n - 1)] for g in gens], p, n - 1)
+
+
 def foreign_values(n, p, k):
     """Values that are never residue matrices of shape (n, p, k)."""
     return [ResidueUT.identity(n, p, k + 1), ResidueUT.identity(n + 1, p, k), 0, "e", (1, 2)]
@@ -563,9 +602,9 @@ class TestDeferredGroups:
         n, p, k = gens[0].n, gens[0].p, gens[0].k
         reference = reference_closure(gens)
         full = p ** (k * n * (n - 1) // 2)
+        assert spans_superdiagonal(gens) == (len(reference) == full)
         pcgs = finite._induced_pcgs(ResidueUT.identity(n, p, k), gens, 10**6)
-        assert (pcgs is None) == (len(reference) == full)
-        assert len(reference) == (full if pcgs is None else p ** len(pcgs))
+        assert len(reference) == p ** len(pcgs)
         group = finite_closure(gens)
         assert isinstance(group, finite._DeferredGroup)
         probes = [data.draw(residue_matrices(n, p, k)) for _ in range(4)]
@@ -573,7 +612,7 @@ class TestDeferredGroups:
         probes += foreign_values(n, p, k)
         declared = group.order
         answers = [x in group for x in probes]
-        assert group.elements == reference
+        assert_normal_form_listing(group.elements, reference)
         assert declared == len(group.elements)
         built = set(group.elements)
         assert answers == [x in built for x in probes]
@@ -622,16 +661,49 @@ class TestDeferredGroups:
         assert steps == []
 
     def test_wrong_declared_order_raises_when_built(self, monkeypatch):
-        # heis5 mod 2 has order 32: declared full it claims 2^6, and a pcgs
-        # one entry short claims 2^4 and lists a consistent set of 2^4 forms.
+        # heis5 mod 2 has order 32.  Declared full, it claims 2^6, and its
+        # listing sifts a pcgs of length 5.  A pcgs one entry short claims
+        # 2^4, and its 2^4 distinct forms break a commutator relation.
         gens = [reduce_mod(g, 2, 1) for g in heis5_spec().generators]
-        pcgs = finite._induced_pcgs
-        for wrong, declared in ((lambda *args: None, 64), (lambda *args: pcgs(*args)[:-1], 16)):
-            monkeypatch.setattr(finite, "_induced_pcgs", wrong)
+        with monkeypatch.context() as patch:
+            patch.setattr(finite, "_spans_mod_p", lambda *args: True)
             group = finite_closure(gens)
-            assert group.order == declared
-            with pytest.raises(VerificationFailed, match=f"32 elements, declared {declared}"):
+            assert group.order == 64
+            with pytest.raises(VerificationFailed, match="32 elements, declared 64"):
                 group.elements
+        pcgs = finite._induced_pcgs
+        monkeypatch.setattr(finite, "_induced_pcgs", lambda *args: pcgs(*args)[:-1])
+        group = finite_closure(gens)
+        assert group.order == 16
+        # [h_1, h_4] must be the identity, the first of the forms.
+        wrong = r"'pcgs': \[h_1, h_4\] is not among the first 1 forms"
+        with pytest.raises(VerificationFailed, match=wrong):
+            group.elements
+
+    @pytest.mark.parametrize(
+        "gens,wrong,failure",
+        [
+            # The tail of a pcgs is a consistent pcgs of a proper subgroup,
+            # which misses the first generator of heis5 mod 2.
+            ([reduce_mod(g, 2, 1) for g in heis5_spec().generators], lambda pcgs: pcgs[1:],
+             r"generator ResidueUT\(\[\[1, 1, 0, 0\].* is not among the first 16 forms"),
+            # <I + 3E01> mod 27 has the pcgs I + 3E01, I + 9E01.  Reversed,
+            # its 9 forms are distinct, but (I + 3E01)^3 is not the identity.
+            ([ResidueUT([[1, 3], [0, 1]], 3, 3)], lambda pcgs: pcgs[::-1],
+             r"h_2\^3 is not among the first 1 forms"),
+            # Heisenberg mod 2 is a full image, so only its listing sifts.
+            # With its last entry replaced by its first, its forms collide.
+            (heis_residue_gens(2, 1), lambda pcgs: pcgs[:-1] + pcgs[:1],
+             "6 distinct normal forms for a pcgs of length 3"),
+        ],
+        ids=["generator", "power", "collision"],
+    )
+    def test_listing_checks_each_pcgs_relation(self, monkeypatch, gens, wrong, failure):
+        pcgs = finite._induced_pcgs
+        monkeypatch.setattr(finite, "_induced_pcgs", lambda *args: wrong(pcgs(*args)))
+        group = finite_closure(gens)
+        with pytest.raises(VerificationFailed, match=failure):
+            group.elements
 
     def test_repeated_pcgs_entry_raises_when_its_forms_collide(self, monkeypatch):
         pcgs = finite._induced_pcgs
@@ -661,8 +733,9 @@ class TestDeferredGroups:
     )
     def test_pcgs_edge_cases_match_reference_closure(self, gens, full, order):
         first = gens[0]
+        assert spans_superdiagonal(gens) == full
         pcgs = finite._induced_pcgs(ResidueUT.identity(first.n, first.p, first.k), gens, 10**6)
-        assert (pcgs is None) == full
+        assert first.p ** len(pcgs) == order
         group = finite_closure(gens)
         assert group.order == order
         reference = reference_closure(gens)
@@ -676,7 +749,7 @@ class TestDeferredGroups:
                 rows[i][j] = v
             ambient.append(ResidueUT(rows, first.p, first.k))
         assert [x in group for x in ambient] == [x in members for x in ambient]
-        assert group.elements == reference
+        assert_normal_form_listing(group.elements, reference)
 
     def test_heis5_mod_2_built_after_membership_queries(self):
         gens = [reduce_mod(g, 2, 1) for g in heis5_spec().generators]
@@ -684,18 +757,18 @@ class TestDeferredGroups:
         a1, a2, b1, b2 = gens
         assert a1 * b1 in group and b2 * a2 in group
         assert ResidueUT([[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 2, 1) not in group
-        assert group.elements == reference_closure(gens)
+        assert_normal_form_listing(group.elements, reference_closure(gens))
         assert group.normal_subgroups() == reference_normal_subgroups(group)
 
     def test_built_once_on_first_use(self, monkeypatch):
         builds = []
-        original = finite._closure_elements
+        original = finite._form_elements
 
         def counted(*args):
             builds.append(1)
             return original(*args)
 
-        monkeypatch.setattr(finite, "_closure_elements", counted)
+        monkeypatch.setattr(finite, "_form_elements", counted)
         group = finite_closure(heis_residue_gens(2, 3))
         a, b = group.generators
         assert group.order == 512 and b * a in group
