@@ -94,14 +94,14 @@ def class2_conjugate(spec: MatrixGroupSpec, x: UTMatrix, y: UTMatrix) -> Conjuga
     for gn, g in zip(spec.gen_names, spec.generators):
         c = commutator(x, g)
         vec = center_vector(spec, c)
-        if vec is None or not center_lattice(spec).contains(vec).member:
+        if vec is None or vec not in center_lattice(spec):
             raise ValueError(
                 f"[x, {gn}] is outside the declared centre lattice; "
                 "x is not an element of the declared group"
             )
         commutator_vecs.append(vec)
     d_vec = center_vector(spec, d)
-    if d_vec is None or not center_lattice(spec).contains(d_vec).member:
+    if d_vec is None or d_vec not in center_lattice(spec):
         return ConjugacyAnswer(False, method="class2-lattice")
     support_rank = len(d_vec)
     target = Lattice(support_rank, commutator_vecs)

@@ -60,8 +60,9 @@ class VerificationFailed(ConjsepError):
 
 
 class LocalCheckFailed(ConjsepError):
-    """A per-level witness check failed: the explicit conjugator, its orbit
-    cross-check, or the images' membership in the level's quotient."""
+    """A per-level check failed: a witness's explicit conjugator, its orbit
+    cross-check, or the images' membership in the level's quotient; or, in
+    a tower scan, an orbit conjugator reduced from a higher level."""
 
 
 class NotApplicable(ConjsepError):

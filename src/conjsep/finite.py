@@ -9,11 +9,11 @@ its element list (`_DeferredGroup`) until something enumerates it: every
 closure of residue matrices, and a direct product with such a factor.  A
 closure is known by an induced pcgs along the p-adic refinement of the
 superdiagonal series of UT(n, Z/p^k) (`_induced_pcgs`): its order is p^r
-for a pcgs of length r, and its members are the p^r normal forms of the
-pcgs, held as a set of row tuples, or every residue matrix of the shape
-when the generators' superdiagonals span F_p^(n-1).  Orbit search,
-membership, products and labels need no element list.  A closure lists its
-elements as its normal forms, once the pcgs's power and commutator
+for a pcgs of length r.  Membership is a sift of r steps along the pcgs,
+which holds nothing that grows with the group, or the shape alone when the
+generators' superdiagonals span F_p^(n-1).  Orbit search, membership,
+products and labels need no element list.  A closure lists its elements as
+the p^r normal forms of its pcgs, once the pcgs's power and commutator
 relations show them to be a group holding every generator
 (`_form_elements`); a full image sifts its pcgs for that first.
 
@@ -544,7 +544,7 @@ class _DeferredGroup(FiniteGroup):
         self._store(elements)
         # A class with `__getattr__` slows every attribute load of its
         # instances, so a built group sheds it, and with it the membership
-        # predicate, which may hold a set as large as the group.
+        # predicate, which the element index replaces.
         self.__class__ = FiniteGroup
         del self._contains
         return getattr(self, name)
@@ -651,14 +651,41 @@ def _normal_forms(ident: ResidueUT, pcgs) -> list:
     return forms
 
 
-def _distinct(found, pcgs, p: int):
-    """found, the normal forms of the pcgs as a set or dict; VerificationFailed
-    unless all p^r are distinct, as distinct exponents give distinct elements."""
-    if len(found) != p ** len(pcgs):
-        raise VerificationFailed(
-            "order", f"{len(found)} distinct normal forms for a pcgs of length {len(pcgs)}"
-        )
-    return found
+def _step_ops(rows, n: int) -> tuple:
+    """Left multiplication by unitriangular rows I + N, on a matrix held as a
+    flat list m with entry (i, j) at i*n + j, as (products, sums): row a of
+    the product gains v times row c for each entry (a, c, v) of N, c > a.
+    The products (a*n+b, c*n+b, v), b > c, come by increasing a, so each
+    reads row c before any change to it; the sums (a*n+c, v), v times row
+    c's unit diagonal entry, come after them all."""
+    products, sums = [], []
+    for a in range(n):
+        for c in range(a + 1, n):
+            if v := rows[a][c]:
+                sums.append((a * n + c, v))
+                products.extend((a * n + b, c * n + b, v) for b in range(c + 1, n))
+    return tuple(products), tuple(sums)
+
+
+def _sift_table(ident: ResidueUT, pcgs) -> tuple:
+    """Per pcgs entry h, in its order: the flat index of its lead key
+    (w, d, i), entry (i, i+w), p^d, the `_step_ops` of h^-1 = I + N, and the
+    rows of h, or None when no entry (a, c) of N has entries in row c, so
+    that N^2 = 0 and h^-e = I + e*N.  VerificationFailed unless the leads
+    are keys in strictly increasing order, each with digit 1, as those of
+    `_induced_pcgs` are: the sift reads the digits in that order."""
+    n, p, mod = ident.n, ident.p, ident.mod
+    table, last = [], None
+    for t, rows in enumerate(pcgs, 1):
+        lead = _lead(rows, n, p)
+        if lead is None or lead[1] != 1 or (last is not None and lead[0] <= last):
+            raise VerificationFailed("order", f"h_{t} does not lead at a later key with digit 1")
+        (w, d, i), _ = lead
+        last = lead[0]
+        ops = _step_ops(_power(rows, n, -1, mod), n)
+        square_zero = {t // n for t, _ in ops[1]}.isdisjoint(t % n for t, _ in ops[1])
+        table.append((i * n + i + w, p**d, ops, None if square_zero else rows))
+    return tuple(table)
 
 
 def _closure_limit(max_order: int, ident: ResidueUT) -> SizeLimit:
@@ -685,7 +712,11 @@ def _form_elements(ident: ResidueUT, gens, pcgs, max_order: int):
         pcgs = _induced_pcgs(ident, gens, max_order)
     n, p, mod, r = ident.n, ident.p, ident.mod, len(pcgs)
     forms, comm = _normal_forms(ident, pcgs), _COMMUTATORS[n, True]
-    position = _distinct(dict(zip(forms, range(len(forms)))), pcgs, p)
+    position = dict(zip(forms, range(len(forms))))
+    if len(position) != len(forms):  # distinct exponents give distinct elements
+        raise VerificationFailed(
+            "order", f"{len(position)} distinct normal forms for a pcgs of length {r}"
+        )
     # (rows, t, name): rows must be among the p^(r-t) forms of pcgs[t:].
     relations = [(g.rows, 0, f"generator {g!r}") for g in gens]
     for i, h in enumerate(pcgs):
@@ -707,12 +738,21 @@ def finite_closure(
     subset generates the p-group U = UT(n, Z/p^k) iff its image generates
     U/Phi(U) = F_p^(n-1), the superdiagonal mod p (`_spans_mod_p`).  Such a
     group has the order of U, and membership is a residue matrix of the same
-    shape.  Any other has order p^r for an induced pcgs of length r
-    (`_induced_pcgs`), and membership is being among its normal forms
-    (`_normal_forms`).  The element list is built on first use, as the
-    normal forms of the pcgs in their listing order, after a check of the
-    pcgs's relations (`_form_elements`), and checked against the order.  The
-    group conjugates on row tuples by the generators' `conjugation_kernel`s.
+    shape.  Any other has order p^r for an induced pcgs h_1, ..., h_r
+    (`_induced_pcgs`), and membership is a sift along it (Holt, Eick &
+    O'Brien, Handbook of Computational Group Theory, 2005, ch. 8): for each
+    h_t in key order, read the digit of the current rows at h_t's lead key
+    (w, d, i), entry (i, i+w) divided by p^d mod p, and left-multiply by
+    h_t^-digit, by one update per entry it changes (`_step_ops`); x is a
+    member iff the rows end as the identity.  This is
+    exact: each key's factor of the series is a central C_p, and a left
+    product by an element with lead key kappa changes no digit before kappa,
+    so for h_1^e_1 * ... * h_r^e_r the digit read at h_t is e_t, and rows
+    that end as the identity are such a product.  No normal form is
+    computed until the element list is built on first use, as the normal
+    forms of the pcgs in their listing order, after a check of the pcgs's
+    relations (`_form_elements`), and checked against the order.  The group
+    conjugates on row tuples by the generators' `conjugation_kernel`s.
     Raises SizeLimit when the group would exceed max_order elements, before
     any element is listed.
     """
@@ -735,10 +775,26 @@ def finite_closure(
 
     else:
         pcgs = _induced_pcgs(ident, gens, max_order)
-        order, forms = p ** len(pcgs), _distinct(frozenset(_normal_forms(ident, pcgs)), pcgs, p)
+        order, sift = p ** len(pcgs), _sift_table(ident, pcgs)
+        mod, target = ident.mod, [v for row in ident.rows for v in row]
 
         def contains(x):
-            return isinstance(x, ResidueUT) and (x.n, x.p, x.k) == shape and x.rows in forms
+            if not (isinstance(x, ResidueUT) and (x.n, x.p, x.k) == shape):
+                return False
+            m = [v for row in x.rows for v in row]
+            for lead, scale, ops, h in sift:
+                digit = m[lead] // scale % p
+                if not digit:
+                    continue
+                if h is None or digit == 1:  # h^-digit = I + digit * N
+                    (products, sums), times = ops, digit
+                else:
+                    (products, sums), times = _step_ops(_power(h, n, -digit, mod), n), 1
+                for t, s, v in products:
+                    m[t] = (m[t] + times * v * m[s]) % mod
+                for t, v in sums:
+                    m[t] = (m[t] + times * v) % mod
+            return m == target
 
     group = _DeferredGroup(
         name=name or f"closure in UT({n}, Z/{p}^{k})",

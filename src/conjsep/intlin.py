@@ -508,6 +508,10 @@ class Lattice:
             y.append(q)
         return None if any(resid) else tuple(y)
 
+    def __contains__(self, v) -> bool:
+        """Membership alone, without the certificate coefficients of `contains`."""
+        return self.coordinates(v) is not None
+
     def contains(self, v) -> Membership:
         """Decide membership; certificate coefficients refer to the original generators."""
         y = self.coordinates(v)
@@ -538,9 +542,9 @@ def power_solvable(z1: Lattice, c_vec, e: int) -> PowerSolution:
     if e < 1:
         raise ValueError(f"exponent must be >= 1, got {e}")
     c_vec = tuple(map(index, c_vec))
-    if not z1.contains(c_vec).member:
+    if c_vec not in z1:
         raise NotInLattice(f"{c_vec} is not in the given lattice")
     root = tuple(x // e for x in c_vec)
-    if any(x % e for x in c_vec) or not z1.contains(root).member:
+    if any(x % e for x in c_vec) or root not in z1:
         return PowerSolution(False)
     return PowerSolution(True, root)

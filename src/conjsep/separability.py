@@ -11,7 +11,7 @@ non-conjugate pair stays non-conjugate, re-verified by orbit search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .conjugacy import class2_conjugate, conjugate_in_finite, conjugate_in_product
 from .errors import (
@@ -209,7 +209,7 @@ def verify_witness_global(spec: MatrixGroupSpec, witness: WitnessReport) -> Glob
     c_vec = center_vector(spec, witness.c)
     if witness.n < 1:
         raise VerificationFailed("divisibility", f"exponent n={witness.n} is not >= 1")
-    if c_vec is None or not z1.contains(c_vec).member:
+    if c_vec is None or c_vec not in z1:
         raise VerificationFailed("divisibility", "c lies outside the declared centre")
     e = witness.q**witness.n
     if power_solvable(z1, c_vec, e).solvable:
@@ -259,6 +259,16 @@ def _ut_order(n: int, p: int, k: int) -> int:
     return p ** (k * n * (n - 1) // 2)
 
 
+def _search(quot: FiniteGroup, x, y):
+    """The orbit search for x and y in quot, or None when either lies
+    outside it, which `conjugate_in_finite` tells by KeyError after the
+    one membership test of each."""
+    try:
+        return conjugate_in_finite(quot, x, y)
+    except KeyError:
+        return None
+
+
 def _orbit_quotient(spec: MatrixGroupSpec, p: int, k: int, cap: int) -> FiniteGroup | None:
     """The congruence quotient mod p^k when all of UT(n) mod p^k has order at
     most cap, so that orbit search there is affordable; None otherwise."""
@@ -281,8 +291,9 @@ def verify_witness_local(
     any mismatch raises LocalCheckFailed.  When all of UT(n) mod p^m has
     order at most bfs_cap, an independent orbit search in the congruence
     quotient cross-checks it; images of u and v outside that quotient raise
-    LocalCheckFailed too.  This is the whole per-level decision of a witness
-    run: `scan_tower` on a witness pair makes one such call per level.
+    LocalCheckFailed too.  `scan_tower` on a witness pair makes one such
+    call per level, with bfs_cap 0 where a conjugator of its own orbit
+    search at a higher level stands in for that search.
     """
     if m < 1:
         raise ValueError(f"level must be >= 1, got {m}")
@@ -294,10 +305,9 @@ def verify_witness_local(
         raise LocalCheckFailed(f"explicit conjugator fails at level {m}")
     quot = _orbit_quotient(spec, p, m, bfs_cap)
     if quot is not None:
-        x = reduce_mod(witness.u, p, m)
-        if x not in quot or y not in quot:
+        answer = _search(quot, reduce_mod(witness.u, p, m), y)
+        if answer is None:
             raise LocalCheckFailed(f"witness images lie outside the generated group at level {m}")
-        answer = conjugate_in_finite(quot, x, y)
         if not answer.conjugate:
             raise LocalCheckFailed(f"orbit search contradicts the conjugator at level {m}")
     return LocalCheck(m=m, k=k, conjugator=conj, bfs_checked=quot is not None)
@@ -380,7 +390,8 @@ def separate_elements(
 @dataclass(frozen=True)
 class TowerLevel:
     level: int
-    method: str  # orbit | equal-images | identity-image | witness-conjugator | skipped
+    # orbit | equal-images | identity-image | separated-below | witness-conjugator | skipped
+    method: str
     conjugate: bool | None
     note: str = ""
     check: LocalCheck | None = None  # the level's witness check, on a witness pair
@@ -395,6 +406,22 @@ class TowerScan:
     summary: str
 
 
+def _top_search(spec, images, p: int, cap: int):
+    """(T, answer) for the images mod p^k at levels k = 1, 2, ...: T is the
+    highest level at which all of UT(n) mod p^T has order at most cap, 0 if
+    none, and answer is the orbit search there, or None unless the images at
+    T differ, neither is the identity and both lie in the quotient."""
+    top = 0
+    while top < len(images) and _ut_order(spec.n, p, top + 1) <= cap:
+        top += 1
+    if not top:
+        return top, None
+    rx, ry = images[top - 1]
+    if rx == ry or rx.is_identity() or ry.is_identity():
+        return top, None
+    return top, _search(_orbit_quotient(spec, p, top, cap), rx, ry)
+
+
 def scan_tower(
     spec: MatrixGroupSpec,
     x: UTMatrix,
@@ -406,39 +433,67 @@ def scan_tower(
 ) -> TowerScan:
     """Scan conjugacy of the images of x and y through the congruence tower.
 
-    Per level: equal images are conjugate by the identity.  On a witness pair
-    ({x, y} == {u, v} and the witness's own prime p) one
-    `verify_witness_local(..., bfs_cap=max_order)` call decides every level and
-    is kept as its `check`; it raises LocalCheckFailed on failure.  On other
-    pairs, a witness pair scanned at another prime among them, if exactly one
-    image is the identity the pair is separated (the identity is conjugate
-    only to itself), small quotients are decided by orbit search, and
-    oversized levels are reported as skipped, with their size against the
-    cap, and the scan continues.
+    Each level is a quotient of the next: a conjugator mod p^T reduces to
+    one at every lower level, and a pair separated at level j stays
+    separated above it.  So the highest level T within the cap is searched
+    first (`_top_search`).  If it finds a conjugator g, which the search
+    has verified, each lower level is one comparison x*g == g*y mod p^k
+    ("orbit"; a mismatch raises LocalCheckFailed).  Otherwise levels are searched from 1 up, reusing
+    T's answer at T, and every level above the first separated one, under
+    the cap or over it, is "separated-below".  No level is searched that a
+    search of every level under the cap would skip.
+
+    Equal images (conjugate) and exactly one identity image (separated: the
+    identity is conjugate only to itself) are tested first at every level.
+    Other levels over the cap are skipped, with their size against the cap.
+    On a witness pair ({x, y} == {u, v} and the witness's own prime p) each
+    level is conjugate, checked by `verify_witness_local`, which raises
+    LocalCheckFailed at the least failing level and is kept as the level's
+    `check`.  Where g covers the level, the check runs with bfs_cap 0 and
+    the comparison is its orbit cross-check; elsewhere it runs with
+    bfs_cap=max_order and searches the level itself.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     use_witness = witness is not None and witness.p == p and {x, y} == {witness.u, witness.v}
+    if use_witness:  # the witness's conjugator, and g below, take u to v
+        x, y = witness.u, witness.v
+    images = [(reduce_mod(x, p, k), reduce_mod(y, p, k)) for k in range(1, depth + 1)]
+    top, answer = _top_search(spec, images, p, max_order)
+    conjugator = answer.conjugator if answer is not None and answer.conjugate else None
     levels = []
     separated_at = None
-    for k in range(1, depth + 1):
-        rx = reduce_mod(x, p, k)
-        ry = reduce_mod(y, p, k)
-        check = verify_witness_local(spec, witness, k, bfs_cap=max_order) if use_witness else None
+    for k, (rx, ry) in enumerate(images, 1):
+        covered = conjugator is not None and k <= top
+        check = None
+        if use_witness:
+            check = verify_witness_local(spec, witness, k, bfs_cap=0 if covered else max_order)
+        if covered and k < top and rx != ry:
+            g = reduce_mod(conjugator, p, k)
+            if rx * g != g * ry:
+                raise LocalCheckFailed(f"the level-{top} orbit conjugator fails at level {k}")
+        if covered and check is not None:
+            check = replace(check, bfs_checked=True)
         if rx == ry:
             entry = TowerLevel(k, "equal-images", True, check=check)
         elif check is not None:
             method = "orbit" if check.bfs_checked else "witness-conjugator"
             entry = TowerLevel(k, method, True, check=check)
+        elif covered:
+            entry = TowerLevel(k, "orbit", True)
         elif rx.is_identity() or ry.is_identity():
             entry = TowerLevel(
                 k, "identity-image", False, "the identity is conjugate only to itself"
             )
+        elif separated_at is not None:
+            entry = TowerLevel(k, "separated-below", False, f"separated at level {separated_at}")
+        elif k == top and answer is not None:
+            entry = TowerLevel(k, "orbit", answer.conjugate)
         elif (quot := _orbit_quotient(spec, p, k, max_order)) is None:
             size = f"UT({spec.n}) mod {p}^{k} has {_ut_order(spec.n, p, k)} elements"
             entry = TowerLevel(k, "skipped", None, f"size limit: {size} > cap {max_order}")
-        elif rx in quot and ry in quot:
-            entry = TowerLevel(k, "orbit", conjugate_in_finite(quot, rx, ry).conjugate)
+        elif (found := _search(quot, rx, ry)) is not None:
+            entry = TowerLevel(k, "orbit", found.conjugate)
         else:
             entry = TowerLevel(k, "skipped", None, "images outside the generated group")
         levels.append(entry)

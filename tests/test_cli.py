@@ -376,7 +376,7 @@ class TestDeferredQuotients:
         code, report = run_json(capsys, argv)
         assert code == 0
         assert [lv["orbit_checked"] for lv in report["result"]["local_checks"]] == [True] * 4 + [False] * 4
-        assert congruence_quotient.cache_info().misses == 4
+        assert congruence_quotient.cache_info().misses == 1
         assert builds == []
 
     def test_ut4_scan_builds_no_element_list(self, capsys, builds):
@@ -385,7 +385,8 @@ class TestDeferredQuotients:
         code, report = run_json(capsys, argv)
         assert code == 0
         methods = [lv["method"] for lv in report["result"]["levels"]]
-        assert methods == ["orbit", "orbit", "skipped"]
+        assert methods == ["orbit", "separated-below", "separated-below"]
+        assert report["result"]["levels"][2]["note"] == "separated at level 1"
         assert builds == []
 
     def test_heis5_witness_builds_no_element_list(self, capsys, builds):
@@ -460,7 +461,7 @@ class TestOnePassWitness:
                 "--max-order", "4096", "--json"]
         assert run_json(capsys, argv)[0] == 0
         assert local_calls == list(range(1, 9))
-        assert len(orbit_calls) == 4
+        assert len(orbit_calls) == 1
 
     @pytest.mark.parametrize("name,p,cap", [("heisenberg", 2, 512), ("ut4", 3, 4096),
                                             ("heis5", 2, 64)])

@@ -673,8 +673,8 @@ else:
 
 # heis5 mod 3 (order 3^5) declared full (3^6): listing sifts its pcgs and
 # must notice the declared order is wrong.  By a pcgs one entry short (3^4),
-# listing must notice a broken relation.  With an entry repeated, its normal
-# forms collide at once.
+# listing must notice a broken relation.  With an entry repeated, two leads
+# coincide, which construction must notice without listing a normal form.
 from conjsep.groupspec import heis5_spec
 
 heis5_gens = [reduce_mod(g, 3, 1) for g in heis5_spec().generators]
@@ -693,13 +693,48 @@ for name, wrong, check in (
         raise SystemExit(f"the {check!r} check did not raise")
 conjsep.finite._spans_mod_p = spans
 conjsep.finite._induced_pcgs = lambda *args: pcgs(*args) + pcgs(*args)[-1:]
+forms = conjsep.finite._normal_forms
+conjsep.finite._normal_forms = None  # calling it would raise TypeError
 try:
     finite_closure(heis5_gens)
-except VerificationFailed:
-    pass
+except VerificationFailed as failure:
+    if failure.check != "order":
+        raise SystemExit(f"a repeated lead failed the {failure.check!r} check, not 'order'")
 else:
-    raise SystemExit("normal-form count check did not raise")
+    raise SystemExit("a repeated pcgs lead went unnoticed at construction")
+conjsep.finite._induced_pcgs, conjsep.finite._normal_forms = pcgs, forms
+
+# A pcgs out of key order would sift wrongly; construction must refuse it.
+conjsep.finite._induced_pcgs = lambda *args: pcgs(*args)[::-1]
+try:
+    finite_closure(heis5_gens)
+except VerificationFailed as failure:
+    if failure.check != "order":
+        raise SystemExit(f"a pcgs out of order failed the {failure.check!r} check, not 'order'")
+else:
+    raise SystemExit("a pcgs out of key order went unnoticed at construction")
 conjsep.finite._induced_pcgs = pcgs
+
+# A top-level search whose conjugator does not conjugate the images: the
+# scan reduces it to the lower levels and must fail there, on a witness
+# pair and on a plain pair, not take it on trust in place of a search.
+top_search = conjsep.separability._top_search
+
+
+def wrong_top_search(spec, images, p, cap):
+    top, answer = top_search(spec, images, p, cap)
+    return top, ConjugacyAnswer(True, reduce_mod(a, p, top))
+
+
+conjsep.separability._top_search = wrong_top_search
+for x, y, witness in ((w.u, w.v, w), (w.u, w.v, None), (w.v, w.u, w)):
+    try:
+        scan_tower(heis, x, y, 2, 3, witness=witness)
+    except LocalCheckFailed:
+        pass
+    else:
+        raise SystemExit("a wrong top-level conjugator was accepted")
+conjsep.separability._top_search = top_search
 
 # Unitriangular constructors and reduce_mod check their input with explicit raises.
 from conjsep.unitri import ResidueUT, UTMatrix

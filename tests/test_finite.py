@@ -1,5 +1,7 @@
 import gc
+import operator
 import weakref
+from functools import reduce
 from itertools import product
 
 import pytest
@@ -687,10 +689,12 @@ class TestDeferredGroups:
             # which misses the first generator of heis5 mod 2.
             ([reduce_mod(g, 2, 1) for g in heis5_spec().generators], lambda pcgs: pcgs[1:],
              r"generator ResidueUT\(\[\[1, 1, 0, 0\].* is not among the first 16 forms"),
-            # <I + 3E01> mod 27 has the pcgs I + 3E01, I + 9E01.  Reversed,
-            # its 9 forms are distinct, but (I + 3E01)^3 is not the identity.
-            ([ResidueUT([[1, 3], [0, 1]], 3, 3)], lambda pcgs: pcgs[::-1],
-             r"h_2\^3 is not among the first 1 forms"),
+            # <I + 3E01> mod 27 has the pcgs I + 3E01, I + 9E01.  Cut to its
+            # head, it still holds the generator, but (I + 3E01)^3 is not
+            # the identity.  (Reversed, construction refuses it: the sift
+            # needs the leads in key order.)
+            ([ResidueUT([[1, 3], [0, 1]], 3, 3)], lambda pcgs: pcgs[:1],
+             r"h_1\^3 is not among the first 1 forms"),
             # Heisenberg mod 2 is a full image, so only its listing sifts.
             # With its last entry replaced by its first, its forms collide.
             (heis_residue_gens(2, 1), lambda pcgs: pcgs[:-1] + pcgs[:1],
@@ -709,8 +713,17 @@ class TestDeferredGroups:
         pcgs = finite._induced_pcgs
         monkeypatch.setattr(finite, "_induced_pcgs", lambda *args: pcgs(*args) + pcgs(*args)[-1:])
         gens = [reduce_mod(g, 2, 1) for g in heis5_spec().generators]
-        with pytest.raises(VerificationFailed, match="32 distinct normal forms for a pcgs of length 6"):
+        with pytest.raises(VerificationFailed, match="h_6 does not lead at a later key") as err:
             finite_closure(gens)
+        assert err.value.check == "order"
+
+    def test_pcgs_out_of_key_order_raises_at_construction(self, monkeypatch):
+        # <I + 3E01> mod 27: reversed, the pcgs leads at digit 2, then 1.
+        pcgs = finite._induced_pcgs
+        monkeypatch.setattr(finite, "_induced_pcgs", lambda *args: pcgs(*args)[::-1])
+        with pytest.raises(VerificationFailed, match="h_2 does not lead at a later key") as err:
+            finite_closure([ResidueUT([[1, 3], [0, 1]], 3, 3)])
+        assert err.value.check == "order"
 
     @pytest.mark.parametrize(
         "gens,full,order",
@@ -779,6 +792,78 @@ class TestDeferredGroups:
         assert builds == [1]
         with pytest.raises(AttributeError):
             group.no_such_attribute
+
+
+@st.composite
+def non_full_images(draw):
+    """Generators of a closure that is not all of UT(n, Z/p^k): heis5 mod 2^2
+    or mod 3, or 2-3 random matrices mod 2^k (k <= 3) or mod 3 whose
+    superdiagonals are all 0 mod p at one position, so they cannot span."""
+    kind = draw(st.sampled_from(["heis5-2^2", "heis5-3", "random"]))
+    if kind != "random":
+        p, k = (2, 2) if kind == "heis5-2^2" else (3, 1)
+        return [reduce_mod(g, p, k) for g in heis5_spec().generators]
+    n, p, k = draw(st.sampled_from([(3, 2, 1), (3, 2, 2), (3, 2, 3), (3, 3, 1), (4, 2, 1),
+                                    (4, 2, 2), (4, 3, 1)]))
+    gap = draw(st.integers(0, n - 2))
+    multiple = st.integers(0, p ** (k - 1) - 1).map(lambda v: p * v)
+    entry = st.integers(0, p**k - 1)
+    diagonals = [[draw(multiple if j == gap else entry) for j in range(n - 1)]
+                 for _ in range(draw(st.integers(2, 3)))]
+    return [draw(residue_matrices(n, p, k, d)) for d in diagonals]
+
+
+class TestSiftMembership:
+    """A closure that is not a full image answers membership by a sift along
+    its pcgs, checked here against membership in its listed elements."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(non_full_images(), st.data())
+    def test_sift_matches_listed_elements(self, gens, data):
+        group = finite_closure(gens)
+        assert not spans_superdiagonal(gens)
+        n, p, k = gens[0].n, gens[0].p, gens[0].k
+        words = [data.draw(st.lists(st.sampled_from(gens), max_size=8)) for _ in range(5)]
+        members = [reduce(operator.mul, word, group.identity) for word in words]
+        perturbed = []
+        for x in members:
+            rows = [list(r) for r in x.rows]
+            i = data.draw(st.integers(0, n - 2))
+            j = data.draw(st.integers(i + 1, n - 1))
+            rows[i][j] = (rows[i][j] + data.draw(st.integers(1, p**k - 1))) % p**k
+            perturbed.append(ResidueUT(rows, p, k))
+        probes = members + perturbed + [data.draw(residue_matrices(n, p, k)) for _ in range(5)]
+        answers = [x in group for x in probes]
+        assert isinstance(group, finite._DeferredGroup)
+        assert all(answers[: len(members)])
+        built = set(group.elements)
+        assert answers == [x in built for x in probes]
+
+    def test_digit_above_one_of_a_step_with_nonzero_square(self):
+        # h = I + E01 + E12 mod 3: h^-1 = I + N with N^2 = E02, so h^-2 is not
+        # I + 2N, and the digit 2 of h^2 must take the power of the inverse.
+        h = ResidueUT([[1, 1, 0], [0, 1, 1], [0, 0, 1]], 3, 1)
+        group = finite_closure([h])
+        assert group.order == 3
+        assert h * h in group
+        off = ResidueUT([[1, 2, 0], [0, 1, 2], [0, 0, 1]], 3, 1)
+        assert off not in group and off * h not in group
+        assert set(group.elements) == {group.identity, h, h * h}
+
+    def test_construction_and_membership_list_no_normal_form(self, monkeypatch):
+        def refuse(*args):
+            raise RuntimeError("normal forms listed")
+
+        monkeypatch.setattr(finite, "_normal_forms", refuse)
+        gens = [reduce_mod(g, 3, 2) for g in heis5_spec().generators]
+        group = finite_closure(gens)
+        assert group.order == 3**10
+        a1, a2, b1, b2 = gens
+        assert a1 * b1 * a1 in group and b2**4 * a2 in group
+        outside = ResidueUT([[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 3, 2)
+        assert outside not in group and a1 * outside not in group
+        with pytest.raises(RuntimeError, match="normal forms listed"):
+            group.elements
 
 
 class TestGroupHom:

@@ -325,7 +325,10 @@ class TestLattice:
         else:
             target = tuple(data.draw(st.integers(-8, 8)) for _ in range(ambient))
         brute = brute_lattice_member(cols, target, bound=10)
+        # Membership alone, asked first of a fresh lattice and then of lat.
+        assert (target in Lattice(ambient, cols)) == lat.contains(target).member
         hit = lat.contains(target)
+        assert (target in lat) == hit.member
         if brute is not None:
             assert hit.member
         if hit.member:

@@ -2,6 +2,8 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conjsep import cli
 from conjsep.conjugacy import conjugate_in_finite, conjugate_in_product
@@ -302,14 +304,16 @@ class TestVerifyWitnessLocal:
             g = check.conjugator
             assert reduce_mod(g.inverse() * w.u * g, 2, m) == reduce_mod(w.v, 2, m)
 
-    def test_witness_builds_each_orbit_checked_level_once(self, capsys):
-        # Levels 1-3 of heisenberg mod 2^m fit the default cap of 2048; the
-        # local cross-checks and the tower scan share their quotients.
+    def test_witness_builds_only_the_top_orbit_checked_level(self, capsys):
+        # Levels 1-3 of heisenberg mod 2^m fit the default cap of 2048.  Only
+        # level 3 is built and searched; levels 1 and 2 are cross-checked by
+        # its conjugator, reduced.
         congruence_quotient.cache_clear()
         argv = ["witness", "--preset", "heisenberg", "-p", "2", "-K", "6", "--json"]
         assert cli.main(argv) == 0
         capsys.readouterr()
-        assert congruence_quotient.cache_info().misses == 3
+        info = congruence_quotient.cache_info()
+        assert (info.misses, info.hits) == (1, 0)
 
     def test_max_order_is_not_a_parameter(self):
         w = make_witness(HEIS, 2)
@@ -389,6 +393,16 @@ class TestScanTower:
         assert methods[:3] == ["orbit", "orbit", "orbit"]
         assert set(methods[3:]) == {"witness-conjugator"}
 
+    def test_witness_pair_scans_alike_in_either_order(self):
+        # Levels 1-3 fit the default cap; the level-3 conjugator, reduced,
+        # checks levels 1 and 2.  It takes u to v, so a scan of (v, u) must
+        # not hand it over as if it took v to u: c^2 is not 1 mod 4.
+        w = make_witness(HEIS, 2)
+        forward = scan_tower(HEIS, w.u, w.v, 2, 4, witness=w)
+        backward = scan_tower(HEIS, w.v, w.u, 2, 4, witness=w)
+        assert [lv.method for lv in forward.levels] == ["orbit"] * 3 + ["witness-conjugator"]
+        assert backward == forward
+
     def test_witness_pair_at_another_prime_is_scanned_as_a_plain_pair(self, monkeypatch):
         # The witness's conjugator works mod 2^m; scanned mod 3^k the pair is
         # an ordinary pair, and u = I + 3*E01 is the identity mod 3.
@@ -433,6 +447,72 @@ class TestScanTower:
     def test_nonconjugate_pair_separates(self):
         scan = scan_tower(HEIS, heis(1, 0, 0), heis(0, 1, 0), 2, 3)
         assert scan.separated_at == 1
+
+
+def reference_scan(spec, x, y, p, depth, cap):
+    """Each level decided on its own, as the scan did when it searched every
+    level under the cap: equal images, an identity image, orbit search when
+    UT(n) mod p^k has order at most cap and both images lie in the quotient,
+    and None for a level it leaves undecided."""
+    out = []
+    for k in range(1, depth + 1):
+        rx, ry = reduce_mod(x, p, k), reduce_mod(y, p, k)
+        if rx == ry:
+            out.append(True)
+        elif rx.is_identity() or ry.is_identity():
+            out.append(False)
+        elif p ** (k * spec.n * (spec.n - 1) // 2) > cap:
+            out.append(None)
+        else:
+            quot, _ = congruence_quotient(spec, p, k, max(cap, 2))
+            in_quot = rx in quot and ry in quot
+            out.append(conjugate_in_finite(quot, rx, ry).conjugate if in_quot else None)
+    return out
+
+
+@st.composite
+def scan_cases(draw):
+    name = draw(st.sampled_from(["heisenberg", "heis5", "ut4"]))
+    spec = preset(name).matrix_part
+    p = draw(st.sampled_from([2, 3]))
+    size = len(spec.malcev_basis)
+    coords = st.lists(st.integers(-9, 9), min_size=size, max_size=size)
+    x = coords_to_element(spec, draw(coords))
+    kind = draw(st.sampled_from(["conjugate", "near", "near", "random"]))
+    if kind == "random":
+        y = coords_to_element(spec, draw(coords))
+    else:
+        # A conjugate of x, or one times h^(p^e), which is often conjugate to
+        # x at the low levels and not above them.
+        g = coords_to_element(spec, draw(coords))
+        y = g.inverse() * x * g
+        if kind == "near":
+            y = y * coords_to_element(spec, draw(coords)) ** (p ** draw(st.integers(1, 2)))
+    depth = draw(st.integers(1, 4))
+    cap = draw(st.sampled_from([1, 64, 512, 4096, 20000]))
+    return spec, x, y, p, depth, cap
+
+
+class TestScanAgainstEveryLevelSearch:
+    """The scan searches the top level under the cap first and derives the
+    others from it where it can; each level must say what searching every
+    level under the cap says."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(scan_cases())
+    def test_scan_agrees_level_by_level(self, case):
+        spec, x, y, p, depth, cap = case
+        scan = scan_tower(spec, x, y, p, depth, max_order=cap)
+        reference = reference_scan(spec, x, y, p, depth, cap)
+        for lv, expected in zip(scan.levels, reference):
+            if expected is not None:
+                assert lv.conjugate == expected, (lv, expected)
+            elif lv.conjugate is not None:
+                assert lv.method == "separated-below" and lv.conjugate is False
+                assert scan.separated_at < lv.level
+                assert reference[scan.separated_at - 1] is False
+        first = next((k for k, v in enumerate(reference, 1) if v is False), None)
+        assert scan.separated_at == first
 
 
 class TestResidualDepth:

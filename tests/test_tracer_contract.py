@@ -84,6 +84,7 @@ def test_traced_products_per_kind():
 
 def test_traced_lattice_counters():
     tracing = load_tracing()
+    groupspec.center_lattice.cache_clear()  # so that its Hermite form is built here
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -97,8 +98,12 @@ def test_traced_lattice_counters():
         metrics = tracer.metrics(queries=22, overhead_ratio=0.0)
     finally:
         tracer.uninstall()
-    assert metrics["intlin.lattice_contains.calls"]["value"] > 20
-    # hnf_per_contains < 1 alone would pass with no Hermite form at all.
-    assert metrics["intlin.hnf.calls"]["value"] > 0
-    assert metrics["intlin.hnf_per_contains"]["value"] < 1
+    # One coefficient-bearing `contains` per class-2 query whose x^-1 y is a
+    # non-trivial central element: the witness pair and the 15 pairs with
+    # t % 4 != 0.  Membership in the centre lattice reads no coefficients.
+    assert metrics["intlin.lattice_contains.calls"]["value"] == 16
+    # Each of those asks a fresh commutator lattice, which builds its Hermite
+    # form inside `contains`; the centre lattice builds its own once.
+    assert metrics["intlin.hnf.calls"]["value"] == 17
+    assert metrics["intlin.hnf_per_contains"]["value"] == 1
     assert metrics["intlin.power_solvable.calls"]["value"] == 1
