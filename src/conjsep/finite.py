@@ -5,17 +5,19 @@ so residue-matrix groups of a few hundred thousand elements stay cheap to
 build while table-backed presets keep exact, human-readable element names.
 
 A group whose order and membership are known without its elements defers
-its element list (`_DeferredGroup`) until something enumerates it: every
-closure of residue matrices, and a direct product with such a factor.  A
-closure is known by an induced pcgs along the p-adic refinement of the
-superdiagonal series of UT(n, Z/p^k) (`_induced_pcgs`): its order is p^r
-for a pcgs of length r.  Membership is a sift of r steps along the pcgs,
-which holds nothing that grows with the group, or the shape alone when the
-generators' superdiagonals span F_p^(n-1).  Orbit search, membership,
-products and labels need no element list.  A closure lists its elements as
-the p^r normal forms of its pcgs, once the pcgs's power and commutator
-relations show them to be a group holding every generator
-(`_form_elements`); a full image sifts its pcgs for that first.
+its element list (`FiniteGroup._deferred`) until something enumerates it:
+every closure of residue matrices, and every direct product.  The first
+read of `elements` lists them and sets them as a plain attribute, so a
+group stays one class, listed or not.  A closure is known by an induced
+pcgs along the p-adic refinement of the superdiagonal series of
+UT(n, Z/p^k) (`_induced_pcgs`): its order is p^r for a pcgs of length r.
+Membership is a sift of r steps along the pcgs, which holds nothing that
+grows with the group, or the shape alone when the generators'
+superdiagonals span F_p^(n-1).  Orbit search, membership, products and
+labels need no element list.  A closure lists its elements as the p^r
+normal forms of its pcgs, once the pcgs's power and commutator relations
+show them to be a group holding every generator (`_form_elements`); a
+full image sifts its pcgs for that first.
 
 Every search is one breadth-first `orbit`.  Each group also carries one
 conjugation step per generator (`Conjugation`): a closure's steps are the
@@ -39,7 +41,6 @@ from one parent, and the list is sorted by an element mask per subgroup.
 from __future__ import annotations
 
 import operator
-import weakref
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
@@ -138,20 +139,68 @@ def _close_by_one(bottom: int, reps: list, join: Callable) -> list:
 
 
 def _label(labels, x) -> str:
-    if callable(labels):
-        return labels(x)
-    if labels is not None and (name := labels.get(x)) is not None:
-        return name
-    return str(x)
+    return str(x) if labels is None else labels(x)
+
+
+class _Listing:
+    """A deferred group's `elements` and `_index`, built on first read.
+
+    A non-data descriptor: `FiniteGroup._store` sets both as plain instance
+    attributes, which hide it from then on, so it runs once per group."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, group, owner=None):
+        if group is None:
+            return self
+        elements = tuple(group._build())
+        if len(elements) != group.order:
+            raise VerificationFailed(
+                "order", f"{group.name} has {len(elements)} elements, declared {group.order}"
+            )
+        group._store(elements)
+        # `vars(group)` would materialize the group's __dict__ and slow every
+        # later attribute load; `getattr` finds the new attribute without it.
+        return getattr(group, self.name)
+
+
+class _Predicate:
+    """Membership by a predicate, until a deferred group's index replaces it."""
+
+    __slots__ = ("contains",)
+
+    def __init__(self, contains):
+        self.contains = contains
+
+    def __contains__(self, x) -> bool:
+        return self.contains(x)
 
 
 class FiniteGroup:
-    """A finite group with a total multiplication over canonical elements."""
+    """A finite group with a total multiplication over canonical elements.
+
+    `labels` is a callable naming an element, or None for `str`."""
+
+    elements = _Listing()
+    _index = _Listing()
 
     def __init__(self, name, elements, mul, identity, generators, labels=None, inv=None):
         self._setup(name, mul, identity, generators, labels, inv)
         self._store(elements)
         self.order = len(self.elements)
+
+    @classmethod
+    def _deferred(cls, order, contains, build, **fields):
+        """A group of the given order whose membership is `contains`; its
+        elements are `build()`, listed on first use and checked against
+        the order."""
+        group = cls.__new__(cls)
+        group._setup(**fields)
+        group.order = order
+        group._members = _Predicate(contains)
+        group._build = build
+        return group
 
     def _setup(self, name, mul, identity, generators, labels, inv):
         self.name = name
@@ -179,12 +228,13 @@ class FiniteGroup:
         for g in self.generators:
             if g not in self._index:
                 raise ValueError(f"generator {g!r} is not among the elements")
+        self._members = self._index
 
     def index(self, x) -> int:
         return self._index[x]
 
     def __contains__(self, x) -> bool:
-        return x in self._index
+        return x in self._members
 
     def label(self, x) -> str:
         return _label(self._labels, x)
@@ -393,9 +443,8 @@ class FiniteGroup:
     def quotient(self, normal_subgroup) -> tuple["FiniteGroup", "GroupHom"]:
         """The quotient group and the natural projection onto it.
 
-        Cached per subgroup.  Nothing cached refers back to this group except
-        the projection's domain, a weak proxy, so a discarded group is freed
-        at once rather than by the cycle collector.
+        Cached per subgroup.  Nothing cached refers back to this group, so a
+        discarded group is freed at once rather than by the cycle collector.
         """
         nsub = frozenset(normal_subgroup)
         if nsub in self._quotients:
@@ -434,13 +483,7 @@ class FiniteGroup:
             generators=gens,
             labels=lambda c: f"[{_label(labels, rep[c])}]",
         )
-        hom = GroupHom(
-            description=f"natural projection {self.name} -> {quot.name}",
-            domain=weakref.proxy(self),
-            codomain=quot,
-            mapping=lambda x: cosets[coset_id[x]],
-            section=rep,
-        )
+        hom = GroupHom(codomain=quot, mapping=lambda x: cosets[coset_id[x]], section=rep)
         self._quotients[nsub] = (quot, hom)
         return quot, hom
 
@@ -502,52 +545,14 @@ class FiniteGroup:
 @dataclass(frozen=True, eq=False)
 class GroupHom:
     """A homomorphism given by a computable mapping rule; a natural projection
-    also carries its section, the representative chosen for each coset, and
-    names its domain through a weak proxy, since its group caches it."""
+    also carries its section, the representative chosen for each coset."""
 
-    description: str
-    domain: object
     codomain: FiniteGroup
     mapping: object
     section: dict | None = None
 
     def __call__(self, x):
         return self.mapping(x)
-
-
-class _DeferredGroup(FiniteGroup):
-    """A finite group whose order and membership are known without its elements.
-
-    Until then membership is the `contains` predicate.  `elements` and
-    `_index` are built by `build` on first use, through `__getattr__`, which
-    Python calls only for attributes not set: a group that is never
-    enumerated is never built, and once built it is an eager `FiniteGroup`.
-    """
-
-    def __init__(self, name, order, contains, build, mul, identity, generators, labels, inv):
-        self._setup(name, mul, identity, generators, labels, inv)
-        self.order = order
-        self._contains = contains
-        self._build = build
-
-    def __contains__(self, x) -> bool:
-        return self._contains(x)
-
-    def __getattr__(self, name):
-        if name not in ("elements", "_index"):
-            raise AttributeError(name)
-        elements = tuple(self._build())
-        if len(elements) != self.order:
-            raise VerificationFailed(
-                "order", f"{self.name} has {len(elements)} elements, declared {self.order}"
-            )
-        self._store(elements)
-        # A class with `__getattr__` slows every attribute load of its
-        # instances, so a built group sheds it, and with it the membership
-        # predicate, which the element index replaces.
-        self.__class__ = FiniteGroup
-        del self._contains
-        return getattr(self, name)
 
 
 def _spans_mod_p(vectors, p: int, dim: int) -> bool:
@@ -796,7 +801,7 @@ def finite_closure(
                     m[t] = (m[t] + times * v) % mod
             return m == target
 
-    group = _DeferredGroup(
+    group = FiniteGroup._deferred(
         name=name or f"closure in UT({n}, Z/{p}^{k})",
         order=order,
         contains=contains,
@@ -819,17 +824,16 @@ def _product_elements(a: FiniteGroup, b: FiniteGroup):
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup, name: str | None = None) -> FiniteGroup:
-    """Direct product with componentwise multiplication; its elements are
-    the pairs in row-major order.
-
-    When a factor's element list is deferred, so is the product's: its order
-    is |A|*|B| and membership is componentwise.  A product of built factors
-    is built at once.
-    """
+    """Direct product with componentwise multiplication, of order |A|*|B|
+    and componentwise membership; its elements, listed on first use, are
+    the pairs in row-major order."""
     gens = tuple((g, b.identity) for g in a.generators) + tuple(
         (a.identity, h) for h in b.generators
     )
-    parts = dict(
+    return FiniteGroup._deferred(
+        order=a.order * b.order,
+        contains=lambda x: isinstance(x, tuple) and len(x) == 2 and x[0] in a and x[1] in b,
+        build=partial(_product_elements, a, b),
         name=name or f"{a.name} x {b.name}",
         mul=lambda x, y: (a.mul(x[0], y[0]), b.mul(x[1], y[1])),
         identity=(a.identity, b.identity),
@@ -837,30 +841,19 @@ def direct_product(a: FiniteGroup, b: FiniteGroup, name: str | None = None) -> F
         labels=lambda x: f"({a.label(x[0])},{b.label(x[1])})",
         inv=lambda x: (a.inverse(x[0]), b.inverse(x[1])),
     )
-    if not (isinstance(a, _DeferredGroup) or isinstance(b, _DeferredGroup)):
-        return FiniteGroup(elements=_product_elements(a, b), **parts)
-    return _DeferredGroup(
-        order=a.order * b.order,
-        contains=lambda x: isinstance(x, tuple) and len(x) == 2 and x[0] in a and x[1] in b,
-        build=partial(_product_elements, a, b),
-        **parts,
-    )
 
 
 # -- presets ---------------------------------------------------------------
 
 
 def cyclic(n: int, name: str | None = None) -> FiniteGroup:
-    labels = {0: "e"}
-    for i in range(1, n):
-        labels[i] = "g" if i == 1 else f"g{i}"
     return FiniteGroup(
         name=name or f"C{n}",
         elements=range(n),
         mul=lambda x, y: (x + y) % n,
         identity=0,
         generators=(1,) if n > 1 else (0,),
-        labels=labels,
+        labels=lambda x: "e" if x == 0 else "g" if x == 1 else f"g{x}",
         inv=lambda x: (-x) % n,
     )
 

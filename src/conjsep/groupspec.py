@@ -261,12 +261,7 @@ def congruence_quotient(
     quot = finite_closure(
         rgens, max_order=max_order, name=f"{spec.name} mod {p}^{k}", labels=label
     )
-    hom = GroupHom(
-        description=f"entrywise reduction of {spec.name} mod {p}^{k}",
-        domain=spec,
-        codomain=quot,
-        mapping=lambda u: reduce_mod(u, p, k),
-    )
+    hom = GroupHom(codomain=quot, mapping=lambda u: reduce_mod(u, p, k))
     return quot, hom
 
 

@@ -369,13 +369,12 @@ def separate_elements(
     )
     img_a = (hom(m1), f1)
     img_b = (hom(m2), f2)
-    for img in (img_a, img_b):
-        if img not in quot:
-            raise ValueError("matrix coordinates lie outside the generated group")
+    search = _search(quot, img_a, img_b)
+    if search is None:
+        raise ValueError("matrix coordinates lie outside the generated group")
     if prime_power_exponent(quot.order, p) is None:
         raise VerificationFailed("certificate", "quotient order is not a p-power")
-    reverified = not conjugate_in_finite(quot, img_a, img_b).conjugate
-    if not reverified:
+    if search.conjugate:
         raise VerificationFailed("certificate", "images are conjugate in the quotient")
     return SeparationCertificate(
         p=p,

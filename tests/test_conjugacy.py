@@ -715,6 +715,22 @@ else:
     raise SystemExit("a pcgs out of key order went unnoticed at construction")
 conjsep.finite._induced_pcgs = pcgs
 
+# A product whose listing drops a pair must notice it has fewer elements than
+# its declared order on the first read of its element list.
+from conjsep.finite import direct_product, dihedral4
+
+product_elements = conjsep.finite._product_elements
+conjsep.finite._product_elements = lambda *args: list(product_elements(*args))[1:]
+short = direct_product(dihedral4(), dihedral4())
+conjsep.finite._product_elements = product_elements
+try:
+    short.elements
+except VerificationFailed as failure:
+    if failure.check != "order":
+        raise SystemExit(f"a short product failed the {failure.check!r} check, not 'order'")
+else:
+    raise SystemExit("a product listing short of its order went unnoticed")
+
 # A top-level search whose conjugator does not conjugate the images: the
 # scan reduces it to the lower levels and must fail there, on a witness
 # pair and on a plain pair, not take it on trust in place of a search.

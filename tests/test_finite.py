@@ -437,16 +437,28 @@ class TestQuotients:
             d4.quotient(reflection_pair)
 
     def test_discarded_group_freed_without_cycle_collector(self):
+        # A product of tables, a closure and a product with a closure factor:
+        # none may hold a reference cycle through its quotients, its
+        # membership predicate or its element listing.
+        makes = [
+            lambda: direct_product(dihedral4(), quaternion8()),
+            lambda: finite_closure(heis_residue_gens(2, 2)),
+            lambda: direct_product(finite_closure(heis_residue_gens(2, 2)), cyclic(2)),
+        ]
         gc.disable()
         try:
-            group = direct_product(dihedral4(), quaternion8())
-            element = group.elements[5]
-            quot, hom = group.quotient(group.normal_subgroups()[1])
-            ref = weakref.ref(group)
-            del group
-            assert ref() is None
-            assert quot.order == 32
-            assert hom(element) in quot
+            for make in makes:
+                group = make()
+                member = group.generators[-1] in group
+                element = group.elements[5]
+                quot, hom = group.quotient(group.normal_subgroups()[1])
+                ref = weakref.ref(group)
+                del group
+                assert ref() is None
+                assert member and hom(element) in quot
+                ref = weakref.ref(quot)
+                del quot, hom
+                assert ref() is None
         finally:
             gc.enable()
 
@@ -608,7 +620,7 @@ class TestDeferredGroups:
         pcgs = finite._induced_pcgs(ResidueUT.identity(n, p, k), gens, 10**6)
         assert len(reference) == p ** len(pcgs)
         group = finite_closure(gens)
-        assert isinstance(group, finite._DeferredGroup)
+        assert "elements" not in vars(group)
         probes = [data.draw(residue_matrices(n, p, k)) for _ in range(4)]
         probes += [reference[data.draw(st.integers(0, len(reference) - 1))]]
         probes += foreign_values(n, p, k)
@@ -626,8 +638,7 @@ class TestDeferredGroups:
         if swap:
             a, b = b, a
         prod = direct_product(a, b)
-        deferred = isinstance(a, finite._DeferredGroup) or isinstance(b, finite._DeferredGroup)
-        assert isinstance(prod, finite._DeferredGroup) == deferred
+        assert "elements" not in vars(prod)
         n, p, k = gens[0].n, gens[0].p, gens[0].k
         parts = [data.draw(st.sampled_from(g.elements)) for g in (a, b) for _ in range(2)]
         parts += [data.draw(residue_matrices(n, p, k)), 1, (0, 1), "i"]
@@ -834,7 +845,7 @@ class TestSiftMembership:
             perturbed.append(ResidueUT(rows, p, k))
         probes = members + perturbed + [data.draw(residue_matrices(n, p, k)) for _ in range(5)]
         answers = [x in group for x in probes]
-        assert isinstance(group, finite._DeferredGroup)
+        assert "elements" not in vars(group)
         assert all(answers[: len(members)])
         built = set(group.elements)
         assert answers == [x in built for x in probes]
@@ -864,6 +875,45 @@ class TestSiftMembership:
         assert outside not in group and a1 * outside not in group
         with pytest.raises(RuntimeError, match="normal forms listed"):
             group.elements
+
+
+class TestOneGroupClass:
+    """Deferred and listed groups are one class, listed once on first use."""
+
+    KINDS = {
+        "closure": lambda: finite_closure(heis_residue_gens(2, 2)),
+        "non-full closure": lambda: finite_closure(
+            [reduce_mod(g, 2, 1) for g in heis5_spec().generators]),
+        "closure product": lambda: direct_product(
+            finite_closure(heis_residue_gens(3, 1)), cyclic(2)),
+        "table product": lambda: direct_product(dihedral4(), quaternion8()),
+    }
+
+    def test_no_attribute_hook(self):
+        assert not hasattr(FiniteGroup, "__getattr__")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_class_listed_once(self, kind):
+        group = self.KINDS[kind]()
+        calls, build = [], group._build
+
+        def counted():
+            calls.append(1)
+            return build()
+
+        group._build = counted
+        assert type(group) is FiniteGroup
+        assert "elements" not in vars(group) and "_index" not in vars(group)
+        a, b = group.generators[0], group.generators[-1]
+        probes = [a, b, group.mul(a, b), group.identity, None, (a, a, a), "e"]
+        before = [x in group for x in probes]
+        assert group.index(group.identity) == 0
+        elements = group.elements
+        assert group.elements is elements and len(elements) == group.order
+        assert calls == [1]
+        assert type(group) is FiniteGroup
+        assert [x in group for x in probes] == before
+        assert before[:4] == [True] * 4 and not any(before[4:])
 
 
 class TestGroupHom:

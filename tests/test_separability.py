@@ -30,6 +30,7 @@ from conjsep.groupspec import (
     heis5_spec,
     heisenberg_spec,
     is_abelian,
+    load_spec,
     preset,
     preset_names,
     ut4_spec,
@@ -381,6 +382,17 @@ class TestSeparateElements:
         ident = UTMatrix.identity(3)
         with pytest.raises(NotApplicable):
             separate_elements(group, (ident, 0), (ident, 1), 2)
+
+    def test_image_outside_the_quotient_raises(self):
+        # <I+2E01> over Z: I+E01 lies outside it, and its image mod 2 lies
+        # outside the trivial level-1 quotient.
+        twice = [[1, 2], [0, 1]]
+        group = load_spec({"name": "2Z", "n": 2, "generators": [twice],
+                           "center_gens": [twice], "declared_class": 1})
+        e = group.finite_part.identity
+        a, b = (UTMatrix([[1, 1], [0, 1]]), e), (UTMatrix.identity(2), e)
+        with pytest.raises(ValueError, match="^matrix coordinates lie outside the generated group$"):
+            separate_elements(group, a, b, 2)
 
 
 class TestScanTower:
