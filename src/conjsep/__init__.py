@@ -8,11 +8,13 @@ for the groups where separation is possible.
 """
 
 from .conjugacy import (
+    Class2Tower,
     ConjugacyAnswer,
     CosetAnswer,
     CosetDecision,
     CosetQuery,
     class2_conjugate,
+    class2_tower,
     conjugate_in_finite,
     conjugate_in_product,
     coset_conjugacy_separable,

@@ -287,17 +287,18 @@ def element_coords(spec: MatrixGroupSpec, u: UTMatrix) -> tuple | None:
     """Invert coords_to_element by collection; None when u is not in the span."""
     if not spec.malcev_basis:
         return None
-    cur = u
+    rows = [list(r) for r in u.rows]
     out = []
     for name, base in spec.malcev_basis:
         items = base.strict_upper_items()
         if len(items) != 1 or abs(items[0][1]) != 1:
             return None
-        (pos, unit) = items[0]
-        e = cur[pos] * unit
+        ((i, j), unit) = items[0]
+        e = rows[i][j] * unit
         out.append(e)
-        cur = base ** (-e) * cur
-    if not cur.is_identity():
+        if e:  # base^-e * rows, as base^-e = I - e*unit*E_ij
+            rows[i] = [a - e * unit * b for a, b in zip(rows[i], rows[j])]
+    if any(v for i, row in enumerate(rows) for v in row[i + 1 :]):
         return None
     return tuple(out)
 

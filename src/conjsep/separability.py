@@ -13,7 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .conjugacy import class2_conjugate, conjugate_in_finite, conjugate_in_product
+from .conjugacy import (
+    Class2Tower,
+    class2_conjugate,
+    class2_tower,
+    conjugate_in_finite,
+    conjugate_in_product,
+)
 from .errors import (
     AbelianGroup,
     AreConjugate,
@@ -30,6 +36,7 @@ from .groupspec import (
     center_lattice,
     center_vector,
     congruence_quotient,
+    element_coords,
     is_abelian,
     torsion_subgroup,
     verify_spec,
@@ -287,8 +294,9 @@ def verify_witness_local(
 
     The identity b^-k u b^k = u * c^(q^n k) holds exactly in the group.  A
     verified spec puts c in the centre span, where c = I + M with M^2 = 0, so
-    c^t = I + t*M and q^n k = 1 mod p^m makes the right-hand side v mod p^m;
-    any mismatch raises LocalCheckFailed.  When all of UT(n) mod p^m has
+    c^t = I + t*M and q^n k = 1 mod p^m makes the right-hand side v mod p^m.
+    It is checked as u b^k = b^k v on the images mod p^m, each reduced once,
+    and any mismatch raises LocalCheckFailed.  When all of UT(n) mod p^m has
     order at most bfs_cap, an independent orbit search in the congruence
     quotient cross-checks it; images of u and v outside that quotient raise
     LocalCheckFailed too.  `scan_tower` on a witness pair makes one such
@@ -300,12 +308,12 @@ def verify_witness_local(
     p = witness.p
     k = witness.conjugator_exponent(m)
     conj = witness.b**k
-    y = reduce_mod(witness.v, p, m)
-    if reduce_mod(conj.inverse() * witness.u * conj, p, m) != y:
+    g, x, y = reduce_mod(conj, p, m), reduce_mod(witness.u, p, m), reduce_mod(witness.v, p, m)
+    if x * g != g * y:
         raise LocalCheckFailed(f"explicit conjugator fails at level {m}")
     quot = _orbit_quotient(spec, p, m, bfs_cap)
     if quot is not None:
-        answer = _search(quot, reduce_mod(witness.u, p, m), y)
+        answer = _search(quot, x, y)
         if answer is None:
             raise LocalCheckFailed(f"witness images lie outside the generated group at level {m}")
         if not answer.conjugate:
@@ -389,7 +397,9 @@ def separate_elements(
 @dataclass(frozen=True)
 class TowerLevel:
     level: int
-    # orbit | equal-images | identity-image | separated-below | witness-conjugator | skipped
+    # orbit | equal-images | identity-image | separated-below | witness-conjugator
+    # | class2-smith (over the cap, class <= 2) | skipped (over the cap, class
+    # >= 3 or inputs not shown to lie in G; or images outside the quotient)
     method: str
     conjugate: bool | None
     note: str = ""
@@ -421,6 +431,45 @@ def _top_search(spec, images, p: int, cap: int):
     return top, _search(_orbit_quotient(spec, p, top, cap), rx, ry)
 
 
+def _over_cap_tower(spec, x, y, p: int, k: int, depth: int) -> tuple:
+    """(tower, note) for the levels k..depth over the orbit cap, k the first
+    of them the scan cannot decide otherwise.  tower is `class2_tower` of x
+    and y, or None with the note of why those levels stay skipped: a spec
+    of class 3 or more (note ""), or an input that does not sift along the
+    spec's Mal'cev basis, which leaves its membership in G undecided.
+
+    Each verdict is checked.  A conjugator built at the highest of those
+    levels the tower calls conjugate reduces to one at every lower level,
+    and needs no trust in the spec.  A separation within the depth rests on
+    the spec's declared centre, so the spec is verified first (SpecRejected).
+    """
+    if spec.declared_class > 2:
+        return None, ""
+    if element_coords(spec, x) is None or element_coords(spec, y) is None:
+        return None, "; no class-2 verdict: x and y are not both shown to lie in the group"
+    tower = class2_tower(spec, x, y, p)
+    top = depth if tower.level is None else min(depth, tower.level - 1)
+    if top >= k:
+        tower.conjugator(top)
+    if top < depth:
+        verify_spec(spec)
+    return tower, ""
+
+
+def _smith_entry(tower: Class2Tower, k: int) -> TowerLevel:
+    """Level k as the tower decides it; a separated level's note names its
+    `Class2Tower.separator`."""
+    if tower.level is None or k < tower.level:
+        return TowerLevel(k, "class2-smith", True)
+    kind, what = tower.separator
+    mod = f"mod {tower.p}^{k}"
+    if kind == "entry":
+        note = f"x^-1 y has entry {what} nonzero {mod}, off the centre"
+    else:
+        note = f"functional {list(what)} vanishes on the commutator lattice {mod}, not on x^-1 y"
+    return TowerLevel(k, "class2-smith", False, note)
+
+
 def scan_tower(
     spec: MatrixGroupSpec,
     x: UTMatrix,
@@ -437,14 +486,21 @@ def scan_tower(
     separated above it.  So the highest level T within the cap is searched
     first (`_top_search`).  If it finds a conjugator g, which the search
     has verified, each lower level is one comparison x*g == g*y mod p^k
-    ("orbit"; a mismatch raises LocalCheckFailed).  Otherwise levels are searched from 1 up, reusing
-    T's answer at T, and every level above the first separated one, under
-    the cap or over it, is "separated-below".  No level is searched that a
-    search of every level under the cap would skip.
+    ("orbit"; a mismatch raises LocalCheckFailed).  Otherwise levels are
+    searched from 1 up, reusing T's answer at T, and every level above the
+    first separated one, under the cap or over it, is "separated-below".
+    No level is searched that a search of every level under the cap would
+    skip.
 
     Equal images (conjugate) and exactly one identity image (separated: the
     identity is conjugate only to itself) are tested first at every level.
-    Other levels over the cap are skipped, with their size against the cap.
+    The other levels over the cap of a spec that declares class <= 2 are
+    "class2-smith": one Smith form (`class2_tower`), taken when the scan
+    first reaches such a level, decides them all (`_over_cap_tower` checks
+    each verdict), and a level it decides otherwise than the scan's own
+    verdicts raises LocalCheckFailed.  Such a level is skipped, with its
+    size against the cap, in class 3 or more, or when x or y does not sift
+    along the spec's Mal'cev basis and so is not shown to lie in G.
     On a witness pair ({x, y} == {u, v} and the witness's own prime p) each
     level is conjugate, checked by `verify_witness_local`, which raises
     LocalCheckFailed at the least failing level and is kept as the level's
@@ -461,7 +517,7 @@ def scan_tower(
     top, answer = _top_search(spec, images, p, max_order)
     conjugator = answer.conjugator if answer is not None and answer.conjugate else None
     levels = []
-    separated_at = None
+    separated_at = smith = None
     for k, (rx, ry) in enumerate(images, 1):
         covered = conjugator is not None and k <= top
         check = None
@@ -489,8 +545,14 @@ def scan_tower(
         elif k == top and answer is not None:
             entry = TowerLevel(k, "orbit", answer.conjugate)
         elif (quot := _orbit_quotient(spec, p, k, max_order)) is None:
-            size = f"UT({spec.n}) mod {p}^{k} has {_ut_order(spec.n, p, k)} elements"
-            entry = TowerLevel(k, "skipped", None, f"size limit: {size} > cap {max_order}")
+            if smith is None:
+                smith = _over_cap_tower(spec, x, y, p, k, depth)
+            tower, why = smith
+            if tower is not None:
+                entry = _smith_entry(tower, k)
+            else:
+                size = f"UT({spec.n}) mod {p}^{k} has {_ut_order(spec.n, p, k)} elements"
+                entry = TowerLevel(k, "skipped", None, f"size limit: {size} > cap {max_order}{why}")
         elif (found := _search(quot, rx, ry)) is not None:
             entry = TowerLevel(k, "orbit", found.conjugate)
         else:
@@ -498,6 +560,14 @@ def scan_tower(
         levels.append(entry)
         if entry.conjugate is False and separated_at is None:
             separated_at = k
+    tower = smith[0] if smith else None
+    if tower is not None:
+        for entry in levels:
+            smith_says = tower.level is None or entry.level < tower.level
+            if entry.conjugate is not None and entry.conjugate != smith_says:
+                raise LocalCheckFailed(
+                    f"the Smith form and the scan disagree at level {entry.level}"
+                )
     if separated_at is not None:
         summary = f"separated at level {separated_at}"
     elif all(entry.conjugate for entry in levels):

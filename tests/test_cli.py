@@ -403,7 +403,23 @@ class TestDeferredQuotients:
         code, report = run_json(capsys, argv)
         assert code == 0
         methods = [lv["method"] for lv in report["result"]["levels"]]
-        assert methods == ["orbit", "skipped", "skipped"]
+        assert methods == ["orbit", "class2-smith", "class2-smith"]
+        assert report["result"]["summary"] == "conjugate at all 3 levels"
+        assert builds == []
+
+    @pytest.mark.parametrize("argv, methods, summary", [
+        (["heisenberg", "-p", "2", "-K", "8", "-x", "3,0,0", "-y", "3,0,1"],
+         ["orbit"] * 3 + ["class2-smith"] * 5, "conjugate at all 8 levels"),
+        (["heisenberg", "-p", "3", "-K", "8", "-x", "3,0,0", "-y", "3,0,1"],
+         ["identity-image"] + ["separated-below"] * 7, "separated at level 1"),
+        (["heis5", "-p", "2", "-K", "5", "-x", "1,0,0,0,0", "-y", "1,0,0,0,1"],
+         ["orbit"] + ["class2-smith"] * 4, "conjugate at all 5 levels"),
+    ])
+    def test_class2_scan_decides_every_level(self, capsys, builds, argv, methods, summary):
+        code, report = run_json(capsys, ["scan", "--preset", *argv, "--json"])
+        assert code == 0
+        assert [lv["method"] for lv in report["result"]["levels"]] == methods
+        assert report["result"]["summary"] == summary
         assert builds == []
 
     def test_separate_reports_product_order_without_building_it(self, capsys, builds):

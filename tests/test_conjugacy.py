@@ -5,12 +5,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conjsep.conjugacy import (
     CosetAnswer,
     CosetDecision,
     CosetQuery,
     class2_conjugate,
+    class2_tower,
     conjugate_in_finite,
     conjugate_in_product,
     coset_conjugacy_separable,
@@ -30,12 +33,14 @@ from conjsep.finite import (
 )
 from conjsep.groupspec import (
     MatrixGroupSpec,
+    congruence_quotient,
     coords_to_element,
     element_coords,
     heis5_spec,
     heisenberg_spec,
     preset,
     ut4_spec,
+    verify_spec,
 )
 from conjsep.intlin import valuation
 from conjsep.unitri import ResidueUT, UTMatrix, reduce_mod
@@ -602,6 +607,130 @@ class TestClass2AgainstOrbitOracle:
                 assert separated, (xc, yc)
 
 
+def rank2_centre_spec():
+    """<x12, x23, x24> in UT(4): class 2 with centre <x13, x14>, where the
+    commutators of x = x12^a x23^b x24^c span (a, 0), (0, a) and (b, c), a
+    lattice that is not diagonal."""
+    basis = (("x12", (0, 1)), ("x23", (1, 2)), ("x24", (1, 3)), ("x13", (0, 2)), ("x14", (0, 3)))
+    table = {name: UTMatrix.from_entries(4, {pos: 1}) for name, pos in basis}
+    return MatrixGroupSpec(
+        name="ut4-rank2-centre",
+        n=4,
+        generators=tuple(table[nm] for nm in ("x12", "x23", "x24")),
+        gen_names=("x12", "x23", "x24"),
+        center_gens=(table["x13"], table["x14"]),
+        center_names=("x13", "x14"),
+        z2_rep=table["x12"],
+        z2_name="x12",
+        declared_class=2,
+        malcev_basis=tuple((nm, table[nm]) for nm, _ in basis),
+    )
+
+
+CLASS2_SPECS = (heisenberg_spec(), heis5_spec(), double_heisenberg_spec(), rank2_centre_spec())
+
+
+def class2_element(spec, exponents):
+    """The product of the generators' and centre generators' powers, in order."""
+    out = UTMatrix.identity(spec.n)
+    for gen, e in zip(spec.generators + spec.center_gens, exponents):
+        out = out * gen**e
+    return out
+
+
+@st.composite
+def class2_pairs(draw):
+    spec = draw(st.sampled_from(CLASS2_SPECS))
+    p = draw(st.sampled_from([2, 3]))
+    size = len(spec.generators) + len(spec.center_gens)
+    exponents = st.lists(st.integers(-12, 12), min_size=size, max_size=size)
+    x = class2_element(spec, draw(exponents))
+    kind = draw(st.sampled_from(["conjugate", "near", "near", "central", "random"]))
+    if kind == "random":
+        y = class2_element(spec, draw(exponents))
+    else:
+        # A conjugate of x, times a p-power, or times a central element: pairs
+        # that are often conjugate at the low levels and not above them.
+        g = class2_element(spec, draw(exponents))
+        y = g.inverse() * x * g
+        if kind == "near":
+            y = y * class2_element(spec, draw(exponents)) ** (p ** draw(st.integers(1, 2)))
+        elif kind == "central":
+            y = y * class2_element(spec, [0] * len(spec.generators) + draw(exponents))
+    return spec, p, x, y
+
+
+class TestClass2TowerAgainstOrbit:
+    """One Smith form decides every level: each level it calls conjugate has
+    a checked conjugator, and each level must say what orbit search in the
+    congruence quotient says."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(class2_pairs())
+    def test_every_level_matches_orbit_search(self, case):
+        spec, p, x, y = case
+        tower = class2_tower(spec, x, y, p)
+        for k in range(1, 4):
+            quot, _ = congruence_quotient(spec, p, k, p ** (k * spec.n**2))
+            truth = conjugate_in_finite(quot, reduce_mod(x, p, k), reduce_mod(y, p, k)).conjugate
+            assert (tower.level is None or k < tower.level) == truth, (spec.name, p, k, tower)
+            if truth:
+                g = tower.conjugator(k)
+                assert reduce_mod(x, p, k) * g == g * reduce_mod(y, p, k)
+            else:
+                with pytest.raises(ValueError):
+                    tower.conjugator(k)
+
+    @pytest.mark.parametrize("spec", CLASS2_SPECS, ids=lambda spec: spec.name)
+    def test_no_level_separates_a_conjugate_pair(self, spec):
+        rng = random.Random(41)
+        size = len(spec.generators) + len(spec.center_gens)
+        for _ in range(20):
+            x = class2_element(spec, [rng.randint(-50, 50) for _ in range(size)])
+            g = class2_element(spec, [rng.randint(-50, 50) for _ in range(size)])
+            y = g.inverse() * x * g
+            assert class2_conjugate(spec, x, y).conjugate
+            for p in (2, 3, 5):
+                tower = class2_tower(spec, x, y, p)
+                assert tower.level is None
+                tower.conjugator(12)
+
+    def test_witness_pair_separates_only_at_its_own_prime(self):
+        # [a^3, G] = 3Z and x^-1 y = c: 1 has order 3 in Z/3Z, so exactly the
+        # prime 3 separates the pair, at level 1, and no level of 2 or 5 does.
+        x, y = heis(3, 0, 0), heis(3, 0, 1)
+        assert not class2_conjugate(HEIS, x, y).conjugate
+        three = class2_tower(HEIS, x, y, 3)
+        assert (three.level, three.separator) == (1, ("functional", (1,)))
+        for p in (2, 5):
+            assert class2_tower(HEIS, x, y, p).level is None
+
+    def test_entry_off_the_centre_decides(self):
+        tower = class2_tower(HEIS, heis(1, 0, 0), heis(1, 12, 0), 2)
+        assert (tower.level, tower.separator) == (3, ("entry", (1, 2)))
+
+    def test_rank2_lattice_is_not_diagonal(self):
+        # x = x12^2 x23 x24: L = {(u, v): u = v mod 2}, so (1, 1) is in it and
+        # (1, 0) is not, which only a functional mixing both entries shows.
+        spec = rank2_centre_spec()
+        assert verify_spec(spec).passed
+        x = class2_element(spec, (2, 1, 1, 0, 0))
+        assert class2_tower(spec, x, x * class2_element(spec, (0, 0, 0, 1, 1)), 2).level is None
+        tower = class2_tower(spec, x, x * class2_element(spec, (0, 0, 0, 1, 0)), 2)
+        kind, row = tower.separator
+        assert tower.level == 1 and kind == "functional" and all(row)
+
+    def test_inputs_the_criterion_does_not_cover(self):
+        ut4 = ut4_spec()
+        with pytest.raises(ClassTooHigh):
+            class2_tower(ut4, ut4.generators[0], ut4.generators[1], 2)
+        stranger = UTMatrix.from_entries(4, {(1, 2): 1})
+        with pytest.raises(ValueError):
+            class2_tower(heis5_spec(), stranger, stranger, 2)
+        with pytest.raises(ValueError):
+            class2_tower(HEIS, heis(1, 0, 0), heis(1, 0, 1), 4)
+
+
 # Run under `python -O`, which strips assert statements: a conjugator that
 # fails its re-check must still raise.
 OPTIMIZED_RECHECKS = r"""
@@ -751,6 +880,36 @@ for x, y, witness in ((w.u, w.v, w), (w.u, w.v, None), (w.v, w.u, w)):
     else:
         raise SystemExit("a wrong top-level conjugator was accepted")
 conjsep.separability._top_search = top_search
+
+# Over the cap the Smith form decides a class-2 scan.  With U replaced by the
+# identity, the functional it reads no longer vanishes on the commutator
+# lattice of x = x12^2 x23 x24 in <x12, x23, x24> <= UT(4); with V replaced
+# by 0, the conjugator built from it is the identity.  Both must raise.
+import conjsep.conjugacy
+from conjsep.groupspec import MatrixGroupSpec
+from conjsep.intlin import IntMatrix
+from conjsep.unitri import UTMatrix
+
+basis = tuple((name, UTMatrix.from_entries(4, {pos: 1})) for name, pos in (
+    ("x12", (0, 1)), ("x23", (1, 2)), ("x24", (1, 3)), ("x13", (0, 2)), ("x14", (0, 3))))
+x12, x23, x24, x13, x14 = (m for _, m in basis)
+rank2 = MatrixGroupSpec("ut4-rank2-centre", 4, (x12, x23, x24), (x13, x14), None, 2,
+                        malcev_basis=basis)
+smith = conjsep.conjugacy.snf
+for check, wrong in (
+    ("certificate", lambda d, u, v: (d, IntMatrix.identity(u.rows), v)),
+    ("conjugator", lambda d, u, v: (d, u, IntMatrix.zero(v.rows, v.cols))),
+):
+    conjsep.conjugacy.snf = lambda a, wrong=wrong: wrong(*smith(a))
+    x = x12**2 * x23 * x24
+    try:
+        scan_tower(rank2, x, x * x13 * x14, 2, 3, max_order=1)
+    except VerificationFailed as failure:
+        if failure.check != check:
+            raise SystemExit(f"a wrong Smith form failed the {failure.check!r} check, not {check!r}")
+    else:
+        raise SystemExit(f"a wrong Smith form passed the {check!r} check")
+conjsep.conjugacy.snf = smith
 
 # Unitriangular constructors and reduce_mod check their input with explicit raises.
 from conjsep.unitri import ResidueUT, UTMatrix

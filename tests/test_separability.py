@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -451,21 +452,104 @@ class TestScanTower:
         assert all(lv.method == "equal-images" for lv in scan.levels)
 
     def test_size_limited_levels_reported(self):
-        x, y = heis(1, 0, 0), heis(0, 1, 0)
-        scan = scan_tower(HEIS, x, y, 2, 3, max_order=1)
-        assert all(lv.method == "skipped" for lv in scan.levels)
-        assert "undecided" in scan.summary
+        # Over the cap a class-2 pair is decided by its Smith form; a class-3
+        # pair stays skipped, with the level's size against the cap.
+        scan = scan_tower(HEIS, heis(1, 0, 0), heis(0, 1, 0), 2, 3, max_order=1)
+        assert [lv.method for lv in scan.levels] == ["class2-smith"] + ["separated-below"] * 2
+        assert scan.separated_at == 1
+        ut4 = ut4_spec()
+        x = coords_to_element(ut4, (1, 0, 0, 0, 0, 0))
+        scan = scan_tower(ut4, x, coords_to_element(ut4, (1, 0, 0, 0, 0, 1)), 2, 3, max_order=1)
+        assert [(lv.method, lv.note) for lv in scan.levels] == [
+            ("skipped", f"size limit: UT(4) mod 2^{k} has {2 ** (6 * k)} elements > cap 1")
+            for k in (1, 2, 3)
+        ]
+        assert scan.summary == "conjugate at every decided level; undecided at [1, 2, 3]"
+
+    def test_inputs_outside_the_group_stay_skipped_over_the_cap(self):
+        # x has an entry at (1, 2), which no element of heis5 has, so it
+        # does not sift along the Mal'cev basis; the double Heisenberg spec
+        # has no basis to sift along.  Neither gets a Smith verdict.
+        heis5 = heis5_spec()
+        x = UTMatrix.from_entries(4, {(0, 1): 1, (1, 2): 1})
+        double = double_heisenberg_spec()
+        a1 = double.generators[0]
+        for spec, x, y in ((heis5, x, x * heis5.center_gens[0]),
+                           (double, a1, a1 * double.center_gens[0])):
+            scan = scan_tower(spec, x, y, 2, 2, max_order=1)
+            assert [lv.method for lv in scan.levels] == ["skipped", "skipped"]
+            assert all(lv.note.endswith(
+                "; no class-2 verdict: x and y are not both shown to lie in the group")
+                for lv in scan.levels)
+
+    def test_baseline_pairs_conjugate_at_every_level(self):
+        x, y = heis(3, 0, 0), heis(3, 0, 1)
+        scan = scan_tower(HEIS, x, y, 2, 8)
+        assert [lv.method for lv in scan.levels] == ["orbit"] * 3 + ["class2-smith"] * 5
+        assert scan.summary == "conjugate at all 8 levels"
+        # the paper's phenomenon: never separated at 2, separated at 3
+        assert scan_tower(HEIS, x, y, 3, 8).separated_at == 1
+        heis5 = heis5_spec()
+        x = coords_to_element(heis5, (1, 0, 0, 0, 0))
+        scan = scan_tower(heis5, x, coords_to_element(heis5, (1, 0, 0, 0, 1)), 2, 5)
+        assert [lv.method for lv in scan.levels] == ["orbit"] + ["class2-smith"] * 4
+        assert scan.summary == "conjugate at all 5 levels"
+
+    def test_separated_level_states_its_certificate(self):
+        scan = scan_tower(HEIS, heis(4, 4, 1), heis(4, 4, 3), 2, 3, max_order=8)
+        assert scan.levels[1] == separability.TowerLevel(
+            2, "class2-smith", False,
+            "functional [-1] vanishes on the commutator lattice mod 2^2, not on x^-1 y",
+        )
+        scan = scan_tower(HEIS, heis(1, 0, 0), heis(1, 2, 0), 2, 3, max_order=8)
+        assert scan.levels[1] == separability.TowerLevel(
+            2, "class2-smith", False, "x^-1 y has entry (1, 2) nonzero mod 2^2, off the centre"
+        )
+
+    def test_smith_form_taken_once_and_only_past_what_else_decides(self, monkeypatch):
+        calls = []
+        real = separability.class2_tower
+        monkeypatch.setattr(
+            separability, "class2_tower", lambda *a: calls.append(a) or real(*a)
+        )
+        w = make_witness(HEIS, 2)
+        scan_tower(HEIS, w.u, w.v, 2, 8, witness=w)
+        scan_tower(HEIS, heis(1, 0, 0), heis(0, 1, 0), 2, 8)
+        scan_tower(HEIS, heis(3, 0, 0), heis(3, 0, 1), 2, 3)
+        assert calls == []
+        scan_tower(HEIS, heis(3, 0, 0), heis(3, 0, 1), 2, 8)
+        assert len(calls) == 1
+
+    def test_smith_form_disagreeing_with_orbit_search_raises(self, monkeypatch):
+        real = separability.class2_tower
+        monkeypatch.setattr(
+            separability, "class2_tower",
+            lambda *a: real(*a)._replace(level=2, separator=("entry", (0, 1))),
+        )
+        with pytest.raises(LocalCheckFailed, match="disagree at level 2"):
+            scan_tower(HEIS, heis(3, 0, 0), heis(3, 0, 1), 2, 5)
 
     def test_nonconjugate_pair_separates(self):
         scan = scan_tower(HEIS, heis(1, 0, 0), heis(0, 1, 0), 2, 3)
         assert scan.separated_at == 1
 
 
+def corner_closed_form(x, y, m) -> bool:
+    """Conjugacy mod m in heisenberg and heis5, whose centre is the corner
+    entry: [x, G] is spanned by the gcd of x's other entries, so x ~ y iff
+    those agree mod m and the corners differ by a multiple of gcd(them, m)."""
+    corner = (0, x.n - 1)
+    others = [(i, j) for i in range(x.n) for j in range(i + 1, x.n) if (i, j) != corner]
+    if any((x[pos] - y[pos]) % m for pos in others):
+        return False
+    return (y[corner] - x[corner]) % gcd(m, *(x[pos] for pos in others)) == 0
+
+
 def reference_scan(spec, x, y, p, depth, cap):
-    """Each level decided on its own, as the scan did when it searched every
-    level under the cap: equal images, an identity image, orbit search when
-    UT(n) mod p^k has order at most cap and both images lie in the quotient,
-    and None for a level it leaves undecided."""
+    """Each level decided on its own: equal images, an identity image, orbit
+    search when UT(n) mod p^k has order at most cap and both images lie in
+    the quotient, the closed form over the cap in class 2, and None for a
+    level it leaves undecided."""
     out = []
     for k in range(1, depth + 1):
         rx, ry = reduce_mod(x, p, k), reduce_mod(y, p, k)
@@ -474,7 +558,7 @@ def reference_scan(spec, x, y, p, depth, cap):
         elif rx.is_identity() or ry.is_identity():
             out.append(False)
         elif p ** (k * spec.n * (spec.n - 1) // 2) > cap:
-            out.append(None)
+            out.append(corner_closed_form(x, y, p**k) if spec.declared_class <= 2 else None)
         else:
             quot, _ = congruence_quotient(spec, p, k, max(cap, 2))
             in_quot = rx in quot and ry in quot
@@ -507,8 +591,9 @@ def scan_cases(draw):
 
 class TestScanAgainstEveryLevelSearch:
     """The scan searches the top level under the cap first and derives the
-    others from it where it can; each level must say what searching every
-    level under the cap says."""
+    others from it where it can, and decides class-2 levels over the cap by
+    one Smith form; each level must say what searching every level under
+    the cap, and the closed form over it, say."""
 
     @settings(max_examples=150, deadline=None)
     @given(scan_cases())
