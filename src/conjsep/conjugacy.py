@@ -4,11 +4,12 @@ Three backends: breadth-first orbit search in finite groups, the
 commutator-lattice criterion for class <= 2 matrix groups (conjugates of x are
 exactly x times the lattice spanned by its generator commutators), and the
 componentwise rule for abelian-times-finite products.  The lattice criterion
-also decides every level of a congruence tower at once: one Smith form of
-that lattice gives the least level mod p^k that separates a pair, with no
-quotient built (`class2_tower`).  On top of these sit the finite-group
-coset-separability predicate and the brute-force equivalence check between
-quotient separability and coset separability.
+also decides a congruence tower up to a given depth at once: one Smith form
+of that lattice gives the least level mod p^k that separates a pair, checked
+by a functional, and one conjugator, checked at the highest level below it,
+with no quotient built (`class2_tower`).  On top of these sit the
+finite-group coset-separability predicate and the brute-force equivalence
+check between quotient separability and coset separability.
 """
 
 from __future__ import annotations
@@ -37,7 +38,10 @@ from .intlin import (
     snf,
     valuation,
 )
-from .unitri import ResidueUT, UTMatrix, commutator, reduce_mod
+from .unitri import UTMatrix, commutator, reduce_mod
+
+
+_NOT_ELEMENTS = "x and y must be elements of the group"
 
 
 @dataclass(frozen=True)
@@ -57,21 +61,31 @@ def conjugate_in_finite(group: FiniteGroup, x, y) -> ConjugacyAnswer:
     order, so the recorded conjugator word is the smallest BFS word.  The
     search runs on the group's conjugation points and stops when y's point
     appears; the conjugator and its word are read off the Schreier tree path
-    from x to y and re-verified with the group's general `mul`.
+    from x to y and re-verified with the group's general `mul`.  KeyError
+    when x or y is not an element; y is tested only where the answer
+    depends on it, by membership when the orbit misses its point and by
+    decoding the point it hits, which y can share and be of another modulus.
     """
-    if x not in group or y not in group:
-        raise KeyError("x and y must be elements of the group")
+    if x not in group:
+        raise KeyError(_NOT_ELEMENTS)
     if x == y:
         return ConjugacyAnswer(True, group.identity, "orbit", "")
-    point_of = group.conjugation.point
-    start, target = point_of(x), point_of(y)
+    conj = group.conjugation
+    try:
+        start, target = conj.point(x), conj.point(y)
+    except AttributeError:  # y has no rows, as a residue group's points are
+        raise KeyError(_NOT_ELEMENTS) from None
     tree = {}
     for point, parent, i in group.conjugation_orbit(x):
         tree[point] = (parent, i)
         if point == target:
             break
     else:
+        if y not in group:
+            raise KeyError(_NOT_ELEMENTS)
         return ConjugacyAnswer(False, method="orbit")
+    if conj.element(point) != y:
+        raise KeyError(_NOT_ELEMENTS)
     path = []
     while point != start:
         point, i = tree[point]
@@ -123,7 +137,7 @@ def class2_conjugate(spec: MatrixGroupSpec, x: UTMatrix, y: UTMatrix) -> Conjuga
     if d.is_identity():
         return ConjugacyAnswer(True, UTMatrix.identity(spec.n), "class2-lattice", "")
     d_vec = center_vector(spec, d)
-    if d_vec is None or d_vec not in center_lattice(spec):
+    if d_vec is None:
         return ConjugacyAnswer(False, method="class2-lattice")
     hit = Lattice(len(d_vec), commutator_vecs).contains(d_vec)
     if not hit.member:
@@ -139,72 +153,48 @@ def class2_conjugate(spec: MatrixGroupSpec, x: UTMatrix, y: UTMatrix) -> Conjuga
     return ConjugacyAnswer(True, g, "class2-lattice", "*".join(word_parts))
 
 
-class Class2Tower(
-    namedtuple("Class2Tower", "spec x y p level separator diagonal w v")
-):
-    """The congruence tower of one prime p for a pair x, y of a verified
-    class <= 2 group, read off one Smith form U A V = D of the matrix A
-    whose columns are the centre vectors of [x, g_i].
-
-    With d = x^-1 y and w = U d_vec, the images are conjugate mod p^k iff
-    every entry of d off the centre support is 0 mod p^k and
-    min(k, v_p(D_ii)) <= v_p(w_i) for every i, D_ii = 0 past the rank.  So
-    `level`, the least level that separates them, is 1 + the least of the
-    valuations of those entries and of the w_i with v_p(w_i) < v_p(D_ii);
-    None when there is none, and no level separates the pair.  `separator`
-    names what decides it: ("entry", (i, j)) for an entry of d, or
-    ("functional", row) for a row of U, which vanishes mod p^level on L and
-    not on d_vec.  `diagonal` holds D_ii for every row i of U, and `v` is V.
-    (A namedtuple: a frozen dataclass, or a typing.NamedTuple with its
-    annotations, adds about 1 ms to every import of the package.)
-    """
-
-    __slots__ = ()
-
-    def conjugator(self, k: int) -> ResidueUT:
-        """A conjugator of the images mod p^k, for k below `level`, checked
-        there by residue products (VerificationFailed); it reduces to one
-        at every lower level.  It is prod g_i^(c_i) with c = V c' and
-        D_ii c'_i = w_i mod p^k, so that A c = d_vec mod p^k."""
-        if k < 1 or (self.level is not None and k >= self.level):
-            raise ValueError(f"the images are not conjugate mod {self.p}^{k}")
-        p, mod = self.p, self.p**k
-        solved = []
-        for dii, wi in zip(self.diagonal, self.w[: self.v.rows]):
-            if dii % mod == 0:
-                solved.append(0)
-                continue
-            a = valuation(dii, p)
-            unit = mod_inverse(dii // p**a, p ** (k - a))
-            solved.append(wi // p**a * unit)
-        solved += [0] * (self.v.rows - len(solved))
-        g = reduce_mod(UTMatrix.identity(self.spec.n), p, k)
-        for gen, e in zip(self.spec.generators, self.v.apply(solved)):
-            if e % mod:
-                g = g * reduce_mod(gen, p, k) ** (e % mod)
-        if reduce_mod(self.x, p, k) * g != g * reduce_mod(self.y, p, k):
-            raise VerificationFailed(
-                "conjugator", f"the Smith-form conjugator fails mod {p}^{k}"
-            )
-        return g
+# The congruence tower of one prime p for a pair of a verified class <= 2
+# group, as `class2_tower` decides and checks it.  (A namedtuple: a frozen
+# dataclass, or a typing.NamedTuple with its annotations, adds about 1 ms to
+# every import of the package.)
+Class2Tower = namedtuple("Class2Tower", "p level separator conjugator")
 
 
 def _dot(a, b) -> int:
     return sum(s * t for s, t in zip(a, b))
 
 
-def class2_tower(spec: MatrixGroupSpec, x: UTMatrix, y: UTMatrix, p: int) -> Class2Tower:
-    """Every level of the congruence tower mod p^k for x and y at once, by
-    one Smith form (`Class2Tower`), with no quotient built.
+def class2_tower(
+    spec: MatrixGroupSpec, x: UTMatrix, y: UTMatrix, p: int, depth: int
+) -> Class2Tower:
+    """Levels 1..depth of the congruence tower mod p^k for x and y at once,
+    by one Smith form U A V = D of the matrix A whose columns are the centre
+    vectors of [x, g_i], with no quotient built.
 
-    x and y must lie in the verified group: x is checked as in
-    `class2_conjugate` (ClassTooHigh, ValueError), y is the caller's
-    precondition.  The least separating level is re-checked before it is
-    returned, by the valuation of its entry of d or by its functional on the
-    generators of L and on d_vec (VerificationFailed); ValueError when p is
-    not prime.
+    With d = x^-1 y and w = U d_vec, the images are conjugate mod p^k iff
+    every entry of d off the centre support is 0 mod p^k and
+    min(k, v_p(D_ii)) <= v_p(w_i) for every i, D_ii = 0 past the rank.  So
+    the least level that separates them is 1 + the least of the valuations
+    of those entries and of the w_i with v_p(w_i) < v_p(D_ii); `level` is
+    that level when it is at most depth, else None.  `separator` names what
+    decides it, or is None with `level`: ("entry", (i, j)) for an entry of
+    d, or ("functional", row) for a row of U, which vanishes mod p^level on
+    L and not on d_vec.  `conjugator` is prod g_i^(c_i) mod p^t, t the
+    highest level up to depth that does not separate (None when t = 0), with
+    c = V c' and D_ii c'_i = w_i mod p^t, so that A c = d_vec mod p^t; it
+    reduces to a conjugator at every lower level.
+
+    Both verdicts are checked before they are returned (VerificationFailed):
+    the separation by its entry of d, or by its functional on the
+    generators of L and on d_vec ('certificate'), and the conjugator by
+    residue products mod p^t ('conjugator').  x and y must lie in the
+    verified group: x is checked as in `class2_conjugate` (ClassTooHigh,
+    ValueError), y is the caller's precondition.  ValueError when p is not
+    prime or depth < 1.
     """
     require_prime(p)
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
     gens = _commutator_vectors(spec, x)
     d = x.inverse() * y
     support = center_support(spec)
@@ -221,20 +211,38 @@ def class2_tower(spec: MatrixGroupSpec, x: UTMatrix, y: UTMatrix, p: int) -> Cla
     for i, (dii, wi) in enumerate(zip(diagonal, w)):
         if wi and (not dii or valuation(wi, p) < valuation(dii, p)):
             found.append((valuation(wi, p), ("functional", u.row(i))))
-    if not found:
-        return Class2Tower(spec, x, y, p, None, (), diagonal, w, v)
-    low, separator = min(found, key=lambda item: item[0])
-    level, mod = low + 1, p ** (low + 1)
-    kind, what = separator
-    if kind == "entry":
-        holds = d[what] % mod != 0
-    else:
-        holds = all(_dot(what, col) % mod == 0 for col in gens) and _dot(what, d_vec) % mod != 0
-    if not holds:
-        raise VerificationFailed(
-            "certificate", f"the {kind} {what} does not separate x and y mod {p}^{level}"
-        )
-    return Class2Tower(spec, x, y, p, level, separator, diagonal, w, v)
+    level = separator = None
+    low, first = min(found, key=lambda item: item[0], default=(depth, None))
+    if low < depth:
+        level, separator, mod = low + 1, first, p ** (low + 1)
+        kind, what = separator
+        if kind == "entry":
+            holds = d[what] % mod != 0
+        else:
+            holds = all(_dot(what, col) % mod == 0 for col in gens) and _dot(what, d_vec) % mod != 0
+        if not holds:
+            raise VerificationFailed(
+                "certificate", f"the {kind} {what} does not separate x and y mod {p}^{level}"
+            )
+    t = min(low, depth)
+    if not t:
+        return Class2Tower(p, level, separator, None)
+    mod = p**t
+    solved = []
+    for dii, wi in zip(diagonal, w[:m]):
+        if dii % mod == 0:
+            solved.append(0)
+            continue
+        a = valuation(dii, p)
+        solved.append(wi // p**a * mod_inverse(dii // p**a, p ** (t - a)))
+    solved += [0] * (m - len(solved))
+    g = reduce_mod(UTMatrix.identity(spec.n), p, t)
+    for gen, e in zip(spec.generators, v.apply(solved)):
+        if e % mod:
+            g = g * reduce_mod(gen, p, t) ** (e % mod)
+    if reduce_mod(x, p, t) * g != g * reduce_mod(y, p, t):
+        raise VerificationFailed("conjugator", f"the Smith-form conjugator fails mod {p}^{t}")
+    return Class2Tower(p, level, separator, g)
 
 
 def conjugate_in_product(group: ProductGroupSpec, a, b) -> ConjugacyAnswer:
@@ -259,20 +267,16 @@ def conjugate_in_product(group: ProductGroupSpec, a, b) -> ConjugacyAnswer:
 KERNEL_BUDGET = 512
 
 
-def _is_p_group_within_budget(
-    group: FiniteGroup, p: int, max_order: int = KERNEL_BUDGET
-) -> bool:
+def _is_p_group_within_budget(group: FiniteGroup, p: int) -> bool:
     """Whether the group is a p-group, after the checks every kernel query
     makes: SizeLimit when the group is beyond the enumeration budget, and
     ValueError when p is not prime."""
-    if group.order > max_order:
-        raise SizeLimit(f"group of order {group.order} exceeds budget {max_order}")
+    if group.order > KERNEL_BUDGET:
+        raise SizeLimit(f"group of order {group.order} exceeds budget {KERNEL_BUDGET}")
     return group.is_p_group(p)
 
 
-def enumerate_p_quotient_kernels(
-    group: FiniteGroup, p: int, max_order: int = KERNEL_BUDGET
-) -> tuple:
+def enumerate_p_quotient_kernels(group: FiniteGroup, p: int) -> tuple:
     """Normal subgroups H with [G : H] a power of p, smallest first.
 
     Always contains the whole group (trivial quotient).  Raises SizeLimit when
@@ -281,8 +285,8 @@ def enumerate_p_quotient_kernels(
     kept on the group.
     """
     kernels = group._kernels.get(p)
-    if kernels is None or group.order > max_order:
-        _is_p_group_within_budget(group, p, max_order)  # raises SizeLimit or ValueError
+    if kernels is None:
+        _is_p_group_within_budget(group, p)  # raises SizeLimit or ValueError
         kernels = group._kernels[p] = tuple(
             sub for sub in group.normal_subgroups()
             if prime_power_exponent(group.order // len(sub), p) is not None

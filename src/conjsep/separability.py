@@ -268,8 +268,7 @@ def _ut_order(n: int, p: int, k: int) -> int:
 
 def _search(quot: FiniteGroup, x, y):
     """The orbit search for x and y in quot, or None when either lies
-    outside it, which `conjugate_in_finite` tells by KeyError after the
-    one membership test of each."""
+    outside it, which `conjugate_in_finite` tells by KeyError."""
     try:
         return conjugate_in_finite(quot, x, y)
     except KeyError:
@@ -431,27 +430,22 @@ def _top_search(spec, images, p: int, cap: int):
     return top, _search(_orbit_quotient(spec, p, top, cap), rx, ry)
 
 
-def _over_cap_tower(spec, x, y, p: int, k: int, depth: int) -> tuple:
-    """(tower, note) for the levels k..depth over the orbit cap, k the first
-    of them the scan cannot decide otherwise.  tower is `class2_tower` of x
-    and y, or None with the note of why those levels stay skipped: a spec
-    of class 3 or more (note ""), or an input that does not sift along the
-    spec's Mal'cev basis, which leaves its membership in G undecided.
-
-    Each verdict is checked.  A conjugator built at the highest of those
-    levels the tower calls conjugate reduces to one at every lower level,
-    and needs no trust in the spec.  A separation within the depth rests on
-    the spec's declared centre, so the spec is verified first (SpecRejected).
+def _over_cap_tower(spec, x, y, p: int, depth: int) -> tuple:
+    """(tower, note) for the levels over the orbit cap that the scan cannot
+    decide otherwise.  tower is `class2_tower` of x and y to the depth,
+    which checks each of its verdicts, or None with the note of why those
+    levels stay skipped: a spec of class 3 or more (note ""), or an input
+    that does not sift along the spec's Mal'cev basis, which leaves its
+    membership in G undecided.  A conjugator needs no trust in the spec, but
+    a separation within the depth rests on the spec's declared centre, so
+    the spec is verified then (SpecRejected).
     """
     if spec.declared_class > 2:
         return None, ""
     if element_coords(spec, x) is None or element_coords(spec, y) is None:
         return None, "; no class-2 verdict: x and y are not both shown to lie in the group"
-    tower = class2_tower(spec, x, y, p)
-    top = depth if tower.level is None else min(depth, tower.level - 1)
-    if top >= k:
-        tower.conjugator(top)
-    if top < depth:
+    tower = class2_tower(spec, x, y, p, depth)
+    if tower.level is not None:
         verify_spec(spec)
     return tower, ""
 
@@ -495,9 +489,9 @@ def scan_tower(
     Equal images (conjugate) and exactly one identity image (separated: the
     identity is conjugate only to itself) are tested first at every level.
     The other levels over the cap of a spec that declares class <= 2 are
-    "class2-smith": one Smith form (`class2_tower`), taken when the scan
-    first reaches such a level, decides them all (`_over_cap_tower` checks
-    each verdict), and a level it decides otherwise than the scan's own
+    "class2-smith": one Smith form (`class2_tower`, which checks each of
+    its verdicts), taken when the scan first reaches such a level, decides
+    them all, and a level it decides otherwise than the scan's own
     verdicts raises LocalCheckFailed.  Such a level is skipped, with its
     size against the cap, in class 3 or more, or when x or y does not sift
     along the spec's Mal'cev basis and so is not shown to lie in G.
@@ -546,7 +540,7 @@ def scan_tower(
             entry = TowerLevel(k, "orbit", answer.conjugate)
         elif (quot := _orbit_quotient(spec, p, k, max_order)) is None:
             if smith is None:
-                smith = _over_cap_tower(spec, x, y, p, k, depth)
+                smith = _over_cap_tower(spec, x, y, p, depth)
             tower, why = smith
             if tower is not None:
                 entry = _smith_entry(tower, k)

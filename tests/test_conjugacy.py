@@ -21,7 +21,8 @@ from conjsep.conjugacy import (
     is_conjugacy_p_separable,
     quotient_coset_equivalence,
 )
-from conjsep.errors import ClassTooHigh, NonAbelianPart, SizeLimit
+from conjsep import conjugacy, separability
+from conjsep.errors import ClassTooHigh, NonAbelianPart, SizeLimit, VerificationFailed
 from conjsep.finite import (
     FiniteGroup,
     cyclic,
@@ -42,7 +43,7 @@ from conjsep.groupspec import (
     ut4_spec,
     verify_spec,
 )
-from conjsep.intlin import valuation
+from conjsep.intlin import IntMatrix, valuation
 from conjsep.unitri import ResidueUT, UTMatrix, reduce_mod
 
 from _oracles import brute_conjugate, reference_conjugate, reference_separate_from_coset
@@ -91,6 +92,34 @@ class TestOrbitSearch:
     def test_requires_membership(self):
         with pytest.raises(KeyError):
             conjugate_in_finite(dihedral4(), (1, 0), "nope")
+
+    def test_y_outside_the_group_raises_on_a_miss_and_on_a_hit(self):
+        group = heis_quotient(2, 2)
+        x = reduce_mod(heis(1, 0, 0), 2, 2)
+        # Mod 4 a c is conjugate to a, so the orbit of x reaches the rows of
+        # a c mod 2; that y lives mod 2 and must not be taken for them.
+        assert conjugate_in_finite(group, x, reduce_mod(heis(1, 0, 1), 2, 2)).conjugate
+        hit = reduce_mod(heis(1, 0, 1), 2, 1)
+        miss = reduce_mod(heis(0, 1, 0), 2, 1)
+        for y in (hit, miss, "nope"):
+            with pytest.raises(KeyError):
+                conjugate_in_finite(group, x, y)
+            assert separability._search(group, x, y) is None
+        with pytest.raises(KeyError):
+            conjugate_in_finite(group, hit, x)
+
+    def test_y_is_sifted_only_when_the_orbit_misses_it(self):
+        group = finite_closure([reduce_mod(g, 2, 2) for g in heis5_spec().generators])
+        sifted = []
+        contains = group._members.contains
+        group._members.contains = lambda e: sifted.append(e) or contains(e)
+        x, y = group.generators[0], group.generators[1]
+        g = x * y
+        assert conjugate_in_finite(group, x, g.inverse() * x * g).conjugate
+        assert sifted == [x]
+        sifted.clear()
+        assert not conjugate_in_finite(group, x, y).conjugate
+        assert sifted == [x, y]
 
 
 def seeded_pairs(group, seed, count=40):
@@ -262,18 +291,13 @@ class TestKernelEnumeration:
         kernels = enumerate_p_quotient_kernels(q8, 2)
         assert frozenset({q8.identity}) in kernels
         assert frozenset(q8.elements) in kernels
+        # The list is kept on the group, one per prime.
+        assert enumerate_p_quotient_kernels(q8, 2) is kernels
+        assert enumerate_p_quotient_kernels(q8, 3) == (frozenset(q8.elements),)
 
     def test_budget(self):
         with pytest.raises(SizeLimit):
-            enumerate_p_quotient_kernels(dihedral4(), 2, max_order=4)
-
-    def test_budget_checked_when_kernels_are_cached(self):
-        d4 = dihedral4()
-        kernels = enumerate_p_quotient_kernels(d4, 2)
-        assert enumerate_p_quotient_kernels(d4, 2) is kernels
-        assert enumerate_p_quotient_kernels(d4, 3) == (frozenset(d4.elements),)
-        with pytest.raises(SizeLimit):
-            enumerate_p_quotient_kernels(d4, 2, max_order=4)
+            enumerate_p_quotient_kernels(cyclic(1024), 2)
 
     @pytest.mark.parametrize("p", [4, 6, 1, 0, -2])
     def test_non_prime_p_rejected(self, p):
@@ -661,25 +685,28 @@ def class2_pairs(draw):
 
 
 class TestClass2TowerAgainstOrbit:
-    """One Smith form decides every level: each level it calls conjugate has
-    a checked conjugator, and each level must say what orbit search in the
-    congruence quotient says."""
+    """One Smith form decides every level up to the depth: the least level
+    it separates and the checked conjugator it gives below that must say
+    what orbit search in the congruence quotient says."""
 
     @settings(max_examples=200, deadline=None)
     @given(class2_pairs())
     def test_every_level_matches_orbit_search(self, case):
         spec, p, x, y = case
-        tower = class2_tower(spec, x, y, p)
+        first = None
         for k in range(1, 4):
             quot, _ = congruence_quotient(spec, p, k, p ** (k * spec.n**2))
             truth = conjugate_in_finite(quot, reduce_mod(x, p, k), reduce_mod(y, p, k)).conjugate
-            assert (tower.level is None or k < tower.level) == truth, (spec.name, p, k, tower)
-            if truth:
-                g = tower.conjugator(k)
-                assert reduce_mod(x, p, k) * g == g * reduce_mod(y, p, k)
-            else:
-                with pytest.raises(ValueError):
-                    tower.conjugator(k)
+            if not truth and first is None:
+                first = k
+            tower = class2_tower(spec, x, y, p, k)
+            assert tower.level == first, (spec.name, p, k, tower)
+            g = tower.conjugator
+            assert (g is None) == (first == 1)
+            if g is not None:
+                t = k if first is None else first - 1
+                assert (g.p, g.k) == (p, t)
+                assert reduce_mod(x, p, t) * g == g * reduce_mod(y, p, t)
 
     @pytest.mark.parametrize("spec", CLASS2_SPECS, ids=lambda spec: spec.name)
     def test_no_level_separates_a_conjugate_pair(self, spec):
@@ -691,23 +718,26 @@ class TestClass2TowerAgainstOrbit:
             y = g.inverse() * x * g
             assert class2_conjugate(spec, x, y).conjugate
             for p in (2, 3, 5):
-                tower = class2_tower(spec, x, y, p)
-                assert tower.level is None
-                tower.conjugator(12)
+                tower = class2_tower(spec, x, y, p, 12)
+                assert tower.level is None and tower.conjugator.k == 12
 
     def test_witness_pair_separates_only_at_its_own_prime(self):
         # [a^3, G] = 3Z and x^-1 y = c: 1 has order 3 in Z/3Z, so exactly the
         # prime 3 separates the pair, at level 1, and no level of 2 or 5 does.
         x, y = heis(3, 0, 0), heis(3, 0, 1)
         assert not class2_conjugate(HEIS, x, y).conjugate
-        three = class2_tower(HEIS, x, y, 3)
-        assert (three.level, three.separator) == (1, ("functional", (1,)))
+        three = class2_tower(HEIS, x, y, 3, 8)
+        assert three == (3, 1, ("functional", (1,)), None)
         for p in (2, 5):
-            assert class2_tower(HEIS, x, y, p).level is None
+            assert class2_tower(HEIS, x, y, p, 8).level is None
 
     def test_entry_off_the_centre_decides(self):
-        tower = class2_tower(HEIS, heis(1, 0, 0), heis(1, 12, 0), 2)
+        x, y = heis(1, 0, 0), heis(1, 12, 0)
+        tower = class2_tower(HEIS, x, y, 2, 8)
         assert (tower.level, tower.separator) == (3, ("entry", (1, 2)))
+        assert tower.conjugator.k == 2
+        # Within a depth below the level nothing separates.
+        assert class2_tower(HEIS, x, y, 2, 2) == (2, None, None, tower.conjugator)
 
     def test_rank2_lattice_is_not_diagonal(self):
         # x = x12^2 x23 x24: L = {(u, v): u = v mod 2}, so (1, 1) is in it and
@@ -715,20 +745,59 @@ class TestClass2TowerAgainstOrbit:
         spec = rank2_centre_spec()
         assert verify_spec(spec).passed
         x = class2_element(spec, (2, 1, 1, 0, 0))
-        assert class2_tower(spec, x, x * class2_element(spec, (0, 0, 0, 1, 1)), 2).level is None
-        tower = class2_tower(spec, x, x * class2_element(spec, (0, 0, 0, 1, 0)), 2)
+        assert class2_tower(spec, x, x * class2_element(spec, (0, 0, 0, 1, 1)), 2, 4).level is None
+        tower = class2_tower(spec, x, x * class2_element(spec, (0, 0, 0, 1, 0)), 2, 4)
         kind, row = tower.separator
         assert tower.level == 1 and kind == "functional" and all(row)
 
     def test_inputs_the_criterion_does_not_cover(self):
         ut4 = ut4_spec()
         with pytest.raises(ClassTooHigh):
-            class2_tower(ut4, ut4.generators[0], ut4.generators[1], 2)
+            class2_tower(ut4, ut4.generators[0], ut4.generators[1], 2, 3)
         stranger = UTMatrix.from_entries(4, {(1, 2): 1})
         with pytest.raises(ValueError):
-            class2_tower(heis5_spec(), stranger, stranger, 2)
-        with pytest.raises(ValueError):
-            class2_tower(HEIS, heis(1, 0, 0), heis(1, 0, 1), 4)
+            class2_tower(heis5_spec(), stranger, stranger, 2, 3)
+        with pytest.raises(ValueError, match="prime"):
+            class2_tower(HEIS, heis(1, 0, 0), heis(1, 0, 1), 4, 3)
+        for depth in (0, -1):
+            with pytest.raises(ValueError, match="depth"):
+                class2_tower(HEIS, heis(1, 0, 0), heis(1, 0, 1), 2, depth)
+
+
+class TestClass2TowerRejectsAWrongSmithForm:
+    """`class2_tower` checks both of its verdicts itself, so a wrong Smith
+    form fails there, without a scan around it."""
+
+    @pytest.fixture
+    def wrong_snf(self, monkeypatch):
+        real = conjugacy.snf
+
+        def install(wrong):
+            monkeypatch.setattr(conjugacy, "snf", lambda a: wrong(*real(a)))
+
+        return install
+
+    def test_zero_v_fails_the_conjugator_check(self, wrong_snf):
+        # a^3 and a^3 c are conjugate at every level mod 2^k: with V zeroed
+        # the conjugator built from it is the identity, which is not one.
+        a, _ = HEIS.generators
+        c = HEIS.center_gens[0]
+        wrong_snf(lambda d, u, v: (d, u, IntMatrix.zero(v.rows, v.cols)))
+        for depth in (1, 4):
+            with pytest.raises(VerificationFailed) as err:
+                class2_tower(HEIS, a**3, a**3 * c, 2, depth)
+            assert err.value.check == "conjugator"
+
+    def test_identity_u_fails_the_certificate_check(self, wrong_snf):
+        # With U replaced by the identity, the functional read off it no
+        # longer vanishes on the commutator lattice of x = x12^2 x23 x24.
+        spec = rank2_centre_spec()
+        x = class2_element(spec, (2, 1, 1, 0, 0))
+        y = x * class2_element(spec, (0, 0, 0, 1, 1))
+        wrong_snf(lambda d, u, v: (d, IntMatrix.identity(u.rows), v))
+        with pytest.raises(VerificationFailed) as err:
+            class2_tower(spec, x, y, 2, 3)
+        assert err.value.check == "certificate"
 
 
 # Run under `python -O`, which strips assert statements: a conjugator that
@@ -775,6 +844,46 @@ except LocalCheckFailed:
 else:
     raise SystemExit("witness scan accepted a contradicting orbit search")
 conjsep.separability.conjugate_in_finite = conjugate_in_finite
+
+# A witness whose pair is conjugate (u = a^3 and [a^3, b] = c^3) must fail
+# the class-2 check.  A separation certificate whose quotient has the wrong
+# order, or whose images a search calls conjugate, must fail its re-check.
+from dataclasses import replace
+from conjsep.groupspec import coords_to_element, preset
+from conjsep.separability import separate_elements, verify_witness_global
+
+zxd4 = preset("zxd4")
+zero = coords_to_element(zxd4.matrix_part, (0,))
+product = conjsep.separability.direct_product
+
+
+def wrong_order(*args, **kwargs):
+    group = product(*args, **kwargs)
+    group.order *= 3
+    return group
+
+
+try:
+    verify_witness_global(heis, replace(w, v=w.u * w.c**3))
+except VerificationFailed as failure:
+    if failure.check != "class2-lattice":
+        raise SystemExit(f"a conjugate witness pair failed the {failure.check!r} check")
+else:
+    raise SystemExit("a conjugate witness pair passed the global checks")
+for name, wrong in (
+    ("direct_product", wrong_order),
+    ("conjugate_in_finite", lambda group, x, y: ConjugacyAnswer(True, group.identity)),
+):
+    real = getattr(conjsep.separability, name)
+    setattr(conjsep.separability, name, wrong)
+    try:
+        separate_elements(zxd4, (zero, (1, 0)), (zero, (0, 1)), 2)
+    except VerificationFailed as failure:
+        if failure.check != "certificate":
+            raise SystemExit(f"a wrong {name} failed the {failure.check!r} check")
+    else:
+        raise SystemExit(f"a wrong {name} passed the certificate re-check")
+    setattr(conjsep.separability, name, real)
 
 # A residue closure whose conjugation step is right multiplication, x -> x * s:
 # the search then reaches y, but the conjugator fails its re-check.
@@ -881,11 +990,14 @@ for x, y, witness in ((w.u, w.v, w), (w.u, w.v, None), (w.v, w.u, w)):
         raise SystemExit("a wrong top-level conjugator was accepted")
 conjsep.separability._top_search = top_search
 
-# Over the cap the Smith form decides a class-2 scan.  With U replaced by the
-# identity, the functional it reads no longer vanishes on the commutator
-# lattice of x = x12^2 x23 x24 in <x12, x23, x24> <= UT(4); with V replaced
-# by 0, the conjugator built from it is the identity.  Both must raise.
+# Over the cap the Smith form decides a class-2 scan, and `class2_tower`
+# checks it on its own.  With U replaced by the identity, the functional it
+# reads no longer vanishes on the commutator lattice of x = x12^2 x23 x24 in
+# <x12, x23, x24> <= UT(4); with V replaced by 0, the conjugator built from
+# it is the identity, also for the heisenberg pair a^3, a^3 c at p = 2.
+# Each must raise, in a scan and in the bare call.
 import conjsep.conjugacy
+from conjsep.conjugacy import class2_tower
 from conjsep.groupspec import MatrixGroupSpec
 from conjsep.intlin import IntMatrix
 from conjsep.unitri import UTMatrix
@@ -902,13 +1014,19 @@ for check, wrong in (
 ):
     conjsep.conjugacy.snf = lambda a, wrong=wrong: wrong(*smith(a))
     x = x12**2 * x23 * x24
-    try:
-        scan_tower(rank2, x, x * x13 * x14, 2, 3, max_order=1)
-    except VerificationFailed as failure:
-        if failure.check != check:
-            raise SystemExit(f"a wrong Smith form failed the {failure.check!r} check, not {check!r}")
-    else:
-        raise SystemExit(f"a wrong Smith form passed the {check!r} check")
+    calls = [lambda: scan_tower(rank2, x, x * x13 * x14, 2, 3, max_order=1),
+             lambda: class2_tower(rank2, x, x * x13 * x14, 2, 3)]
+    if check == "conjugator":
+        calls.append(lambda: class2_tower(heis, a**3, a**3 * c, 2, 4))
+    for call in calls:
+        try:
+            call()
+        except VerificationFailed as failure:
+            if failure.check != check:
+                raise SystemExit(
+                    f"a wrong Smith form failed the {failure.check!r} check, not {check!r}")
+        else:
+            raise SystemExit(f"a wrong Smith form passed the {check!r} check")
 conjsep.conjugacy.snf = smith
 
 # Unitriangular constructors and reduce_mod check their input with explicit raises.

@@ -123,6 +123,17 @@ class TestVerifySpec:
         assert err.value.check == "center-commutes"
         assert "x13" in err.value.detail and "x34" in err.value.detail
 
+    @pytest.mark.parametrize("change, detail", [
+        ({"z2_rep": UTMatrix.identity(4)}, "a is 4x4, spec says n=3"),
+        ({"declared_class": 0}, "declared_class must be >= 1, got 0"),
+        ({"generators": (), "gen_names": ()}, "no generators"),
+    ], ids=["size", "class", "generators"])
+    def test_shape_rejected(self, change, detail):
+        mutated = dataclasses.replace(heisenberg_spec(), **change)
+        with pytest.raises(SpecRejected) as err:
+            verify_spec(mutated)
+        assert (err.value.check, err.value.detail) == ("shape", detail)
+
     def test_nonadditive_center_rejected(self):
         # centre generator whose nilpotent part does not square to zero
         g = UTMatrix.from_entries(3, {(0, 1): 1, (1, 2): 1})

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conjsep import cli
-from conjsep.conjugacy import conjugate_in_finite, conjugate_in_product
+from conjsep.conjugacy import ConjugacyAnswer, conjugate_in_finite, conjugate_in_product
 from conjsep.errors import (
     AbelianGroup,
     AreConjugate,
@@ -18,7 +18,7 @@ from conjsep.errors import (
     VerificationFailed,
 )
 from conjsep import intlin, separability
-from conjsep.finite import cyclic, finite_closure
+from conjsep.finite import cyclic, direct_product, finite_closure
 from conjsep.groupspec import (
     MatrixGroupSpec,
     ProductGroupSpec,
@@ -49,6 +49,7 @@ from conjsep.separability import (
 from conjsep.unitri import UTMatrix, reduce_mod
 
 from _oracles import reference_witness_exponent
+from test_cli import OFF_GROUP_DOC
 from test_conjugacy import double_heisenberg_spec
 
 HEIS = heisenberg_spec()
@@ -165,6 +166,10 @@ class TestMakeWitness:
             e = w.q**w.n
             for m, k in w.conjugator_exponents:
                 assert (e * k) % p**m == 1
+                assert w.conjugator_exponent(m) == k
+            # Past the table the exponent is computed.
+            assert len(w.conjugator_exponents) == 8
+            assert w.conjugator_exponent(9) == pow(e, -1, p**9)
 
 
 def _witness_specs():
@@ -274,6 +279,29 @@ class TestVerifyWitnessGlobal:
             verify_witness_global(HEIS, tampered)
         assert err.value.check in ("class2-lattice", "structure")
 
+    def test_c_outside_the_centre(self):
+        w = make_witness(HEIS, 2)
+        with pytest.raises(VerificationFailed) as err:
+            verify_witness_global(HEIS, dataclasses.replace(w, c=w.b))
+        assert err.value.check == "divisibility"
+        assert err.value.detail == "c lies outside the declared centre"
+
+    def test_conjugate_pair_fails_the_class2_check(self):
+        # u = a^3 and [a^3, b] = c^3, so u and u c^3 are conjugate by b.
+        w = make_witness(HEIS, 2)
+        assert w.u == HEIS.generators[0] ** 3
+        with pytest.raises(VerificationFailed) as err:
+            verify_witness_global(HEIS, dataclasses.replace(w, v=w.u * w.c**3))
+        assert err.value.check == "class2-lattice"
+
+    def test_wrong_table_exponent(self):
+        w = make_witness(HEIS, 2)
+        table = tuple((m, k + 2 if m == 3 else k) for m, k in w.conjugator_exponents)
+        with pytest.raises(VerificationFailed) as err:
+            verify_witness_global(HEIS, dataclasses.replace(w, conjugator_exponents=table))
+        assert (err.value.check, err.value.detail) == (
+            "structure", "conjugator exponent at level 3 is wrong")
+
 
 class TestVerifyWitnessLocal:
     def test_heisenberg_p2_levels(self):
@@ -342,6 +370,11 @@ class TestVerifyWitnessLocal:
             verify_witness_local(spec, w, m)
 
 
+def _thrice_the_order(group):
+    group.order *= 3
+    return group
+
+
 class TestSeparateElements:
     def test_torsion_branch(self):
         group = preset("zxd4")
@@ -383,6 +416,22 @@ class TestSeparateElements:
         ident = UTMatrix.identity(3)
         with pytest.raises(NotApplicable):
             separate_elements(group, (ident, 0), (ident, 1), 2)
+
+    @pytest.mark.parametrize("name, wrong, detail", [
+        ("direct_product", lambda *args, **kwargs: _thrice_the_order(direct_product(*args, **kwargs)),
+         "quotient order is not a p-power"),
+        ("conjugate_in_finite", lambda group, x, y: ConjugacyAnswer(True, group.identity),
+         "images are conjugate in the quotient"),
+    ], ids=["order", "search"])
+    def test_certificate_rechecks(self, monkeypatch, name, wrong, detail):
+        # A quotient of the wrong order, or an orbit search that calls the
+        # images conjugate, must not make a certificate.
+        monkeypatch.setattr(separability, name, wrong)
+        group = preset("zxd4")
+        zero = coords_to_element(group.matrix_part, (0,))
+        with pytest.raises(VerificationFailed) as err:
+            separate_elements(group, (zero, (1, 0)), (zero, (0, 1)), 2)
+        assert (err.value.check, err.value.detail) == ("certificate", detail)
 
     def test_image_outside_the_quotient_raises(self):
         # <I+2E01> over Z: I+E01 lies outside it, and its image mod 2 lies
@@ -532,6 +581,19 @@ class TestScanTower:
     def test_nonconjugate_pair_separates(self):
         scan = scan_tower(HEIS, heis(1, 0, 0), heis(0, 1, 0), 2, 3)
         assert scan.separated_at == 1
+
+    def test_images_outside_the_generated_group_under_the_cap(self):
+        # <I+2E01, I+2E12> is trivial mod 2 and small mod 4; the images of
+        # I+E01 and I+E01+E02 lie outside both, so neither level is decided.
+        spec = load_spec(OFF_GROUP_DOC).matrix_part
+        x = UTMatrix.from_entries(3, {(0, 1): 1})
+        y = UTMatrix.from_entries(3, {(0, 1): 1, (0, 2): 1})
+        scan = scan_tower(spec, x, y, 2, 2)
+        assert scan.levels == tuple(
+            separability.TowerLevel(k, "skipped", None, "images outside the generated group")
+            for k in (1, 2)
+        )
+        assert scan.summary == "conjugate at every decided level; undecided at [1, 2]"
 
 
 def corner_closed_form(x, y, m) -> bool:
