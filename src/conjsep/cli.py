@@ -5,6 +5,9 @@ named presets or JSON spec files; every report embeds the data needed to
 re-verify its claims offline and is printed as text or, with --json, as a
 single JSON object with the shape
 {"command", "inputs", "result", "checks": [{"name", "pass"}], "timing_ms"}.
+That text is `json.dumps(report, indent=2, default=str)` byte for byte,
+written by `_dump`, which keeps the stdlib's layout without its
+pure-Python indented encoder.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 rejected spec,
 3 parse error (also -K or --max-order below 1), 4 witness inapplicable
@@ -18,6 +21,7 @@ import functools
 import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _ascii
 from pathlib import Path
 
 from .errors import (
@@ -52,6 +56,90 @@ from .separability import (
     verify_witness_global,
 )
 from .unitri import UTMatrix
+
+
+_INF = float("inf")
+
+
+def _float_text(o: float) -> str:
+    if o != o:
+        return "NaN"
+    if o == _INF:
+        return "Infinity"
+    if o == -_INF:
+        return "-Infinity"
+    return float.__repr__(o)
+
+
+# The stdlib's spelling of each scalar, keyed by exact type: a scalar in a
+# container costs one lookup and one call of C code, not a call of `_write`.
+_LEAVES = {
+    str: _ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+    float: _float_text,
+}
+_leaf = _LEAVES.get
+
+
+def _scalar(obj) -> str | None:
+    """obj's text when the stdlib writes it as a scalar, subclasses in the
+    stdlib's isinstance order; None otherwise."""
+    leaf = _leaf(type(obj)) or next(
+        (_LEAVES[base] for base in (str, int, float) if isinstance(obj, base)), None)
+    return leaf and leaf(obj)
+
+
+def _key_text(key) -> str:
+    """A dict key that is no str, as the stdlib quotes it; a key of no
+    scalar type raises TypeError."""
+    if isinstance(key, (int, float)) or key is None:
+        return _ascii(_scalar(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _dump(report) -> str:
+    """report as `json.dumps(report, indent=2, default=str)` writes it, byte
+    for byte, without the stdlib's pure-Python indented encoder."""
+    out = []
+    _write(report, "\n", out.append)
+    return "".join(out)
+
+
+def _write(obj, pad: str, put) -> None:
+    """Write obj in pieces through put; pad is the newline and indent that
+    put obj's closing bracket on its own line.  An object of no JSON type
+    is written as str(obj)."""
+    cls = type(obj)
+    if cls is not dict and cls is not list and cls is not tuple:
+        if (text := _scalar(obj)) is not None:
+            return put(text)
+        if not isinstance(obj, (list, tuple, dict)):
+            return put(_ascii(str(obj)))
+    if not obj:
+        return put("{}" if isinstance(obj, dict) else "[]")
+    inner = pad + "  "
+    comma = "," + inner
+    if isinstance(obj, dict):
+        sep = "{" + inner
+        for key, value in obj.items():
+            put(sep + (_ascii(key) if isinstance(key, str) else _key_text(key)) + ": ")
+            sep = comma
+            if (leaf := _leaf(type(value))) is not None:
+                put(leaf(value))
+            else:
+                _write(value, inner, put)
+        return put(pad + "}")
+    sep = "[" + inner
+    for value in obj:
+        put(sep)
+        sep = comma
+        if (leaf := _leaf(type(value))) is not None:
+            put(leaf(value))
+        else:
+            _write(value, inner, put)
+    put(pad + "]")
 
 
 def _matrix_rows(u: UTMatrix) -> list:
@@ -425,7 +513,7 @@ def main(argv=None) -> int:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
     if args.json:
-        print(json.dumps(report, indent=2, default=str))
+        print(_dump(report))
     else:
         _print_human(report)
     return 0 if all(check["pass"] for check in report["checks"]) else 1

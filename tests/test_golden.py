@@ -1,7 +1,8 @@
 """Golden CLI reports and demo output: fixed runs whose output must not change.
 
-Each call's ``--json`` report, minus the run-dependent ``timing_ms``, is
-compared byte for byte with a stored file under ``tests/golden/``, and so are
+Each call's ``--json`` report is compared byte for byte, as ``cli.main``
+prints it, with a stored file under ``tests/golden/``: only the report's last
+member, the run-dependent ``timing_ms``, is cut from the text.  So are
 the human-readable ``selftest`` text and the stdout of every ``demos/*.py``.
 A change that is meant to alter an output regenerates the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and shows the difference in
@@ -10,7 +11,7 @@ review.
 
 import contextlib
 import io
-import json
+import re
 import runpy
 from pathlib import Path
 
@@ -18,6 +19,9 @@ from conjsep import cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+# The report's last member, cut from the printed text before the closing brace.
+TIMING = re.compile(r',\n  "timing_ms": \d+(?=\n\}\n\Z)')
 
 # (file name, argv); names ending in .json are --json reports.
 CALLS = (
@@ -41,9 +45,8 @@ def render(name, argv):
         code = cli.main(argv + ["--json"] if json_mode else argv)
     out = out.getvalue()
     if json_mode:
-        report = json.loads(out)
-        del report["timing_ms"]
-        out = json.dumps(report, indent=2, default=str) + "\n"
+        out, cuts = TIMING.subn("", out)
+        assert cuts == 1 and '"timing_ms"' not in out, f"{name}: no single trailing timing_ms"
     return code, out
 
 
