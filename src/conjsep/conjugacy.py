@@ -396,13 +396,17 @@ def quotient_coset_equivalence(group: FiniteGroup, normal_n, p: int) -> Equivale
     The left side decides every (probe, coset) pair as
     coset_conjugacy_separable does, each coset an element of the quotient;
     the right side tests the quotient against all of its own p-power
-    kernels.  Both sides are exhaustive, except where G or G/N is a p-group:
-    its trivial kernel separates every non-conjugate pair, so that side is
-    answered without listing any normal subgroup.
+    kernels.  Both sides are exhaustive, except where G or G/N is a p-group
+    within the kernel budget: its trivial kernel separates every
+    non-conjugate pair, so that side is answered without listing any normal
+    subgroup.  For G such a p-group, each pair could only answer VACUOUS or
+    YES, so the left side runs no (coset, probe) loop at all; the quotient
+    is still built, which checks that N is normal.
     """
     quot, hom = group.quotient(normal_n)
     left, detail = True, ""
-    for coset, probe in product(quot.elements, group.elements):
+    p_group = group.order <= KERNEL_BUDGET and group.is_p_group(p)
+    for coset, probe in () if p_group else product(quot.elements, group.elements):
         if _separate_from_coset(group, coset, probe, p).decision is CosetDecision.NO:
             left = False
             detail = (

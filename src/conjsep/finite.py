@@ -19,7 +19,9 @@ normal forms of its pcgs, once the pcgs's power and commutator relations
 show them to be a group holding every generator (`_form_elements`); a
 full image sifts its pcgs for that first.
 
-Every search is one breadth-first `orbit`.  Each group also carries one
+Every search is one breadth-first `orbit`, but a direct product's class
+partition is no search: its classes are the products of its factors'
+classes (`conjugacy_classes`).  Each group also carries one
 conjugation step per generator (`Conjugation`): a closure's steps are the
 generators' `conjugation_kernel`s on row tuples, so the class partition,
 orbit search and normality test wrap no residue matrix; every other group
@@ -44,6 +46,7 @@ import operator
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
+from itertools import product
 from math import gcd
 from typing import Callable, NamedTuple
 
@@ -217,6 +220,7 @@ class FiniteGroup:
         self._kernels = {}  # prime -> normal subgroups of p-power index
         self._quotients = {}
         self._conjugation = None  # set by finite_closure, else built on first use
+        self._factors = None  # (A, B) for a direct product A x B
 
     def _store(self, elements):
         self.elements = tuple(elements)
@@ -290,17 +294,29 @@ class FiniteGroup:
         return orbit(conj.point(x), conj.steps, _step)
 
     def conjugacy_classes(self) -> tuple:
-        """Partition into conjugacy classes, deterministic in element order."""
+        """Partition into conjugacy classes, in the order of their first
+        elements.  A direct product's classes are the products Ca x Cb of
+        its factors' classes, with no orbit search: pairs of classes in
+        row-major order are already in that order, since its elements are
+        the pairs in row-major order.  Every other group's are its
+        conjugation orbits."""
         if self._classes is None:
-            element = self.conjugation.element
             cls_list = []
             cls_of = {}
-            for x in self.elements:
-                if x in cls_of:
-                    continue
-                cls = frozenset(element(point) for point, _, _ in self.conjugation_orbit(x))
-                cls_of.update(dict.fromkeys(cls, len(cls_list)))
-                cls_list.append(cls)
+            if self._factors is not None:
+                a, b = self._factors
+                for ca, cb in product(a.conjugacy_classes(), b.conjugacy_classes()):
+                    cls = frozenset(product(ca, cb))
+                    cls_of.update(dict.fromkeys(cls, len(cls_list)))
+                    cls_list.append(cls)
+            else:
+                element = self.conjugation.element
+                for x in self.elements:
+                    if x in cls_of:
+                        continue
+                    cls = frozenset(element(point) for point, _, _ in self.conjugation_orbit(x))
+                    cls_of.update(dict.fromkeys(cls, len(cls_list)))
+                    cls_list.append(cls)
             self._classes = tuple(cls_list)
             self._class_of = cls_of
         return self._classes
@@ -826,11 +842,12 @@ def _product_elements(a: FiniteGroup, b: FiniteGroup):
 def direct_product(a: FiniteGroup, b: FiniteGroup, name: str | None = None) -> FiniteGroup:
     """Direct product with componentwise multiplication, of order |A|*|B|
     and componentwise membership; its elements, listed on first use, are
-    the pairs in row-major order."""
+    the pairs in row-major order.  It keeps A and B, whose classes give
+    its own."""
     gens = tuple((g, b.identity) for g in a.generators) + tuple(
         (a.identity, h) for h in b.generators
     )
-    return FiniteGroup._deferred(
+    group = FiniteGroup._deferred(
         order=a.order * b.order,
         contains=lambda x: isinstance(x, tuple) and len(x) == 2 and x[0] in a and x[1] in b,
         build=partial(_product_elements, a, b),
@@ -841,6 +858,8 @@ def direct_product(a: FiniteGroup, b: FiniteGroup, name: str | None = None) -> F
         labels=lambda x: f"({a.label(x[0])},{b.label(x[1])})",
         inv=lambda x: (a.inverse(x[0]), b.inverse(x[1])),
     )
+    group._factors = (a, b)
+    return group
 
 
 # -- presets ---------------------------------------------------------------

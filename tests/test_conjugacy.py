@@ -437,6 +437,56 @@ class TestTrivialKernelShortcut:
         with pytest.raises(SizeLimit):
             coset_conjugacy_separable(CosetQuery(big, frozenset({0}), 0, 1, 2))
 
+    @pytest.mark.parametrize("name", sorted(COSET_GROUPS))
+    def test_p_group_equivalence_takes_no_coset_loop(self, name, monkeypatch):
+        # The left side of a p-group is read off its order: the report is
+        # the one a loop of the older kernel search over every (coset,
+        # probe) pair gives, and no pair is asked.
+        group = COSET_GROUPS[name]()
+
+        def unasked(group, coset, probe, p):
+            raise AssertionError(f"{group.name} asked a coset for a probe")
+
+        for nsub in group.normal_subgroups():
+            quot, _ = group.quotient(nsub)
+            left = all(
+                reference_separate_from_coset(group, coset, probe, 2).decision
+                is not CosetDecision.NO
+                for coset in quot.elements
+                for probe in group.elements
+            )
+            right, _ = is_conjugacy_p_separable(quot, 2)
+            expected = conjugacy.EquivalenceReport(group.name, 2, left, right, left == right)
+            with monkeypatch.context() as patch:
+                patch.setattr(conjugacy, "_separate_from_coset", unasked)
+                assert quotient_coset_equivalence(group, nsub, 2) == expected
+
+    @pytest.mark.parametrize("make", [sym3, lambda: cyclic(6)])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_other_groups_take_the_coset_loop(self, make, p, monkeypatch):
+        group = make()
+        calls = []
+        general = conjugacy._separate_from_coset
+
+        def counted(*args):
+            calls.append(args)
+            return general(*args)
+
+        monkeypatch.setattr(conjugacy, "_separate_from_coset", counted)
+        report = quotient_coset_equivalence(group, frozenset({group.identity}), p)
+        assert calls
+        assert report.holds
+
+    def test_equivalence_keeps_the_budget(self):
+        # Mod {0, 512} the quotient is within the budget, so only the coset
+        # side can raise.
+        big = cyclic(1024)
+        for nsub in ({0}, {0, 512}):
+            with pytest.raises(SizeLimit):
+                quotient_coset_equivalence(big, frozenset(nsub), 2)
+        report = quotient_coset_equivalence(big, frozenset(big.elements), 2)
+        assert report.all_cosets_separable and report.quotient_separable and report.holds
+
     def test_equivalence_builds_no_trivial_quotient(self):
         group = heis_quotient(2, 2)
         nsub = next(n for n in group.normal_subgroups() if len(n) == 4)

@@ -174,6 +174,26 @@ SMALL_GROUPS = [
 ]
 
 
+def assert_classes_match_reference(group):
+    """The class partition is the reference orbit partition, in its order,
+    and `class_of` gives each element its class.  A direct product's is read
+    off its factors' classes, so it takes no product of its own."""
+    calls = []
+    mul = group.mul
+
+    def counted(x, y):
+        calls.append(1)
+        return mul(x, y)
+
+    group.mul = counted
+    classes = group.conjugacy_classes()
+    if group._factors is not None:
+        assert calls == []
+    assert classes == reference_classes(group)
+    owner = {x: cls for cls in classes for x in cls}
+    assert all(group.class_of(x) is owner[x] for x in group.elements)
+
+
 class TestNormalSubgroups:
     @pytest.mark.parametrize(
         "maker,count",
@@ -191,6 +211,7 @@ class TestNormalSubgroups:
     def test_matches_reference_in_content_and_order(self, maker):
         group = maker()
         assert group.order <= 32
+        assert_classes_match_reference(group)
         assert group.normal_subgroups() == reference_normal_subgroups(group)
 
     def test_quotients_of_corpus_match_reference(self):
@@ -216,11 +237,15 @@ class TestNormalSubgroups:
          (lambda: direct_product(direct_product(cyclic(2), cyclic(2)),
                                  direct_product(direct_product(cyclic(2), cyclic(2)), cyclic(2))),
           374),
-         (lambda: finite_closure(heis_residue_gens(2, 2)), 27)],
-        ids=["S3xS3", "C6xS3", "D4xD4", "C12", "C2^5", "heisenberg-mod-4"],
+         (lambda: finite_closure(heis_residue_gens(2, 2)), 27),
+         (lambda: direct_product(dihedral4(), quaternion8()), 91),
+         (lambda: direct_product(finite_closure(heis_residue_gens(2, 1)), sym3()), 25)],
+        ids=["S3xS3", "C6xS3", "D4xD4", "C12", "C2^5", "heisenberg-mod-4", "D4xQ8",
+             "heisenberg-mod-2xS3"],
     )
     def test_larger_groups_match_reference(self, maker, count):
         group = maker()
+        assert_classes_match_reference(group)
         normals = group.normal_subgroups()
         assert len(normals) == count
         assert normals == reference_normal_subgroups(group)
