@@ -4,9 +4,10 @@ A coset bN is conjugacy separable from a probe a when some normal subgroup
 H of p-power index keeps the image of a out of the conjugates of the image
 coset.  Quantified over all probes and cosets this is equivalent to
 conjugacy p-separability of G/N; both sides are computed here and
-compared.  Each side is exhaustive enumeration, except where its group (G
-for the cosets, G/N for the quotient) is a p-group: its trivial kernel
-separates every non-conjugate pair, so that side is true without a search.
+compared.  Each side is decided in one quotient, the largest of p-power
+order, G/O^p(G): a coset is separable from a probe iff no conjugate of
+the probe lies in coset*O^p(G), and G/N is conjugacy p-separable iff
+O^p(G/N) is trivial, that is, iff G/N is a p-group.
 """
 
 from conjsep import (

@@ -48,7 +48,6 @@ from .finite import (
     direct_product,
     finite_closure,
     finite_preset,
-    finite_preset_names,
     quaternion8,
     sym3,
     trivial_group,

@@ -8,8 +8,9 @@ also decides a congruence tower up to a given depth at once: one Smith form
 of that lattice gives the least level mod p^k that separates a pair, checked
 by a functional, and one conjugator, checked at the highest level below it,
 with no quotient built (`class2_tower`).  On top of these sit the
-finite-group coset-separability predicate and the brute-force equivalence
-check between quotient separability and coset separability.
+finite-group p-separation questions, each decided in the largest
+p-quotient G/O^p(G) with no quotient built: coset separability,
+conjugacy p-separability, and the equivalence check between them.
 """
 
 from __future__ import annotations
@@ -263,17 +264,8 @@ def conjugate_in_product(group: ProductGroupSpec, a, b) -> ConjugacyAnswer:
     return ConjugacyAnswer(True, conj, "product", inner.word)
 
 
-# The largest group whose normal subgroups the kernel queries list.
+# The largest group whose normal subgroups `enumerate_p_quotient_kernels` lists.
 KERNEL_BUDGET = 512
-
-
-def _is_p_group_within_budget(group: FiniteGroup, p: int) -> bool:
-    """Whether the group is a p-group, after the checks every kernel query
-    makes: SizeLimit when the group is beyond the enumeration budget, and
-    ValueError when p is not prime."""
-    if group.order > KERNEL_BUDGET:
-        raise SizeLimit(f"group of order {group.order} exceeds budget {KERNEL_BUDGET}")
-    return group.is_p_group(p)
 
 
 def enumerate_p_quotient_kernels(group: FiniteGroup, p: int) -> tuple:
@@ -286,7 +278,9 @@ def enumerate_p_quotient_kernels(group: FiniteGroup, p: int) -> tuple:
     """
     kernels = group._kernels.get(p)
     if kernels is None:
-        _is_p_group_within_budget(group, p)  # raises SizeLimit or ValueError
+        if group.order > KERNEL_BUDGET:
+            raise SizeLimit(f"group of order {group.order} exceeds budget {KERNEL_BUDGET}")
+        require_prime(p)
         kernels = group._kernels[p] = tuple(
             sub for sub in group.normal_subgroups()
             if prime_power_exponent(group.order // len(sub), p) is not None
@@ -327,60 +321,52 @@ class CosetQuery:
 class CosetAnswer:
     decision: CosetDecision
     kernel: frozenset | None = None
-    kernels_checked: int = 0
 
 
 def coset_conjugacy_separable(query: CosetQuery) -> CosetAnswer:
-    """Search the p-power-index kernels for one that separates probe from the coset.
+    """Whether some normal subgroup of p-power index keeps the probe's
+    class off the coset, decided by the least one, O^p(G).
 
     VACUOUS when the probe is already conjugate into the coset (the notion
-    quantifies only over non-conjugate probes); otherwise YES with the first
-    separating kernel, or NO after exhausting all kernels.
+    quantifies only over non-conjugate probes); otherwise YES with
+    O^p(G) when it separates, or NO, since then no kernel does.
     """
     return _separate_from_coset(query.ambient, query.coset(), query.probe, query.p)
 
 
 def _separate_from_coset(group: FiniteGroup, coset: frozenset, probe, p: int) -> CosetAnswer:
-    """coset_conjugacy_separable on a coset already built.  The kernel K
-    separates when no coset of K in the class of probe*K meets the coset.
-    In a p-group the first kernel is trivial and separates every
-    non-vacuous probe, since G/1 is G, so no kernel is listed for it."""
-    if not group.class_of(probe).isdisjoint(coset):
+    """coset_conjugacy_separable on a coset already built.  A kernel K
+    separates when no conjugate x of the probe lies in coset*K, that is,
+    when c^-1 x is outside K for every c in the coset.  Every p-power-index
+    kernel contains K = O^p(G), so K separates whenever any kernel does.
+    coset*1 is the coset, which the vacuous test has searched, so a
+    p-group, where K is trivial, takes no product."""
+    probe_class = group.class_of(probe)
+    if not probe_class.isdisjoint(coset):
         return CosetAnswer(CosetDecision.VACUOUS)
-    if _is_p_group_within_budget(group, p):
-        return CosetAnswer(CosetDecision.YES, frozenset({group.identity}), 1)
-    kernels = enumerate_p_quotient_kernels(group, p)
-    for count, kernel in enumerate(kernels, start=1):
-        quot, hom = group.quotient(kernel)
-        if all(k_coset.isdisjoint(coset) for k_coset in quot.class_of(hom(probe))):
-            return CosetAnswer(CosetDecision.YES, kernel, count)
-    return CosetAnswer(CosetDecision.NO, None, len(kernels))
+    kernel, mul, inverse = group.p_residual(p), group.mul, group.inverse
+    if len(kernel) > 1 and any(mul(inverse(c), x) in kernel for c in coset for x in probe_class):
+        return CosetAnswer(CosetDecision.NO)
+    return CosetAnswer(CosetDecision.YES, kernel)
 
 
 def is_conjugacy_p_separable(group: FiniteGroup, p: int) -> tuple[bool, tuple | None]:
-    """Exhaustive check that non-conjugate pairs survive into some p-quotient.
+    """Whether every non-conjugate pair stays apart in some p-quotient: iff
+    the largest one, G/O^p(G), is G, since it merges O^p(G) into the identity.
 
-    Returns (True, None) or (False, (x, y)) with a failing pair.
+    Returns (True, None), or (False, (identity, x)) with x the first other
+    element of O^p(G) in listing order.
     """
-    if _is_p_group_within_budget(group, p):
-        return True, None  # G/1 is G: every non-conjugate pair stays apart
-    quotients = [group.quotient(k) for k in enumerate_p_quotient_kernels(group, p)]
-    for i, x in enumerate(group.elements):
-        x_class = group.class_of(x)
-        for y in group.elements[i + 1 :]:
-            if y in x_class:
-                continue
-            separated = any(
-                hom(y) not in quot.class_of(hom(x)) for quot, hom in quotients
-            )
-            if not separated:
-                return False, (x, y)
-    return True, None
+    residual, identity = group.p_residual(p), group.identity
+    if len(residual) == 1:
+        return True, None
+    return False, (identity, next(x for x in group.elements if x in residual and x != identity))
 
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """Both sides of the coset criterion, computed independently by brute force."""
+    """Both sides of the coset criterion, each decided in its own group's
+    largest p-quotient."""
 
     group_name: str
     p: int
@@ -394,19 +380,15 @@ def quotient_coset_equivalence(group: FiniteGroup, normal_n, p: int) -> Equivale
     """Check: G/N conjugacy p-separable <=> every coset of N separable in G.
 
     The left side decides every (probe, coset) pair as
-    coset_conjugacy_separable does, each coset an element of the quotient;
-    the right side tests the quotient against all of its own p-power
-    kernels.  Both sides are exhaustive, except where G or G/N is a p-group
-    within the kernel budget: its trivial kernel separates every
-    non-conjugate pair, so that side is answered without listing any normal
-    subgroup.  For G such a p-group, each pair could only answer VACUOUS or
-    YES, so the left side runs no (coset, probe) loop at all; the quotient
-    is still built, which checks that N is normal.
+    coset_conjugacy_separable does, by O^p(G), each coset an element of the
+    quotient; the right side asks whether O^p(G/N) is trivial.  When G is a
+    p-group, each pair could only answer VACUOUS or YES, so the left side
+    runs no (coset, probe) loop; the quotient is still built, which checks
+    that N is normal.
     """
     quot, hom = group.quotient(normal_n)
     left, detail = True, ""
-    p_group = group.order <= KERNEL_BUDGET and group.is_p_group(p)
-    for coset, probe in () if p_group else product(quot.elements, group.elements):
+    for coset, probe in () if group.is_p_group(p) else product(quot.elements, group.elements):
         if _separate_from_coset(group, coset, probe, p).decision is CosetDecision.NO:
             left = False
             detail = (

@@ -51,7 +51,7 @@ from math import gcd
 from typing import Callable, NamedTuple
 
 from .errors import DimensionMismatch, SizeLimit, VerificationFailed
-from .intlin import require_prime
+from .intlin import require_prime, valuation
 from .unitri import _COMMUTATORS, _PRODUCTS, ResidueUT, _power, conjugation_kernel
 
 # `validate` checks associativity on every triple up to this order, and on a
@@ -218,6 +218,7 @@ class FiniteGroup:
         self._normals = None
         self._normal_set = None
         self._kernels = {}  # prime -> normal subgroups of p-power index
+        self._residuals = {}  # prime -> O^p(G)
         self._quotients = {}
         self._conjugation = None  # set by finite_closure, else built on first use
         self._factors = None  # (A, B) for a direct product A x B
@@ -268,6 +269,28 @@ class FiniteGroup:
         """
         require_prime(p)
         return pow(p, self.order.bit_length(), self.order) == 0
+
+    def p_residual(self, p: int) -> frozenset:
+        """O^p(G), generated by the elements of order prime to p, which are
+        the |G|_p-th powers: the least normal subgroup of p-power index, so
+        every p-quotient of G is a quotient of G/O^p(G).  Kept per prime;
+        ValueError when p is not prime."""
+        residual = self._residuals.get(p)
+        if residual is None:
+            residual = frozenset({self.identity})
+            if not self.is_p_group(p):
+                mul, gens, q = self.mul, [], p ** valuation(self.order, p)
+                for x in self.elements:
+                    power, e = self.identity, q
+                    while e:
+                        if e & 1:
+                            power = mul(power, x)
+                        x, e = mul(x, x), e >> 1
+                    if power not in residual:
+                        gens.append(power)
+                        residual = self.subgroup_closure(gens)
+            self._residuals[p] = residual
+        return residual
 
     # -- structure ---------------------------------------------------------
 
@@ -1002,7 +1025,3 @@ def finite_preset(name: str) -> FiniteGroup:
             f"unknown finite group preset {name!r}; known: {sorted(_FINITE_PRESETS)}"
         )
     return _FINITE_PRESETS[key]()
-
-
-def finite_preset_names() -> tuple:
-    return tuple(sorted(_FINITE_PRESETS))

@@ -9,6 +9,8 @@ top of the library's `hnf`, which has its own identity tests; `reference_hnf`
 keeps the older way to that form, through transposed and identity matrices.
 The witness report reference keeps the older two-pass `witness` command: a
 loop of local checks, then a separate tower scan over the same levels.
+The coset and p-separability references keep the older loops over every
+p-power-index kernel's quotient, where the library asks one quotient.
 """
 
 import itertools
@@ -173,12 +175,27 @@ def reference_separate_from_coset(group, coset, probe, p) -> CosetAnswer:
     coset."""
     if not group.class_of(probe).isdisjoint(coset):
         return CosetAnswer(CosetDecision.VACUOUS)
-    kernels = enumerate_p_quotient_kernels(group, p)
-    for count, kernel in enumerate(kernels, start=1):
+    for kernel in enumerate_p_quotient_kernels(group, p):
         quot, hom = group.quotient(kernel)
         if all(k_coset.isdisjoint(coset) for k_coset in quot.class_of(hom(probe))):
-            return CosetAnswer(CosetDecision.YES, kernel, count)
-    return CosetAnswer(CosetDecision.NO, None, len(kernels))
+            return CosetAnswer(CosetDecision.YES, kernel)
+    return CosetAnswer(CosetDecision.NO)
+
+
+def reference_is_conjugacy_p_separable(group, p):
+    """Conjugacy p-separability by the older exhaustive loop: every pair of
+    non-conjugate elements, in listing order, against the quotient by every
+    p-power-index kernel.  (True, None), or (False, (x, y)) with the first
+    pair that no quotient separates."""
+    quotients = [group.quotient(k) for k in enumerate_p_quotient_kernels(group, p)]
+    for i, x in enumerate(group.elements):
+        x_class = group.class_of(x)
+        for y in group.elements[i + 1 :]:
+            if y in x_class:
+                continue
+            if not any(hom(y) not in quot.class_of(hom(x)) for quot, hom in quotients):
+                return False, (x, y)
+    return True, None
 
 
 def naive_normal(group, subset) -> bool:

@@ -46,7 +46,12 @@ from conjsep.groupspec import (
 from conjsep.intlin import IntMatrix, valuation
 from conjsep.unitri import ResidueUT, UTMatrix, reduce_mod
 
-from _oracles import brute_conjugate, reference_conjugate, reference_separate_from_coset
+from _oracles import (
+    brute_conjugate,
+    reference_conjugate,
+    reference_is_conjugacy_p_separable,
+    reference_separate_from_coset,
+)
 
 HEIS = heisenberg_spec()
 
@@ -312,6 +317,7 @@ class TestKernelEnumeration:
         with pytest.raises(ValueError, match="prime"):
             CosetQuery(d4, frozenset({d4.identity}), d4.identity, d4.identity, p)
         assert p not in d4._kernels
+        assert p not in d4._residuals
 
 
 class TestCosetSeparability:
@@ -375,10 +381,18 @@ def reference_coset_answers(group, p):
     ]
 
 
+NON_P_GROUPS = {
+    "S3xS3": lambda: direct_product(sym3(), sym3()),
+    "D4xS3": lambda: direct_product(dihedral4(), sym3()),
+    "C12": lambda: cyclic(12),
+}
+
+
 class TestTrivialKernelShortcut:
-    """In a p-group the first p-power kernel is trivial and G/1 is G, so the
-    coset layer answers from the vacuous test alone; elsewhere it still walks
-    the kernels' quotients."""
+    """Every quotient of G of p-power order is a quotient of G/O^p(G), so the
+    coset layer decides each probe by O^p(G) alone, with no kernel listed and
+    no quotient built; the older kernel loop stays in the tests as the
+    oracle.  In a p-group O^p(G) is trivial and the vacuous test decides."""
 
     @pytest.mark.parametrize("name", sorted(COSET_GROUPS))
     def test_answers_match_the_kernel_loop(self, name):
@@ -386,33 +400,41 @@ class TestTrivialKernelShortcut:
         answers = coset_answers(group, 2)
         assert answers == reference_coset_answers(group, 2)
         assert {a.decision for a in answers} == {CosetDecision.YES, CosetDecision.VACUOUS}
-        assert all(a.kernels_checked == 1 for a in answers if a.decision is CosetDecision.YES)
+        assert all(a.kernel == {group.identity} for a in answers if a.decision is CosetDecision.YES)
         assert is_conjugacy_p_separable(group, 2) == (True, None)
+
+    @pytest.mark.parametrize("name", sorted(NON_P_GROUPS))
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_one_quotient_matches_the_kernel_loop(self, name, p):
+        group = NON_P_GROUPS[name]()
+        assert coset_answers(group, p) == reference_coset_answers(group, p)
+        assert group.p_residual(p) == enumerate_p_quotient_kernels(group, p)[0]
+        assert is_conjugacy_p_separable(group, p) == reference_is_conjugacy_p_separable(group, p)
 
     @pytest.mark.parametrize("make", [sym3, lambda: cyclic(6)])
     @pytest.mark.parametrize("p", [2, 3])
     def test_other_groups_take_the_kernel_loop(self, make, p, monkeypatch):
+        # Named for the kernel loop these groups took before: each decision
+        # now gives that loop's answer with no kernel listed and no quotient
+        # built.
         group = make()
-        kernels = enumerate_p_quotient_kernels(group, p)
-        assert len(kernels[0]) > 1
-        assert coset_answers(group, p) == reference_coset_answers(group, p)
-        queries = [CosetQuery(group, nsub, rep, probe, p)
-                   for nsub in group.normal_subgroups()
-                   for rep in group.quotient(nsub)[1].section.values()
-                   for probe in group.elements]
-        built = []
-        general = FiniteGroup.quotient
+        assert len(enumerate_p_quotient_kernels(group, p)[0]) > 1
+        cases = [(CosetQuery(group, nsub, rep, probe, p), coset, probe)
+                 for nsub in group.normal_subgroups()
+                 for coset, rep in group.quotient(nsub)[1].section.items()
+                 for probe in group.elements]
+        expected = [reference_separate_from_coset(group, coset, probe, p)
+                    for _, coset, probe in cases]
+        pair = reference_is_conjugacy_p_separable(group, p)
 
-        def quotient(self, nsub):
-            built.append(frozenset(nsub))
-            return general(self, nsub)
+        def unbuilt(self, *args):
+            raise AssertionError(f"{self.name} built a quotient or listed its normal subgroups")
 
-        monkeypatch.setattr(FiniteGroup, "quotient", quotient)
-        for query in queries:
-            built.clear()
-            answer = coset_conjugacy_separable(query)
-            if answer.decision is not CosetDecision.VACUOUS:
-                assert built == list(kernels[:answer.kernels_checked])
+        monkeypatch.setattr(FiniteGroup, "quotient", unbuilt)
+        monkeypatch.setattr(FiniteGroup, "normal_subgroups", unbuilt)
+        assert [coset_conjugacy_separable(query) for query, _, _ in cases] == expected
+        assert CosetAnswer(CosetDecision.NO) in expected
+        assert is_conjugacy_p_separable(group, p) == pair
 
     def test_p_groups_list_no_normal_subgroups(self, monkeypatch):
         group = direct_product(direct_product(quaternion8(), cyclic(2)), cyclic(2))
@@ -427,15 +449,31 @@ class TestTrivialKernelShortcut:
         monkeypatch.setattr(FiniteGroup, "normal_subgroups", unlisted)
         assert is_conjugacy_p_separable(quot, 2) == (True, None)
         answer = coset_conjugacy_separable(CosetQuery(group, nsub, next(iter(coset)), probe, 2))
-        assert answer == CosetAnswer(CosetDecision.YES, frozenset({group.identity}), 1)
+        assert answer == CosetAnswer(CosetDecision.YES, frozenset({group.identity}))
         assert quot._kernels == {} and group._kernels == {}
 
     def test_p_group_shortcut_keeps_the_budget(self):
+        # Named for the kernel budget these decisions kept before: past it,
+        # a p-group is now decided, and only the kernel listing has a budget.
         big = cyclic(1024)
+        assert is_conjugacy_p_separable(big, 2) == (True, None)
+        answer = coset_conjugacy_separable(CosetQuery(big, frozenset({0}), 0, 1, 2))
+        assert answer == CosetAnswer(CosetDecision.YES, frozenset({0}))
+
+    def test_decisions_past_the_kernel_budget(self):
+        # Heisenberg mod 8 x S3, of order 3072, is no p-group: O^2 is 1 x A3.
+        group = direct_product(heis_quotient(2, 3), sym3())
+        e, h = group.identity, group.generators[0]
+        separable, (x, y) = is_conjugacy_p_separable(group, 2)
+        assert not separable and x == e
+        assert y != e and group.mul(y, group.mul(y, y)) == e
+        three_cycle, trivial = (e[0], (1, 2, 0)), frozenset({e})
+        no = coset_conjugacy_separable(CosetQuery(group, trivial, e, three_cycle, 2))
+        assert no == CosetAnswer(CosetDecision.NO)
+        yes = coset_conjugacy_separable(CosetQuery(group, trivial, e, h, 2))
+        assert yes.decision is CosetDecision.YES and len(yes.kernel) == 3
         with pytest.raises(SizeLimit):
-            is_conjugacy_p_separable(big, 2)
-        with pytest.raises(SizeLimit):
-            coset_conjugacy_separable(CosetQuery(big, frozenset({0}), 0, 1, 2))
+            enumerate_p_quotient_kernels(group, 2)
 
     @pytest.mark.parametrize("name", sorted(COSET_GROUPS))
     def test_p_group_equivalence_takes_no_coset_loop(self, name, monkeypatch):
@@ -455,7 +493,7 @@ class TestTrivialKernelShortcut:
                 for coset in quot.elements
                 for probe in group.elements
             )
-            right, _ = is_conjugacy_p_separable(quot, 2)
+            right, _ = reference_is_conjugacy_p_separable(quot, 2)
             expected = conjugacy.EquivalenceReport(group.name, 2, left, right, left == right)
             with monkeypatch.context() as patch:
                 patch.setattr(conjugacy, "_separate_from_coset", unasked)
@@ -478,14 +516,12 @@ class TestTrivialKernelShortcut:
         assert report.holds
 
     def test_equivalence_keeps_the_budget(self):
-        # Mod {0, 512} the quotient is within the budget, so only the coset
-        # side can raise.
+        # Named for the kernel budget the equivalence kept before: past it,
+        # both sides are now decided.
         big = cyclic(1024)
-        for nsub in ({0}, {0, 512}):
-            with pytest.raises(SizeLimit):
-                quotient_coset_equivalence(big, frozenset(nsub), 2)
-        report = quotient_coset_equivalence(big, frozenset(big.elements), 2)
-        assert report.all_cosets_separable and report.quotient_separable and report.holds
+        for nsub in ({0}, {0, 512}, big.elements):
+            report = quotient_coset_equivalence(big, frozenset(nsub), 2)
+            assert report.all_cosets_separable and report.quotient_separable and report.holds
 
     def test_equivalence_builds_no_trivial_quotient(self):
         group = heis_quotient(2, 2)
