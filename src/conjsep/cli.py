@@ -5,9 +5,10 @@ named presets or JSON spec files; every report embeds the data needed to
 re-verify its claims offline and is printed as text or, with --json, as a
 single JSON object with the shape
 {"command", "inputs", "result", "checks": [{"name", "pass"}], "timing_ms"}.
-That text is `json.dumps(report, indent=2, default=str)` byte for byte,
-written by `_dump`, which keeps the stdlib's layout without its
-pure-Python indented encoder.
+That text is `json.dumps(report, indent=2)` byte for byte, written by
+`_dump`, which keeps the stdlib's layout without its pure-Python indented
+encoder.  A report holds only dicts with str keys, lists, str, int, bool
+and None; any other type raises TypeError instead of being printed.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 rejected spec,
 3 parse error (also -K or --max-order below 1), 4 witness inapplicable
@@ -58,19 +59,6 @@ from .separability import (
 from .unitri import UTMatrix
 
 
-_INF = float("inf")
-
-
-def _float_text(o: float) -> str:
-    if o != o:
-        return "NaN"
-    if o == _INF:
-        return "Infinity"
-    if o == -_INF:
-        return "-Infinity"
-    return float.__repr__(o)
-
-
 # The stdlib's spelling of each scalar, keyed by exact type: a scalar in a
 # container costs one lookup and one call of C code, not a call of `_write`.
 _LEAVES = {
@@ -78,30 +66,15 @@ _LEAVES = {
     int: int.__repr__,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): {None: "null"}.__getitem__,
-    float: _float_text,
 }
 _leaf = _LEAVES.get
 
 
-def _scalar(obj) -> str | None:
-    """obj's text when the stdlib writes it as a scalar, subclasses in the
-    stdlib's isinstance order; None otherwise."""
-    leaf = _leaf(type(obj)) or next(
-        (_LEAVES[base] for base in (str, int, float) if isinstance(obj, base)), None)
-    return leaf and leaf(obj)
-
-
-def _key_text(key) -> str:
-    """A dict key that is no str, as the stdlib quotes it; a key of no
-    scalar type raises TypeError."""
-    if isinstance(key, (int, float)) or key is None:
-        return _ascii(_scalar(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
 def _dump(report) -> str:
-    """report as `json.dumps(report, indent=2, default=str)` writes it, byte
-    for byte, without the stdlib's pure-Python indented encoder."""
+    """report as `json.dumps(report, indent=2)` writes it, byte for byte,
+    without the stdlib's pure-Python indented encoder.  A report holds
+    dicts with str keys, lists, str, int, bool and None, each of exactly
+    that type; any other type, as a value or a key, raises TypeError."""
     out = []
     _write(report, "\n", out.append)
     return "".join(out)
@@ -109,22 +82,22 @@ def _dump(report) -> str:
 
 def _write(obj, pad: str, put) -> None:
     """Write obj in pieces through put; pad is the newline and indent that
-    put obj's closing bracket on its own line.  An object of no JSON type
-    is written as str(obj)."""
+    put obj's closing bracket on its own line."""
     cls = type(obj)
-    if cls is not dict and cls is not list and cls is not tuple:
-        if (text := _scalar(obj)) is not None:
-            return put(text)
-        if not isinstance(obj, (list, tuple, dict)):
-            return put(_ascii(str(obj)))
+    if (leaf := _leaf(cls)) is not None:
+        return put(leaf(obj))
+    if cls is not dict and cls is not list:
+        raise TypeError(f"a report holds no {cls.__name__}")
     if not obj:
-        return put("{}" if isinstance(obj, dict) else "[]")
+        return put("{}" if cls is dict else "[]")
     inner = pad + "  "
     comma = "," + inner
-    if isinstance(obj, dict):
+    if cls is dict:
         sep = "{" + inner
         for key, value in obj.items():
-            put(sep + (_ascii(key) if isinstance(key, str) else _key_text(key)) + ": ")
+            if type(key) is not str:
+                raise TypeError(f"a report's keys are str, not {type(key).__name__}")
+            put(sep + _ascii(key) + ": ")
             sep = comma
             if (leaf := _leaf(type(value))) is not None:
                 put(leaf(value))
@@ -142,13 +115,9 @@ def _write(obj, pad: str, put) -> None:
     put(pad + "]")
 
 
-def _matrix_rows(u: UTMatrix) -> list:
-    return [list(r) for r in u.rows]
-
-
 def _element_view(spec, u: UTMatrix) -> dict:
     coords = element_coords(spec, u)
-    view = {"matrix": _matrix_rows(u)}
+    view = {"matrix": [list(r) for r in u.rows]}
     if coords is not None:
         view["coords"] = list(coords)
     return view

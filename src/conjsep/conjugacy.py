@@ -382,13 +382,17 @@ def quotient_coset_equivalence(group: FiniteGroup, normal_n, p: int) -> Equivale
     The left side decides every (probe, coset) pair as
     coset_conjugacy_separable does, by O^p(G), each coset an element of the
     quotient; the right side asks whether O^p(G/N) is trivial.  When G is a
-    p-group, each pair could only answer VACUOUS or YES, so the left side
-    runs no (coset, probe) loop; the quotient is still built, which checks
-    that N is normal.
+    p-group, O^p(G) and O^p(G/N) are trivial, so each pair could only answer
+    VACUOUS or YES and G/N is separable: both sides hold once N is checked
+    to be normal, and no G/N is built.  A non-normal N raises ValueError.
     """
+    if group.is_p_group(p):
+        if not group.is_normal(normal_n):
+            raise ValueError("quotient requested by a non-normal subset")
+        return EquivalenceReport(group.name, p, True, True, True)
     quot, hom = group.quotient(normal_n)
     left, detail = True, ""
-    for coset, probe in () if group.is_p_group(p) else product(quot.elements, group.elements):
+    for coset, probe in product(quot.elements, group.elements):
         if _separate_from_coset(group, coset, probe, p).decision is CosetDecision.NO:
             left = False
             detail = (

@@ -205,9 +205,10 @@ class GlobalVerification:
 def verify_witness_global(spec: MatrixGroupSpec, witness: WitnessReport) -> GlobalVerification:
     """Confirm non-conjugacy of (u, v) in the full group, two independent ways.
 
-    First the divisibility certificate is recomputed: c must have no
-    q^n-th root in the centre lattice.  Then, when the declared class is at
-    most 2, the commutator-lattice criterion must independently answer
+    First the divisibility certificate is recomputed: each of its four
+    fields must equal the value rebuilt from the spec and c, and c must have
+    no q^n-th root in the centre lattice.  Then, when the declared class is
+    at most 2, the commutator-lattice criterion must independently answer
     non-conjugate.  Finally the report's internal structure is re-checked.
     Raises VerificationFailed naming the first broken check.
     """
@@ -219,6 +220,17 @@ def verify_witness_global(spec: MatrixGroupSpec, witness: WitnessReport) -> Glob
     if c_vec is None or c_vec not in z1:
         raise VerificationFailed("divisibility", "c lies outside the declared centre")
     e = witness.q**witness.n
+    cert = witness.divisibility
+    for field, stored, recomputed in (
+        ("exponent", cert.exponent, e),
+        ("c_vector", cert.c_vector, c_vec),
+        ("scaled_basis", cert.scaled_basis, z1.canonical().scale(e).basis),
+        ("member", cert.member, False),
+    ):
+        if stored != recomputed:
+            raise VerificationFailed(
+                "divisibility", f"certificate {field} {stored!r} is not {recomputed!r}"
+            )
     if power_solvable(z1, c_vec, e).solvable:
         raise VerificationFailed(
             "divisibility", f"c has a {e}-th root in the centre; the pair is conjugate"

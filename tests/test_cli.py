@@ -630,3 +630,85 @@ class TestParserBuiltOnce:
         assert [code for code, _, _ in reused] == [0, 2, 0, 0]
         assert (reused[0][1]["inputs"]["K"], reused[2][1]["inputs"]["K"]) == (3, 6)
         assert "-x" in reused[1][2]
+
+
+SPEC_DIR = Path(__file__).resolve().parent.parent / "demos" / "specs"
+
+# (argv, the exact human-readable text printed); each exits 0.
+HUMAN_REPORTS = {
+    "scan-through-class2-smith": (
+        ["scan", "--preset", "heisenberg", "-p", "2", "-K", "5", "-x", "3,0,0", "-y", "3,0,1"],
+        """\
+group heisenberg, p = 2
+x = (3,0,0), y = (3,0,1)
+  level 1: conjugate [orbit]
+  level 2: conjugate [orbit]
+  level 3: conjugate [orbit]
+  level 4: conjugate [class2-smith]
+  level 5: conjugate [class2-smith]
+summary: conjugate at all 5 levels
+[ok ] tower-complete
+"""),
+    "scan-separated-below": (
+        ["scan", "--preset", "heis5", "-p", "2", "-K", "3", "-x", "4,0,0,0,1", "-y", "4,0,0,0,3"],
+        """\
+group heis5, p = 2
+x = (4,0,0,0,1), y = (4,0,0,0,3)
+  level 1: conjugate [equal-images]
+  level 2: separated [class2-smith] (functional [1] vanishes on the commutator lattice mod 2^2, \
+not on x^-1 y)
+  level 3: separated [separated-below] (separated at level 2)
+summary: separated at level 2
+[ok ] tower-complete
+"""),
+    "scan-skipped": (
+        ["scan", "--preset", "ut4", "-p", "2", "-K", "2", "-x", "1,0,0,0,0,0", "-y", "1,0,0,0,0,1"],
+        """\
+group ut4, p = 2
+x = (1,0,0,0,0,0), y = (1,0,0,0,0,1)
+  level 1: conjugate [orbit]
+  level 2: undecided [skipped] (size limit: UT(4) mod 2^2 has 4096 elements > cap 2048)
+summary: conjugate at every decided level; undecided at [2]
+[ok ] tower-complete
+"""),
+    "separate-conjugate": (
+        ["separate", "--preset", "zxd4", "-p", "2", "-a", "0|r", "-b", "0|r3"],
+        """\
+group zxd4, p = 2: elements are CONJUGATE
+conjugator: matrix part (0), finite part s
+[ok ] conjugator-verifies
+"""),
+    "separate-separated": (
+        ["separate", "--preset", "zxd4", "-p", "2", "-a", "0|r", "-b", "0|s"],
+        """\
+group zxd4, p = 2: separated (torsion-part branch)
+quotient at level 1: (z mod 2^1) x D4, order 16
+images: ((0),r) vs ((0),s)
+[ok ] quotient-is-p-group
+[ok ] images-nonconjugate-orbit
+"""),
+    "witness-spec-matrices": (
+        ["witness", "--spec", str(SPEC_DIR / "heisenberg_x_q8.json"), "-p", "3", "-K", "2"],
+        """\
+group heisenberg-x-q8, p = 3: q = 2, n = 1
+a = [[1, 1, 0], [0, 1, 0], [0, 0, 1]], b = g1, c = [a,b] = [[1, 0, 1], [0, 1, 0], [0, 0, 1]]
+pair: u = a^2 = [[1, 2, 0], [0, 1, 0], [0, 0, 1]], v = u*c = [[1, 2, 1], [0, 1, 0], [0, 0, 1]]
+global non-conjugacy: no 2-th root of c_vec (1,) in the centre lattice
+  level m=1: conjugator g1^2, orbit-checked
+  level m=2: conjugator g1^5, orbit-checked
+tower: conjugate at all 2 levels
+[ok ] global:divisibility
+[ok ] global:class2-lattice
+[ok ] global:structure
+[ok ] local:m=1
+[ok ] local:m=2
+[ok ] tower:conjugate-at-all-levels
+"""),
+}
+
+
+@pytest.mark.parametrize("name", HUMAN_REPORTS)
+def test_human_report_text(capsys, name):
+    argv, text = HUMAN_REPORTS[name]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == text

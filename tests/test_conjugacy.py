@@ -413,10 +413,9 @@ class TestTrivialKernelShortcut:
 
     @pytest.mark.parametrize("make", [sym3, lambda: cyclic(6)])
     @pytest.mark.parametrize("p", [2, 3])
-    def test_other_groups_take_the_kernel_loop(self, make, p, monkeypatch):
-        # Named for the kernel loop these groups took before: each decision
-        # now gives that loop's answer with no kernel listed and no quotient
-        # built.
+    def test_non_p_groups_decide_without_quotients(self, make, p, monkeypatch):
+        # Each decision gives the older kernel loop's answer with no kernel
+        # listed and no quotient built.
         group = make()
         assert len(enumerate_p_quotient_kernels(group, p)[0]) > 1
         cases = [(CosetQuery(group, nsub, rep, probe, p), coset, probe)
@@ -452,9 +451,8 @@ class TestTrivialKernelShortcut:
         assert answer == CosetAnswer(CosetDecision.YES, frozenset({group.identity}))
         assert quot._kernels == {} and group._kernels == {}
 
-    def test_p_group_shortcut_keeps_the_budget(self):
-        # Named for the kernel budget these decisions kept before: past it,
-        # a p-group is now decided, and only the kernel listing has a budget.
+    def test_p_group_decided_past_the_kernel_budget(self):
+        # Only the kernel listing has a budget.
         big = cyclic(1024)
         assert is_conjugacy_p_separable(big, 2) == (True, None)
         answer = coset_conjugacy_separable(CosetQuery(big, frozenset({0}), 0, 1, 2))
@@ -515,21 +513,27 @@ class TestTrivialKernelShortcut:
         assert calls
         assert report.holds
 
-    def test_equivalence_keeps_the_budget(self):
-        # Named for the kernel budget the equivalence kept before: past it,
-        # both sides are now decided.
+    def test_equivalence_decided_past_the_kernel_budget(self):
         big = cyclic(1024)
         for nsub in ({0}, {0, 512}, big.elements):
             report = quotient_coset_equivalence(big, frozenset(nsub), 2)
             assert report.all_cosets_separable and report.quotient_separable and report.holds
 
     def test_equivalence_builds_no_trivial_quotient(self):
+        # A p-group's equivalence only checks that N is normal: it builds
+        # neither G/1 nor G/N, and a non-normal N raises as `quotient` does.
         group = heis_quotient(2, 2)
         nsub = next(n for n in group.normal_subgroups() if len(n) == 4)
         report = quotient_coset_equivalence(group, nsub, 2)
-        assert report.all_cosets_separable and report.quotient_separable and report.holds
+        assert report == conjugacy.EquivalenceReport(group.name, 2, True, True, True)
         assert frozenset({group.identity}) not in group._quotients
-        assert nsub in group._quotients
+        assert nsub not in group._quotients
+        involution = next(x for x in group.elements
+                          if x != group.identity and group.mul(x, x) == group.identity
+                          and not group.is_normal({group.identity, x}))
+        with pytest.raises(ValueError, match="quotient requested by a non-normal subset"):
+            quotient_coset_equivalence(group, {group.identity, involution}, 2)
+        assert group._quotients == {}
 
 
 class TestEquivalence:
@@ -931,8 +935,9 @@ else:
     raise SystemExit("witness scan accepted a contradicting orbit search")
 conjsep.separability.conjugate_in_finite = conjugate_in_finite
 
-# A witness whose pair is conjugate (u = a^3 and [a^3, b] = c^3) must fail
-# the class-2 check.  A separation certificate whose quotient has the wrong
+# A witness whose stored divisibility certificate differs from the
+# recomputed one must fail the divisibility check, and one whose pair is
+# conjugate (u = a^3 and [a^3, b] = c^3) must fail the class-2 check.  A separation certificate whose quotient has the wrong
 # order, or whose images a search calls conjugate, must fail its re-check.
 from dataclasses import replace
 from conjsep.groupspec import coords_to_element, preset
@@ -949,6 +954,14 @@ def wrong_order(*args, **kwargs):
     return group
 
 
+tampered = replace(w, divisibility=replace(w.divisibility, c_vector=(7,)))
+try:
+    verify_witness_global(heis, tampered)
+except VerificationFailed as failure:
+    if failure.check != "divisibility":
+        raise SystemExit(f"a tampered certificate failed the {failure.check!r} check")
+else:
+    raise SystemExit("a tampered divisibility certificate passed the global checks")
 try:
     verify_witness_global(heis, replace(w, v=w.u * w.c**3))
 except VerificationFailed as failure:

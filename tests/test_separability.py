@@ -286,6 +286,20 @@ class TestVerifyWitnessGlobal:
         assert err.value.check == "divisibility"
         assert err.value.detail == "c lies outside the declared centre"
 
+    @pytest.mark.parametrize("field, value", [
+        ("exponent", 5), ("c_vector", (7,)), ("scaled_basis", ((1,),)), ("member", True),
+    ])
+    def test_tampered_certificate_field(self, field, value):
+        # Each stored field must equal its recomputed value; the pair itself
+        # is untouched, so only the certificate comparison can notice.
+        w = make_witness(HEIS, 2)
+        tampered = dataclasses.replace(
+            w, divisibility=dataclasses.replace(w.divisibility, **{field: value}))
+        with pytest.raises(VerificationFailed) as err:
+            verify_witness_global(HEIS, tampered)
+        assert err.value.check == "divisibility"
+        assert err.value.detail.startswith(f"certificate {field} ")
+
     def test_conjugate_pair_fails_the_class2_check(self):
         # u = a^3 and [a^3, b] = c^3, so u and u c^3 are conjugate by b.
         w = make_witness(HEIS, 2)
