@@ -146,12 +146,11 @@ def _require_positive(args) -> None:
             raise SpecParseError(f"{flag} must be >= 1, got {value}")
 
 
-def _add_common(sub, with_prime=True):
+def _add_common(sub):
     src = sub.add_mutually_exclusive_group(required=True)
     src.add_argument("--preset", choices=preset_names(), help="named built-in group")
     src.add_argument("--spec", help="path to a JSON group-spec document")
-    if with_prime:
-        sub.add_argument("-p", type=int, required=True, help="the prime p")
+    sub.add_argument("-p", type=int, required=True, help="the prime p")
     sub.add_argument("--json", action="store_true", help="emit the report as JSON")
     sub.add_argument(
         "--max-order",

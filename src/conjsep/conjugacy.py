@@ -272,20 +272,17 @@ def enumerate_p_quotient_kernels(group: FiniteGroup, p: int) -> tuple:
     """Normal subgroups H with [G : H] a power of p, smallest first.
 
     Always contains the whole group (trivial quotient).  Raises SizeLimit when
-    the group is beyond the enumeration budget, on every call, and ValueError
-    when p is not prime.  The list is computed once per group and prime and
-    kept on the group.
+    the group is beyond the enumeration budget and ValueError when p is not
+    prime.  Each call filters `group.normal_subgroups()`, which the group
+    keeps, and so returns an equal, new tuple.
     """
-    kernels = group._kernels.get(p)
-    if kernels is None:
-        if group.order > KERNEL_BUDGET:
-            raise SizeLimit(f"group of order {group.order} exceeds budget {KERNEL_BUDGET}")
-        require_prime(p)
-        kernels = group._kernels[p] = tuple(
-            sub for sub in group.normal_subgroups()
-            if prime_power_exponent(group.order // len(sub), p) is not None
-        )
-    return kernels
+    if group.order > KERNEL_BUDGET:
+        raise SizeLimit(f"group of order {group.order} exceeds budget {KERNEL_BUDGET}")
+    require_prime(p)
+    return tuple(
+        sub for sub in group.normal_subgroups()
+        if prime_power_exponent(group.order // len(sub), p) is not None
+    )
 
 
 class CosetDecision(enum.Enum):

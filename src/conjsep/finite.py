@@ -51,7 +51,7 @@ from math import gcd
 from typing import Callable, NamedTuple
 
 from .errors import DimensionMismatch, SizeLimit, VerificationFailed
-from .intlin import require_prime, valuation
+from .intlin import prime_power_exponent, require_prime, valuation
 from .unitri import _COMMUTATORS, _PRODUCTS, ResidueUT, _power, conjugation_kernel
 
 # `validate` checks associativity on every triple up to this order, and on a
@@ -168,18 +168,6 @@ class _Listing:
         return getattr(group, self.name)
 
 
-class _Predicate:
-    """Membership by a predicate, until a deferred group's index replaces it."""
-
-    __slots__ = ("contains",)
-
-    def __init__(self, contains):
-        self.contains = contains
-
-    def __contains__(self, x) -> bool:
-        return self.contains(x)
-
-
 class FiniteGroup:
     """A finite group with a total multiplication over canonical elements.
 
@@ -201,7 +189,7 @@ class FiniteGroup:
         group = cls.__new__(cls)
         group._setup(**fields)
         group.order = order
-        group._members = _Predicate(contains)
+        group._contains = contains
         group._build = build
         return group
 
@@ -217,7 +205,6 @@ class FiniteGroup:
         self._class_of = None
         self._normals = None
         self._normal_set = None
-        self._kernels = {}  # prime -> normal subgroups of p-power index
         self._residuals = {}  # prime -> O^p(G)
         self._quotients = {}
         self._conjugation = None  # set by finite_closure, else built on first use
@@ -233,13 +220,13 @@ class FiniteGroup:
         for g in self.generators:
             if g not in self._index:
                 raise ValueError(f"generator {g!r} is not among the elements")
-        self._members = self._index
+        self._contains = self._index.__contains__
 
     def index(self, x) -> int:
         return self._index[x]
 
     def __contains__(self, x) -> bool:
-        return x in self._members
+        return self._contains(x)
 
     def label(self, x) -> str:
         return _label(self._labels, x)
@@ -261,14 +248,10 @@ class FiniteGroup:
         return y
 
     def is_p_group(self, p: int) -> bool:
-        """Whether the order is a power of p; ValueError when p is not prime.
-
-        The order divides a power of p only if it is one, and p^b, for b the
-        bit length of the order, is a multiple of every power of p up to the
-        order, so one modular power decides it.
-        """
+        """Whether the order is a power of p, as `prime_power_exponent`
+        decides it; ValueError when p is not prime."""
         require_prime(p)
-        return pow(p, self.order.bit_length(), self.order) == 0
+        return prime_power_exponent(self.order, p) is not None
 
     def p_residual(self, p: int) -> frozenset:
         """O^p(G), generated by the elements of order prime to p, which are

@@ -52,16 +52,12 @@ def mod_inverse(a: int, m: int) -> int:
 
 
 def prime_power_exponent(n: int, p: int) -> int | None:
-    """Return e with n = p**e, or None when n is not a power of p."""
+    """Return e with n = p**e, or None when n is not a power of p: e is the
+    p-adic `valuation` of n, and n is a power of p exactly when it is p**e."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if p < 2:
-        raise ValueError(f"p must be >= 2, got {p}")
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e if n == 1 else None
+    e = valuation(n, p)
+    return e if p**e == n else None
 
 
 # The first 13 primes, and the least composite n that passes the strong
@@ -95,7 +91,8 @@ def is_prime(n: int) -> bool:
     """Exact primality.  Trial division by the primes in `_BASES` decides
     every n < 41^2 and every n with a factor in `_BASES`; below
     `_PSEUDOPRIME_BOUND` (about 3.3e24) the strong probable-prime tests to
-    those bases decide the rest; above it, trial division by odd numbers."""
+    those bases decide the rest.  Any other n, at or above the bound with
+    no factor in `_BASES`, raises ValueError: no test here decides it."""
     if n < 2:
         return False
     if n < 4:
@@ -105,20 +102,15 @@ def is_prime(n: int) -> bool:
             return True
         if n % q == 0:
             return False
-    if n < _PSEUDOPRIME_BOUND:
-        return _strong_probable_prime(n)
-    f = 43
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    if n >= _PSEUDOPRIME_BOUND:
+        raise ValueError(f"primality of {n} is undecided at or above {_PSEUDOPRIME_BOUND}")
+    return _strong_probable_prime(n)
 
 
 def require_prime(p: int) -> None:
-    """ValueError unless p is a prime below `_PSEUDOPRIME_BOUND`.  Above the
-    bound `is_prime` falls back to trial division, which would not return
-    for a p of 25 digits with no small factor, so such p are refused at once."""
+    """ValueError unless p is a prime below `_PSEUDOPRIME_BOUND`, which is
+    where `is_prime` decides: every p at or above the bound is refused at
+    once, even one with a small factor."""
     if p >= _PSEUDOPRIME_BOUND:
         raise ValueError(f"p must be below {_PSEUDOPRIME_BOUND}, got {p}")
     if not is_prime(p):
@@ -126,11 +118,8 @@ def require_prime(p: int) -> None:
 
 
 def smallest_prime_excluding(p: int) -> int:
-    q = 2
-    while True:
-        if q != p and is_prime(q):
-            return q
-        q += 1
+    """The least prime other than p: 3 for p = 2 and 2 for any other p."""
+    return 3 if p == 2 else 2
 
 
 def valuation(n: int, p: int) -> int:

@@ -42,7 +42,6 @@ from .groupspec import (
     verify_spec,
 )
 from .intlin import (
-    is_prime,
     mod_inverse,
     power_solvable,
     prime_power_exponent,
@@ -142,13 +141,22 @@ class WitnessReport:
         return mod_inverse(self.q**self.n, self.p**m)
 
 
+def _least_rootless_exponent(z1, c_vec, q: int) -> int:
+    """The least n with no q^n-th root of c in z1: c = sum y_j h_j over z1's
+    canonical basis (uniquely) has one iff q^n divides every y_j.  The
+    identity, with every root, gets n = 1, which the root check refuses."""
+    return 1 + min((valuation(x, q) for x in z1.coordinates(c_vec) if x), default=0)
+
+
 def make_witness(spec: MatrixGroupSpec, p: int) -> WitnessReport:
     """Construct the inseparability witness pair for a non-abelian group.
 
     Deterministic choices: a is the declared second-centre representative,
     b the first generator whose commutator with a is nontrivial, q the
-    smallest prime other than p, and n the least exponent for which c has
-    no q^n-th root in the centre.  ValueError when p is not prime.
+    smallest prime other than p (3 for p = 2, else 2), and n the least
+    exponent for which c has no q^n-th root in the centre; these q and n
+    are the only ones `verify_witness_global` accepts.  ValueError when p
+    is not prime.
     """
     require_prime(p)
     verify_spec(spec)
@@ -174,10 +182,7 @@ def make_witness(spec: MatrixGroupSpec, p: int) -> WitnessReport:
     q = smallest_prime_excluding(p)
     c_vec = center_vector(spec, c)
     z1 = center_lattice(spec)
-    # verify_spec put c in z1, as c = sum y_j h_j over the canonical basis
-    # (uniquely), so c has a q^n-th root in z1 iff q^n divides every y_j
-    y = z1.coordinates(c_vec)
-    n = 1 + min(valuation(x, q) for x in y if x)
+    n = _least_rootless_exponent(z1, c_vec, q)
     e = q**n
     u = a**e
     v = u * c
@@ -205,20 +210,22 @@ class GlobalVerification:
 def verify_witness_global(spec: MatrixGroupSpec, witness: WitnessReport) -> GlobalVerification:
     """Confirm non-conjugacy of (u, v) in the full group, two independent ways.
 
-    First the divisibility certificate is recomputed: each of its four
-    fields must equal the value rebuilt from the spec and c, and c must have
-    no q^n-th root in the centre lattice.  Then, when the declared class is
-    at most 2, the commutator-lattice criterion must independently answer
-    non-conjugate.  Finally the report's internal structure is re-checked.
+    First the divisibility certificate is recomputed: n must be
+    `make_witness`'s least exponent, checked before q^n is computed, each
+    of the four fields must equal the value rebuilt from the spec and c,
+    and c must have no q^n-th root in the centre lattice.  Then, when the
+    declared class is at most 2, the commutator-lattice criterion must
+    independently answer non-conjugate.  Finally the report's internal
+    structure is re-checked, q = `smallest_prime_excluding(p)` included.
     Raises VerificationFailed naming the first broken check.
     """
     checks = []
     z1 = center_lattice(spec)
     c_vec = center_vector(spec, witness.c)
-    if witness.n < 1:
-        raise VerificationFailed("divisibility", f"exponent n={witness.n} is not >= 1")
     if c_vec is None or c_vec not in z1:
         raise VerificationFailed("divisibility", "c lies outside the declared centre")
+    if witness.q < 2 or witness.n != _least_rootless_exponent(z1, c_vec, witness.q):
+        raise VerificationFailed("divisibility", f"n={witness.n} is not the least exponent")
     e = witness.q**witness.n
     cert = witness.divisibility
     for field, stored, recomputed in (
@@ -249,7 +256,8 @@ def verify_witness_global(spec: MatrixGroupSpec, witness: WitnessReport) -> Glob
         (witness.c != ident, "c is the identity"),
         (witness.u == witness.a**e, "u != a^(q^n)"),
         (witness.v == witness.u * witness.c, "v != u*c"),
-        (is_prime(witness.q) and witness.q != witness.p, "q is not a prime other than p"),
+        (witness.q == smallest_prime_excluding(witness.p),
+         "q is not the least prime other than p"),
         (witness.b in spec.generators, "b is not a listed generator"),
     ]
     for good, msg in structure:

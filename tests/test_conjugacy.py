@@ -116,8 +116,8 @@ class TestOrbitSearch:
     def test_y_is_sifted_only_when_the_orbit_misses_it(self):
         group = finite_closure([reduce_mod(g, 2, 2) for g in heis5_spec().generators])
         sifted = []
-        contains = group._members.contains
-        group._members.contains = lambda e: sifted.append(e) or contains(e)
+        contains = group._contains
+        group._contains = lambda e: sifted.append(e) or contains(e)
         x, y = group.generators[0], group.generators[1]
         g = x * y
         assert conjugate_in_finite(group, x, g.inverse() * x * g).conjugate
@@ -296,8 +296,8 @@ class TestKernelEnumeration:
         kernels = enumerate_p_quotient_kernels(q8, 2)
         assert frozenset({q8.identity}) in kernels
         assert frozenset(q8.elements) in kernels
-        # The list is kept on the group, one per prime.
-        assert enumerate_p_quotient_kernels(q8, 2) is kernels
+        # Each call lists the same kernels again.
+        assert enumerate_p_quotient_kernels(q8, 2) == kernels
         assert enumerate_p_quotient_kernels(q8, 3) == (frozenset(q8.elements),)
 
     def test_budget(self):
@@ -316,7 +316,6 @@ class TestKernelEnumeration:
         # A probe conjugate into its coset used to answer VACUOUS for any p.
         with pytest.raises(ValueError, match="prime"):
             CosetQuery(d4, frozenset({d4.identity}), d4.identity, d4.identity, p)
-        assert p not in d4._kernels
         assert p not in d4._residuals
 
 
@@ -449,7 +448,6 @@ class TestTrivialKernelShortcut:
         assert is_conjugacy_p_separable(quot, 2) == (True, None)
         answer = coset_conjugacy_separable(CosetQuery(group, nsub, next(iter(coset)), probe, 2))
         assert answer == CosetAnswer(CosetDecision.YES, frozenset({group.identity}))
-        assert quot._kernels == {} and group._kernels == {}
 
     def test_p_group_decided_past_the_kernel_budget(self):
         # Only the kernel listing has a budget.
@@ -969,6 +967,29 @@ except VerificationFailed as failure:
         raise SystemExit(f"a conjugate witness pair failed the {failure.check!r} check")
 else:
     raise SystemExit("a conjugate witness pair passed the global checks")
+
+# A witness whose q is a prime that no primality test here decides, with
+# everything else rebuilt for it, must fail the structure check, and one
+# whose n is 10^8 must fail the divisibility check before q^n is computed.
+from conjsep.groupspec import center_lattice
+from conjsep.intlin import mod_inverse
+
+q = 2**89 - 1
+big_q = replace(
+    w, q=q, u=w.a**q, v=w.a**q * w.c,
+    divisibility=replace(w.divisibility, exponent=q,
+                         scaled_basis=center_lattice(heis).canonical().scale(q).basis),
+    conjugator_exponents=tuple((m, mod_inverse(q, 2**m)) for m, _ in w.conjugator_exponents),
+)
+for witness, check in ((big_q, "structure"), (replace(w, n=10**8), "divisibility")):
+    try:
+        verify_witness_global(heis, witness)
+    except VerificationFailed as failure:
+        if failure.check != check:
+            raise SystemExit(f"a crafted witness failed the {failure.check!r} check, not {check!r}")
+    else:
+        raise SystemExit(f"a crafted witness passed the global checks, not the {check!r} one")
+
 for name, wrong in (
     ("direct_product", wrong_order),
     ("conjugate_in_finite", lambda group, x, y: ConjugacyAnswer(True, group.identity)),

@@ -92,9 +92,26 @@ class TestScalarArithmetic:
 
     def test_primes(self):
         assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-        assert smallest_prime_excluding(2) == 3
-        assert smallest_prime_excluding(3) == 2
-        assert smallest_prime_excluding(7) == 2
+
+    def test_smallest_prime_excluding_matches_sympy(self):
+        for p in range(-5, 2001):
+            assert smallest_prime_excluding(p) == next(
+                q for q in sympy.primerange(2, 10) if q != p), p
+
+    @pytest.mark.parametrize("n", [2**89 - 1, intlin._PSEUDOPRIME_BOUND])
+    def test_is_prime_refuses_an_undecided_n_at_once(self, n):
+        # A prime and a strong pseudoprime to all 13 bases, neither with a
+        # factor among the bases: no test here decides them.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="undecided"):
+            is_prime(n)
+        assert time.perf_counter() - start < 0.01
+
+    @pytest.mark.parametrize("n", [2**100, 3 * intlin._PSEUDOPRIME_BOUND])
+    def test_is_prime_still_decides_a_small_factor_past_the_bound(self, n):
+        start = time.perf_counter()
+        assert not is_prime(n)
+        assert time.perf_counter() - start < 0.01
 
     def test_is_prime_matches_sympy(self):
         assert all(is_prime(n) == sympy.isprime(n) for n in range(-10, 10**5))
@@ -120,8 +137,8 @@ class TestScalarArithmetic:
 
     @pytest.mark.parametrize("p", [3317044064679887385961981, 2**89 - 1])
     def test_require_prime_refuses_p_past_the_bound_at_once(self, p):
-        # A strong pseudoprime to all 13 bases, and a prime: trial division
-        # on either would not return.
+        # A strong pseudoprime to all 13 bases, and a prime: `is_prime`
+        # decides neither, and p is refused before it is asked.
         start = time.perf_counter()
         with pytest.raises(ValueError, match=f"p must be below {intlin._PSEUDOPRIME_BOUND}"):
             require_prime(p)

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import time
 from math import gcd
 
 import pytest
@@ -246,6 +247,18 @@ class TestWitnessExponent:
                 w.divisibility.exponent).canonical().basis
 
 
+def witness_for_q(w, q):
+    """The heisenberg witness w with q replaced, and n, u, v, the certificate
+    and the conjugator table rebuilt for it."""
+    e = q**w.n  # c = [a, b] has coordinate 1, so n = 1 for every q
+    u = w.a**e
+    cert = dataclasses.replace(w.divisibility, exponent=e,
+                               scaled_basis=center_lattice(HEIS).canonical().scale(e).basis)
+    table = tuple((m, mod_inverse(e, w.p**m)) for m, _ in w.conjugator_exponents)
+    return dataclasses.replace(w, q=q, u=u, v=u * w.c, divisibility=cert,
+                               conjugator_exponents=table)
+
+
 class TestVerifyWitnessGlobal:
     def test_passes_for_fresh_witness(self):
         w = make_witness(HEIS, 2)
@@ -307,6 +320,37 @@ class TestVerifyWitnessGlobal:
         with pytest.raises(VerificationFailed) as err:
             verify_witness_global(HEIS, dataclasses.replace(w, v=w.u * w.c**3))
         assert err.value.check == "class2-lattice"
+
+    @pytest.mark.parametrize("q", [2**89 - 1, 5])
+    def test_crafted_q_refused_at_once(self, q):
+        # Only the rule that q is the least prime other than p can tell;
+        # a primality test of 2^89 - 1 would not return.
+        w = make_witness(HEIS, 2)
+        assert w.n == 1
+        start = time.perf_counter()
+        with pytest.raises(VerificationFailed) as err:
+            verify_witness_global(HEIS, witness_for_q(w, q))
+        assert time.perf_counter() - start < 0.01
+        assert (err.value.check, err.value.detail) == (
+            "structure", "q is not the least prime other than p")
+
+    @pytest.mark.parametrize("q", [1, 0, -3])
+    def test_q_below_two_fails_divisibility(self, q):
+        # No least exponent exists for such q; the verifier must not let
+        # the valuation's ValueError escape.
+        w = dataclasses.replace(make_witness(HEIS, 2), q=q)
+        with pytest.raises(VerificationFailed) as err:
+            verify_witness_global(HEIS, w)
+        assert err.value.check == "divisibility"
+
+    def test_huge_n_refused_before_its_power(self):
+        # 3^(10^8) would take seconds to compute.
+        w = dataclasses.replace(make_witness(HEIS, 2), n=10**8)
+        start = time.perf_counter()
+        with pytest.raises(VerificationFailed) as err:
+            verify_witness_global(HEIS, w)
+        assert time.perf_counter() - start < 0.01
+        assert err.value.check == "divisibility"
 
     def test_wrong_table_exponent(self):
         w = make_witness(HEIS, 2)
