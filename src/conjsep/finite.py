@@ -43,12 +43,11 @@ from one parent, and the list is sorted by an element mask per subgroup.
 from __future__ import annotations
 
 import operator
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
+from collections.abc import Callable
 from functools import partial
 from itertools import product
 from math import gcd
-from typing import Callable, NamedTuple
 
 from .errors import DimensionMismatch, SizeLimit, VerificationFailed
 from .intlin import prime_power_exponent, require_prime, valuation
@@ -82,7 +81,7 @@ def _step(point, step):
     return step(point)
 
 
-class Conjugation(NamedTuple):
+class Conjugation(namedtuple("Conjugation", "point element steps")):
     """A group's conjugation by its generators, on orbit points.
 
     `point` encodes an element as an orbit point and `element` decodes one;
@@ -90,9 +89,7 @@ class Conjugation(NamedTuple):
     s = generators[i].
     """
 
-    point: Callable
-    element: Callable
-    steps: tuple
+    __slots__ = ()
 
 
 def _identity_map(x):
@@ -564,14 +561,14 @@ class FiniteGroup:
         return checks
 
 
-@dataclass(frozen=True, eq=False)
 class GroupHom:
     """A homomorphism given by a computable mapping rule; a natural projection
     also carries its section, the representative chosen for each coset."""
 
-    codomain: FiniteGroup
-    mapping: object
-    section: dict | None = None
+    __slots__ = ("codomain", "mapping", "section")
+
+    def __init__(self, codomain: FiniteGroup, mapping, section: dict | None = None):
+        self.codomain, self.mapping, self.section = codomain, mapping, section
 
     def __call__(self, x):
         return self.mapping(x)

@@ -16,7 +16,7 @@ elements in that order (`coords_to_element`).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, replace
+from collections import namedtuple
 from functools import lru_cache
 from pathlib import Path
 
@@ -26,65 +26,56 @@ from .intlin import Lattice, Membership
 from .unitri import UTMatrix, commutator, reduce_mod
 
 
-@dataclass(frozen=True)
-class MatrixGroupSpec:
+class MatrixGroupSpec(namedtuple(
+    "MatrixGroupSpec",
+    "name n generators center_gens z2_rep declared_class"
+    " gen_names center_names z2_name malcev_basis",
+)):
     """A unitriangular matrix group with declared central-series data."""
 
-    name: str
-    n: int
-    generators: tuple
-    center_gens: tuple
-    z2_rep: UTMatrix | None
-    declared_class: int
-    gen_names: tuple = ()
-    center_names: tuple = ()
-    z2_name: str = "z2"
-    malcev_basis: tuple = ()
+    # No `__slots__ = ()`: the instance dict holds the hash.
 
-    def __post_init__(self):
-        if not self.gen_names:
-            object.__setattr__(
-                self, "gen_names", tuple(f"g{i}" for i in range(len(self.generators)))
-            )
-        if not self.center_names:
-            object.__setattr__(
-                self, "center_names", tuple(f"z{i}" for i in range(len(self.center_gens)))
-            )
-        # The caches below look a spec up on every call, so it is hashed once.
-        object.__setattr__(
-            self, "_hash", hash(tuple(getattr(self, f.name) for f in fields(self)))
+    def __new__(cls, name, n, generators, center_gens, z2_rep, declared_class,
+                gen_names=(), center_names=(), z2_name="z2", malcev_basis=()):
+        self = super().__new__(
+            cls, name, n, generators, center_gens, z2_rep, declared_class,
+            gen_names or tuple(f"g{i}" for i in range(len(generators))),
+            center_names or tuple(f"z{i}" for i in range(len(center_gens))),
+            z2_name, malcev_basis,
         )
+        # The caches below look a spec up on every call, so it is hashed once.
+        self._hash = tuple.__hash__(self)
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def __hash__(self):
         return self._hash
 
     def with_z2_rep(self, rep: UTMatrix, name: str = "z2-override") -> "MatrixGroupSpec":
-        return replace(self, z2_rep=rep, z2_name=name)
+        return self._replace(z2_rep=rep, z2_name=name)
 
 
-@dataclass(frozen=True)
-class SpecVerification:
-    passed: bool
-    checks: tuple  # (name, detail) pairs, in execution order
+class SpecVerification(namedtuple("SpecVerification", "passed checks")):
+    # checks: (name, detail) pairs, in execution order
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AbelianDecision:
-    abelian: bool
-    witness: tuple | None = None  # pair of generator names that fail to commute
+class AbelianDecision(namedtuple("AbelianDecision", "abelian witness", defaults=(None,))):
+    # witness: pair of generator names that fail to commute
+    __slots__ = ()
 
 
-@dataclass
-class ProductGroupSpec:
+class ProductGroupSpec(namedtuple("ProductGroupSpec", "name matrix_part finite_part")):
     """A direct product of a matrix group and a finite group.
 
     The finite part is automatically normal and equals the torsion subgroup,
     because nontrivial unitriangular integer matrices have infinite order.
     """
 
-    name: str
-    matrix_part: MatrixGroupSpec
-    finite_part: FiniteGroup
+    __slots__ = ()
 
 
 # -- centre coordinates ------------------------------------------------------
@@ -319,7 +310,7 @@ def _preset(name, n, basis, gens, center, z2, declared_class) -> MatrixGroupSpec
         center_gens=tuple(table[nm] for nm in center),
         center_names=center,
         z2_rep=table.get(z2),
-        z2_name=z2 or MatrixGroupSpec.z2_name,
+        z2_name=z2 or "z2",
         declared_class=declared_class,
         malcev_basis=tuple((nm, table[nm]) for nm, _ in basis),
     )

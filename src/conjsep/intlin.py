@@ -19,7 +19,7 @@ for unimodularity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import index
 
 from .errors import DimensionMismatch, NotCoprime, NotInLattice
@@ -397,20 +397,16 @@ def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     )
 
 
-@dataclass(frozen=True)
-class Membership:
+class Membership(namedtuple("Membership", "member coefficients", defaults=(None,))):
     """Decision with certificate: basis @ coefficients = target when member."""
 
-    member: bool
-    coefficients: tuple | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PowerSolution:
+class PowerSolution(namedtuple("PowerSolution", "solvable root", defaults=(None,))):
     """Solvability of e*z = target inside a lattice; root is z's ambient vector."""
 
-    solvable: bool
-    root: tuple | None = None
+    __slots__ = ()
 
 
 class Lattice:

@@ -11,7 +11,7 @@ non-conjugate pair stays non-conjugate, re-verified by orbit search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from .conjugacy import (
     Class2Tower,
@@ -57,18 +57,14 @@ CONJUGATOR_TABLE_DEPTH = 8
 ORBIT_CAP = 2048
 
 
-@dataclass(frozen=True)
-class SeparabilityVerdict:
+class SeparabilityVerdict(namedtuple(
+    "SeparabilityVerdict",
+    "p torsion_order torsion_exponent torsion_is_p_group quotient_abelian"
+    " abelian_witness separable reason",
+)):
     """The two clauses of the criterion, with evidence for any failure."""
 
-    p: int
-    torsion_order: int
-    torsion_exponent: int | None
-    torsion_is_p_group: bool
-    quotient_abelian: bool
-    abelian_witness: tuple | None
-    separable: bool
-    reason: str
+    __slots__ = ()
 
 
 def classify(group: ProductGroupSpec, p: int) -> SeparabilityVerdict:
@@ -103,18 +99,18 @@ def classify(group: ProductGroupSpec, p: int) -> SeparabilityVerdict:
     )
 
 
-@dataclass(frozen=True)
-class DivisibilityCertificate:
+class DivisibilityCertificate(namedtuple(
+    "DivisibilityCertificate", "exponent c_vector scaled_basis member"
+)):
     """Failed lattice membership: c has no exponent-th root in the centre."""
 
-    exponent: int
-    c_vector: tuple
-    scaled_basis: tuple
-    member: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(namedtuple(
+    "WitnessReport",
+    "p a b b_name c q n u v divisibility conjugator_exponents",
+)):
     """A pair (u, v) = (a^(q^n), a^(q^n) c), non-conjugate globally but
     conjugate in every finite p-quotient.
 
@@ -122,17 +118,7 @@ class WitnessReport:
     b^k conjugates u to v modulo p^m.
     """
 
-    p: int
-    a: UTMatrix
-    b: UTMatrix
-    b_name: str
-    c: UTMatrix
-    q: int
-    n: int
-    u: UTMatrix
-    v: UTMatrix
-    divisibility: DivisibilityCertificate
-    conjugator_exponents: tuple
+    __slots__ = ()
 
     def conjugator_exponent(self, m: int) -> int:
         for level, k in self.conjugator_exponents:
@@ -201,10 +187,8 @@ def make_witness(spec: MatrixGroupSpec, p: int) -> WitnessReport:
     )
 
 
-@dataclass(frozen=True)
-class GlobalVerification:
-    passed: bool
-    checks: tuple
+class GlobalVerification(namedtuple("GlobalVerification", "passed checks")):
+    __slots__ = ()
 
 
 def verify_witness_global(spec: MatrixGroupSpec, witness: WitnessReport) -> GlobalVerification:
@@ -271,14 +255,10 @@ def verify_witness_global(spec: MatrixGroupSpec, witness: WitnessReport) -> Glob
     return GlobalVerification(True, tuple(checks))
 
 
-@dataclass(frozen=True)
-class LocalCheck:
+class LocalCheck(namedtuple("LocalCheck", "m k conjugator bfs_checked")):
     """Outcome of the explicit-conjugator check at one level."""
 
-    m: int
-    k: int
-    conjugator: UTMatrix
-    bfs_checked: bool
+    __slots__ = ()
 
 
 def _ut_order(n: int, p: int, k: int) -> int:
@@ -340,16 +320,12 @@ def verify_witness_local(
     return LocalCheck(m=m, k=k, conjugator=conj, bfs_checked=quot is not None)
 
 
-@dataclass(frozen=True)
-class SeparationCertificate:
+class SeparationCertificate(namedtuple(
+    "SeparationCertificate", "p level quotient images nonconjugacy_reverified branch"
+)):
     """A finite p-quotient in which the two images stay non-conjugate."""
 
-    p: int
-    level: int
-    quotient: FiniteGroup
-    images: tuple
-    nonconjugacy_reverified: bool
-    branch: str
+    __slots__ = ()
 
 
 def separate_elements(
@@ -413,25 +389,18 @@ def separate_elements(
     )
 
 
-@dataclass(frozen=True)
-class TowerLevel:
-    level: int
-    # orbit | equal-images | identity-image | separated-below | witness-conjugator
-    # | class2-smith (over the cap, class <= 2) | skipped (over the cap, class
-    # >= 3 or inputs not shown to lie in G; or images outside the quotient)
-    method: str
-    conjugate: bool | None
-    note: str = ""
-    check: LocalCheck | None = None  # the level's witness check, on a witness pair
+# method: orbit | equal-images | identity-image | separated-below |
+# witness-conjugator | class2-smith (over the cap, class <= 2) | skipped (over
+# the cap, class >= 3 or inputs not shown to lie in G; or images outside the
+# quotient).  check: the level's witness check, on a witness pair.
+class TowerLevel(namedtuple(
+    "TowerLevel", "level method conjugate note check", defaults=("", None)
+)):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TowerScan:
-    p: int
-    depth: int
-    levels: tuple
-    separated_at: int | None
-    summary: str
+class TowerScan(namedtuple("TowerScan", "p depth levels separated_at summary")):
+    __slots__ = ()
 
 
 def _top_search(spec, images, p: int, cap: int):
@@ -542,7 +511,7 @@ def scan_tower(
             if rx * g != g * ry:
                 raise LocalCheckFailed(f"the level-{top} orbit conjugator fails at level {k}")
         if covered and check is not None:
-            check = replace(check, bfs_checked=True)
+            check = check._replace(bfs_checked=True)
         if rx == ry:
             entry = TowerLevel(k, "equal-images", True, check=check)
         elif check is not None:

@@ -632,6 +632,20 @@ class TestParserBuiltOnce:
         assert "-x" in reused[1][2]
 
 
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # Every command is one process, so each stdlib module the package pulls
+    # in is paid at every start-up; `dataclasses` and the `inspect` it
+    # imports cost about 6 ms.  -S keeps site's own imports out.
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = "import sys, conjsep.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 SPEC_DIR = Path(__file__).resolve().parent.parent / "demos" / "specs"
 
 # (argv, the exact human-readable text printed); each exits 0.

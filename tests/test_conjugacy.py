@@ -351,6 +351,15 @@ class TestCosetSeparability:
         with pytest.raises(ValueError):
             CosetQuery(d4, frozenset({d4.identity, (0, 1)}), d4.identity, (1, 0), 2)
 
+    def test_a_modified_copy_is_checked_as_a_new_query(self):
+        d4 = dihedral4()
+        query = CosetQuery(d4, [d4.identity], d4.identity, (1, 0), 2)
+        assert query._replace(probe=(0, 1)).subgroup_n == frozenset({d4.identity})
+        with pytest.raises(ValueError, match="normal"):
+            query._replace(subgroup_n={d4.identity, (0, 1)})
+        with pytest.raises(ValueError, match="prime"):
+            query._replace(p=4)
+
 
 COSET_GROUPS = {
     "D4": dihedral4,
@@ -937,7 +946,6 @@ conjsep.separability.conjugate_in_finite = conjugate_in_finite
 # recomputed one must fail the divisibility check, and one whose pair is
 # conjugate (u = a^3 and [a^3, b] = c^3) must fail the class-2 check.  A separation certificate whose quotient has the wrong
 # order, or whose images a search calls conjugate, must fail its re-check.
-from dataclasses import replace
 from conjsep.groupspec import coords_to_element, preset
 from conjsep.separability import separate_elements, verify_witness_global
 
@@ -952,7 +960,7 @@ def wrong_order(*args, **kwargs):
     return group
 
 
-tampered = replace(w, divisibility=replace(w.divisibility, c_vector=(7,)))
+tampered = w._replace(divisibility=w.divisibility._replace(c_vector=(7,)))
 try:
     verify_witness_global(heis, tampered)
 except VerificationFailed as failure:
@@ -961,7 +969,7 @@ except VerificationFailed as failure:
 else:
     raise SystemExit("a tampered divisibility certificate passed the global checks")
 try:
-    verify_witness_global(heis, replace(w, v=w.u * w.c**3))
+    verify_witness_global(heis, w._replace(v=w.u * w.c**3))
 except VerificationFailed as failure:
     if failure.check != "class2-lattice":
         raise SystemExit(f"a conjugate witness pair failed the {failure.check!r} check")
@@ -975,13 +983,13 @@ from conjsep.groupspec import center_lattice
 from conjsep.intlin import mod_inverse
 
 q = 2**89 - 1
-big_q = replace(
-    w, q=q, u=w.a**q, v=w.a**q * w.c,
-    divisibility=replace(w.divisibility, exponent=q,
-                         scaled_basis=center_lattice(heis).canonical().scale(q).basis),
+big_q = w._replace(
+    q=q, u=w.a**q, v=w.a**q * w.c,
+    divisibility=w.divisibility._replace(exponent=q,
+                                         scaled_basis=center_lattice(heis).canonical().scale(q).basis),
     conjugator_exponents=tuple((m, mod_inverse(q, 2**m)) for m, _ in w.conjugator_exponents),
 )
-for witness, check in ((big_q, "structure"), (replace(w, n=10**8), "divisibility")):
+for witness, check in ((big_q, "structure"), (w._replace(n=10**8), "divisibility")):
     try:
         verify_witness_global(heis, witness)
     except VerificationFailed as failure:

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import time
 from math import gcd
@@ -157,7 +156,7 @@ class TestMakeWitness:
             make_witness(preset("z2").matrix_part, 2)
 
     def test_missing_z2_rep(self):
-        spec = dataclasses.replace(HEIS, z2_rep=None)
+        spec = HEIS._replace(z2_rep=None)
         with pytest.raises(NoZ2Rep):
             make_witness(spec, 2)
 
@@ -252,11 +251,11 @@ def witness_for_q(w, q):
     and the conjugator table rebuilt for it."""
     e = q**w.n  # c = [a, b] has coordinate 1, so n = 1 for every q
     u = w.a**e
-    cert = dataclasses.replace(w.divisibility, exponent=e,
-                               scaled_basis=center_lattice(HEIS).canonical().scale(e).basis)
+    cert = w.divisibility._replace(exponent=e,
+                                   scaled_basis=center_lattice(HEIS).canonical().scale(e).basis)
     table = tuple((m, mod_inverse(e, w.p**m)) for m, _ in w.conjugator_exponents)
-    return dataclasses.replace(w, q=q, u=u, v=u * w.c, divisibility=cert,
-                               conjugator_exponents=table)
+    return w._replace(q=q, u=u, v=u * w.c, divisibility=cert,
+                      conjugator_exponents=table)
 
 
 class TestVerifyWitnessGlobal:
@@ -273,21 +272,21 @@ class TestVerifyWitnessGlobal:
         assert report.checks == ("divisibility", "structure")
 
     def test_tampered_exponent_zero(self):
-        w = dataclasses.replace(make_witness(HEIS, 2), n=0)
+        w = make_witness(HEIS, 2)._replace(n=0)
         with pytest.raises(VerificationFailed) as err:
             verify_witness_global(HEIS, w)
         assert err.value.check == "divisibility"
 
     def test_tampered_cube_c(self):
         w = make_witness(HEIS, 2)
-        tampered = dataclasses.replace(w, c=w.c**3)
+        tampered = w._replace(c=w.c**3)
         with pytest.raises(VerificationFailed) as err:
             verify_witness_global(HEIS, tampered)
         assert err.value.check == "divisibility"
 
     def test_tampered_pair(self):
         w = make_witness(HEIS, 2)
-        tampered = dataclasses.replace(w, v=w.u * w.c**2)
+        tampered = w._replace(v=w.u * w.c**2)
         with pytest.raises(VerificationFailed) as err:
             verify_witness_global(HEIS, tampered)
         assert err.value.check in ("class2-lattice", "structure")
@@ -295,7 +294,7 @@ class TestVerifyWitnessGlobal:
     def test_c_outside_the_centre(self):
         w = make_witness(HEIS, 2)
         with pytest.raises(VerificationFailed) as err:
-            verify_witness_global(HEIS, dataclasses.replace(w, c=w.b))
+            verify_witness_global(HEIS, w._replace(c=w.b))
         assert err.value.check == "divisibility"
         assert err.value.detail == "c lies outside the declared centre"
 
@@ -306,8 +305,8 @@ class TestVerifyWitnessGlobal:
         # Each stored field must equal its recomputed value; the pair itself
         # is untouched, so only the certificate comparison can notice.
         w = make_witness(HEIS, 2)
-        tampered = dataclasses.replace(
-            w, divisibility=dataclasses.replace(w.divisibility, **{field: value}))
+        tampered = w._replace(
+            divisibility=w.divisibility._replace(**{field: value}))
         with pytest.raises(VerificationFailed) as err:
             verify_witness_global(HEIS, tampered)
         assert err.value.check == "divisibility"
@@ -318,7 +317,7 @@ class TestVerifyWitnessGlobal:
         w = make_witness(HEIS, 2)
         assert w.u == HEIS.generators[0] ** 3
         with pytest.raises(VerificationFailed) as err:
-            verify_witness_global(HEIS, dataclasses.replace(w, v=w.u * w.c**3))
+            verify_witness_global(HEIS, w._replace(v=w.u * w.c**3))
         assert err.value.check == "class2-lattice"
 
     @pytest.mark.parametrize("q", [2**89 - 1, 5])
@@ -338,25 +337,40 @@ class TestVerifyWitnessGlobal:
     def test_q_below_two_fails_divisibility(self, q):
         # No least exponent exists for such q; the verifier must not let
         # the valuation's ValueError escape.
-        w = dataclasses.replace(make_witness(HEIS, 2), q=q)
+        w = make_witness(HEIS, 2)._replace(q=q)
         with pytest.raises(VerificationFailed) as err:
             verify_witness_global(HEIS, w)
         assert err.value.check == "divisibility"
 
     def test_huge_n_refused_before_its_power(self):
         # 3^(10^8) would take seconds to compute.
-        w = dataclasses.replace(make_witness(HEIS, 2), n=10**8)
+        w = make_witness(HEIS, 2)._replace(n=10**8)
         start = time.perf_counter()
         with pytest.raises(VerificationFailed) as err:
             verify_witness_global(HEIS, w)
         assert time.perf_counter() - start < 0.01
         assert err.value.check == "divisibility"
 
+    @pytest.mark.parametrize("spec", [HEIS, ut4_spec()], ids=["heisenberg", "ut4"])
+    def test_root_check_refuses_a_pair_built_one_exponent_short(self, monkeypatch, spec):
+        # make_witness and the n check both take n one below the least
+        # rootless exponent, so the report is consistent and only the root
+        # check can tell that c has a q^n-th root.  ut4 has no class-2
+        # check behind it.
+        real = separability._least_rootless_exponent
+        monkeypatch.setattr(separability, "_least_rootless_exponent",
+                            lambda *args: real(*args) - 1)
+        w = make_witness(spec, 2)
+        with pytest.raises(VerificationFailed) as err:
+            verify_witness_global(spec, w)
+        assert (err.value.check, err.value.detail) == (
+            "divisibility", f"c has a {w.q**w.n}-th root in the centre; the pair is conjugate")
+
     def test_wrong_table_exponent(self):
         w = make_witness(HEIS, 2)
         table = tuple((m, k + 2 if m == 3 else k) for m, k in w.conjugator_exponents)
         with pytest.raises(VerificationFailed) as err:
-            verify_witness_global(HEIS, dataclasses.replace(w, conjugator_exponents=table))
+            verify_witness_global(HEIS, w._replace(conjugator_exponents=table))
         assert (err.value.check, err.value.detail) == (
             "structure", "conjugator exponent at level 3 is wrong")
 
@@ -414,7 +428,7 @@ class TestVerifyWitnessLocal:
         w = make_witness(HEIS, 2)
         assert dict(w.conjugator_exponents)[5] == 11
         table = tuple((m, 13 if m == 5 else k) for m, k in w.conjugator_exponents)
-        tampered = dataclasses.replace(w, conjugator_exponents=table)
+        tampered = w._replace(conjugator_exponents=table)
         verify_witness_local(HEIS, tampered, 4)
         with pytest.raises(LocalCheckFailed):
             verify_witness_local(HEIS, tampered, 5)
