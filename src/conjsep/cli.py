@@ -45,8 +45,9 @@ from .groupspec import (
     parse_element,
     preset,
     preset_names,
+    torsion_subgroup,
 )
-from .intlin import require_prime
+from .intlin import prime_power_exponent, require_prime
 from .selftest import run_selftest
 from .separability import (
     ORBIT_CAP,
@@ -241,7 +242,19 @@ def run_witness(args) -> dict:
         except (OSError, ValueError) as exc:
             raise SpecParseError(f"cannot use --z2-rep file: {exc}") from exc
         spec = spec.with_z2_rep(_parse_matrix(data, spec.n, "--z2-rep file"))
-    witness = make_witness(spec, p)
+    try:
+        witness = make_witness(spec, p)
+    except AbelianGroup:
+        # make_witness sees the matrix part alone; the torsion clause may fail.
+        order = torsion_subgroup(group).order
+        if prime_power_exponent(order, p) is not None:
+            raise
+        raise AbelianGroup(
+            f"the torsion clause fails: {group.name!r} has torsion of order {order}, "
+            f"not a power of {p}, so it is not conjugacy separable in finite {p}-groups, "
+            f"but its matrix part {spec.name!r} is abelian and gives no witness pair; "
+            f"see `conjsep classify`"
+        ) from None
     glob = verify_witness_global(spec, witness)
     tower = scan_tower(spec, witness.u, witness.v, p, depth, witness=witness,
                        max_order=orbit_cap)

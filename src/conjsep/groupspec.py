@@ -6,6 +6,11 @@ the second centre that is not central, and the nilpotency class.  Declared
 data is verified, never trusted: verify_spec re-derives every claim by
 commutator arithmetic and lattice membership.
 
+A spec is immutable and hashed once, so the facts derived from it are kept
+per spec value, each in a bounded cache: its centre support and lattice, its
+verification and abelian decision, and its congruence quotients.  A named
+preset is built once per name.
+
 A matrix preset is written as its Mal'cev basis, a table of (name, (i, j))
 pairs for the elementary matrices I + E_ij in collection order.  The
 generators, the centre generators and the second-centre representative are
@@ -80,9 +85,10 @@ class ProductGroupSpec(namedtuple("ProductGroupSpec", "name matrix_part finite_p
 
 # -- centre coordinates ------------------------------------------------------
 
-# Entries kept by each cache here, centre data and congruence quotients alike:
-# enough for every level of a few towers, while a long-lived process does not
-# pin every spec or group it ever built.
+# Entries kept by each per-spec cache here (center_support, center_lattice,
+# verify_spec, is_abelian and congruence_quotient): enough for every level of
+# a few towers, while a long-lived process does not pin every spec or group it
+# ever built.
 QUOTIENT_CACHE_SIZE = 32
 
 
@@ -126,8 +132,12 @@ def _in_center(spec: MatrixGroupSpec, u: UTMatrix) -> bool:
 # -- verification ------------------------------------------------------------
 
 
+@lru_cache(maxsize=QUOTIENT_CACHE_SIZE)
 def verify_spec(spec: MatrixGroupSpec) -> SpecVerification:
     """Re-derive every declared claim; raises SpecRejected at the first failure.
+
+    A passing verdict is kept per spec value, so an equal spec is verified
+    once; a rejection is never kept, so a rejected spec raises on every call.
 
     Checks, in order: shapes; centre coordinates are additive (products of the
     centre generators' nilpotent parts vanish, so entry vectors add); centre
@@ -212,8 +222,10 @@ def verify_spec(spec: MatrixGroupSpec) -> SpecVerification:
     return SpecVerification(True, tuple(checks))
 
 
+@lru_cache(maxsize=QUOTIENT_CACHE_SIZE)
 def is_abelian(spec: MatrixGroupSpec) -> AbelianDecision:
-    """YES iff all generator pairs commute; carries a failing pair otherwise."""
+    """YES iff all generator pairs commute; carries a failing pair otherwise.
+    Kept per spec value."""
     ident = UTMatrix.identity(spec.n)
     for i in range(len(spec.generators)):
         for j in range(i + 1, len(spec.generators)):
@@ -363,12 +375,21 @@ _PRODUCT_PRESETS = {
 
 
 def preset(name: str) -> ProductGroupSpec:
-    """Resolve a named preset to a product spec (trivial finite part if none)."""
+    """Resolve a named preset to a product spec (trivial finite part if none).
+
+    Returns one shared object per name, built on first use, so the finite
+    part's class and quotient caches are shared by every caller too.
+    """
     key = name.lower()
     if key not in _PRODUCT_PRESETS:
         raise SpecParseError(
             f"unknown preset {name!r}; known: {', '.join(sorted(_PRODUCT_PRESETS))}"
         )
+    return _build_preset(key)
+
+
+@lru_cache(maxsize=len(_PRODUCT_PRESETS))
+def _build_preset(key: str) -> ProductGroupSpec:
     matrix_name, finite_name = _PRODUCT_PRESETS[key]
     finite = finite_preset(finite_name) if finite_name else finite_preset("trivial")
     return ProductGroupSpec(

@@ -99,6 +99,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "abelian" in err and "separable" in err
 
+    def test_abelian_witness_with_non_p_torsion_names_the_torsion_clause(self, capsys):
+        assert cli.main(["witness", "--preset", "zxc6", "-p", "2"]) == 4
+        err = capsys.readouterr().err
+        assert "torsion clause fails" in err and "order 6" in err and "classify" in err
+        assert "hence conjugacy separable" not in err
+        assert cli.main(["classify", "--preset", "zxc6", "-p", "2", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["separable"] is False
+
+    def test_abelian_witness_with_p_torsion_keeps_the_separable_sentence(self, capsys):
+        assert cli.main(["witness", "--preset", "zxq8", "-p", "2"]) == 4
+        err = capsys.readouterr().err
+        assert "'z' is abelian, hence conjugacy separable in finite 2-groups" in err
+        assert "torsion clause" not in err
+
     def test_inapplicable_separation_is_5(self, capsys):
         assert (
             cli.main(["separate", "--preset", "zxc3", "-p", "2", "-a", "0|g", "-b", "0|e"])

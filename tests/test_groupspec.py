@@ -162,7 +162,7 @@ class TestCenterCoordinates:
         assert center_lattice(z2).rank == 2
 
     def test_center_caches_are_bounded(self):
-        for cached in (center_support, center_lattice):
+        for cached in (center_support, center_lattice, verify_spec, is_abelian):
             assert cached.cache_info().maxsize == QUOTIENT_CACHE_SIZE
 
     def test_equal_specs_hash_equal_and_share_one_entry(self, monkeypatch):
@@ -188,6 +188,62 @@ class TestCenterCoordinates:
         hash(spec)
         center_support(spec)
         assert calls == []
+
+
+class TestPerSpecVerdicts:
+    """verify_spec and is_abelian keep their verdicts per spec value."""
+
+    @pytest.mark.parametrize("cached", [verify_spec, is_abelian])
+    def test_equal_specs_share_one_entry(self, cached):
+        first, second = heis5_spec(), heis5_spec()
+        assert first is not second and first == second
+        cached.cache_clear()
+        verdict = cached(first)
+        assert cached(second) is verdict
+        info = cached.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+    def test_a_rejection_is_never_kept(self):
+        heis = heisenberg_spec()
+        bad = heis._replace(z2_rep=heis.center_gens[0] ** 5, z2_name="c5")
+        verify_spec.cache_clear()
+        for _ in range(2):
+            with pytest.raises(SpecRejected) as err:
+                verify_spec(bad)
+            assert err.value.check == "z2-in-center"
+        info = verify_spec.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
+
+    def test_a_z2_override_is_checked_as_a_new_spec(self):
+        heis = heisenberg_spec()
+        a, b = heis.generators
+        verify_spec.cache_clear()
+        assert verify_spec(heis).passed
+        with pytest.raises(SpecRejected) as err:
+            verify_spec(heis.with_z2_rep(heis.center_gens[0] ** 3))
+        assert err.value.check == "z2-in-center"
+        assert verify_spec(heis.with_z2_rep(a * b)).passed
+        info = verify_spec.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 3, 2)
+
+    def test_caches_stay_bounded_over_many_specs(self):
+        specs = [heisenberg_spec()._replace(name=f"heis-{i}") for i in range(100)]
+        assert len(set(specs)) == 100
+        for spec in specs:
+            assert verify_spec(spec).passed
+            assert not is_abelian(spec).abelian
+        for cached in (verify_spec, is_abelian):
+            assert cached.cache_info().currsize <= QUOTIENT_CACHE_SIZE
+
+    def test_preset_is_built_once_per_name(self):
+        assert preset("HEISENBERG") is preset("heisenberg")
+        assert preset("zxq8").finite_part is preset("ZxQ8").finite_part
+        assert heisenberg_spec() is not heisenberg_spec()
+        with pytest.raises(SpecParseError):
+            preset("heisenberg2")
+        for name in preset_names():
+            preset(name)
+        assert groupspec._build_preset.cache_info().currsize == len(preset_names())
 
 
 class TestCoordinates:
