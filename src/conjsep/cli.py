@@ -47,7 +47,7 @@ from .groupspec import (
     preset_names,
     torsion_subgroup,
 )
-from .intlin import prime_power_exponent, require_prime
+from .intlin import require_prime
 from .selftest import run_selftest
 from .separability import (
     ORBIT_CAP,
@@ -246,11 +246,11 @@ def run_witness(args) -> dict:
         witness = make_witness(spec, p)
     except AbelianGroup:
         # make_witness sees the matrix part alone; the torsion clause may fail.
-        order = torsion_subgroup(group).order
-        if prime_power_exponent(order, p) is not None:
+        torsion = torsion_subgroup(group)
+        if torsion.is_p_group(p):
             raise
         raise AbelianGroup(
-            f"the torsion clause fails: {group.name!r} has torsion of order {order}, "
+            f"the torsion clause fails: {group.name!r} has torsion of order {torsion.order}, "
             f"not a power of {p}, so it is not conjugacy separable in finite {p}-groups, "
             f"but its matrix part {spec.name!r} is abelian and gives no witness pair; "
             f"see `conjsep classify`"

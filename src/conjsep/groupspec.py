@@ -8,8 +8,7 @@ commutator arithmetic and lattice membership.
 
 A spec is immutable and hashed once, so the facts derived from it are kept
 per spec value, each in a bounded cache: its centre support and lattice, its
-verification and abelian decision, and its congruence quotients.  A named
-preset is built once per name.
+verification and abelian decision, and its congruence quotients.
 
 A matrix preset is written as its Mal'cev basis, a table of (name, (i, j))
 pairs for the elementary matrices I + E_ij in collection order.  The
@@ -375,21 +374,12 @@ _PRODUCT_PRESETS = {
 
 
 def preset(name: str) -> ProductGroupSpec:
-    """Resolve a named preset to a product spec (trivial finite part if none).
-
-    Returns one shared object per name, built on first use, so the finite
-    part's class and quotient caches are shared by every caller too.
-    """
+    """Resolve a named preset to a product spec (trivial finite part if none)."""
     key = name.lower()
     if key not in _PRODUCT_PRESETS:
         raise SpecParseError(
             f"unknown preset {name!r}; known: {', '.join(sorted(_PRODUCT_PRESETS))}"
         )
-    return _build_preset(key)
-
-
-@lru_cache(maxsize=len(_PRODUCT_PRESETS))
-def _build_preset(key: str) -> ProductGroupSpec:
     matrix_name, finite_name = _PRODUCT_PRESETS[key]
     finite = finite_preset(finite_name) if finite_name else finite_preset("trivial")
     return ProductGroupSpec(
