@@ -33,11 +33,15 @@ conjugator re-checks use.
 Quotients are cached on their group with no strong reference back to it.
 
 Normal subgroups are unions of classes, so their enumeration runs on bit
-masks over class indices.  Its only products are the class products
-C_i * C_j it reaches, each taken once, and one walk along the powers of an
-element per new normal closure; closures and joins are then integer ORs.
+masks over class indices.  Its only products are one walk along the
+powers of an element per new normal closure, and the class products
+C_i * C_j it reaches, each taken once into the group's class-product
+table (`FiniteGroup._class_products`); a direct product takes none of
+those, since it reads each entry off its factors' tables.  Closures and
+joins are then integer ORs: C_i * <C_j> is kept for every class in it.
 A close-by-one search (`_close_by_one`) reaches each normal subgroup once,
-from one parent, and the list is sorted by an element mask per subgroup.
+from one parent, and a join stops at the first class that makes it
+non-canonical.  The list is sorted by an element mask per subgroup.
 """
 
 from __future__ import annotations
@@ -104,18 +108,70 @@ def _bits(mask: int):
         mask ^= low
 
 
+class _ClassProducts(dict):
+    """A class-product table whose entry l * size + j, l <= j, is computed
+    when first read: the classes that r * S meets, for S the smaller of C_l
+    and C_j and r in the other, as C_l * C_j = C_j * C_l is the union of
+    the conjugates of r * S."""
+
+    __slots__ = ("classes", "class_of", "mul", "size")
+
+    def __init__(self, classes, class_of, mul):
+        super().__init__()
+        self.classes, self.class_of, self.mul, self.size = classes, class_of, mul, len(classes)
+
+    def __missing__(self, pair):
+        l, j = divmod(pair, self.size)
+        small, big = self.classes[l], self.classes[j]
+        if len(small) > len(big):
+            small, big = big, small
+        r, met, class_of, mul = next(iter(big)), 0, self.class_of, self.mul
+        for x in small:
+            met |= 1 << class_of[mul(r, x)]
+        self[pair] = met
+        return met
+
+
+class _FactorProducts(dict):
+    """A direct product's class-product table, read off its factors' tables
+    a and b with no product: class (ca, cb) is at bit ca * b_size + cb, and
+    C_(la,lb) * C_(ja,jb) meets every (ca, cb) with ca met by C_la * C_ja and
+    cb by C_lb * C_jb.  spread holds a's entries with bit ca moved to bit
+    ca * b_size, so its product with b's entry is one copy of that entry per
+    class ca, with no carry."""
+
+    __slots__ = ("a", "a_size", "b", "b_size", "spread")
+
+    def __init__(self, a, a_size: int, b, b_size: int):
+        super().__init__()
+        self.a, self.a_size, self.b, self.b_size, self.spread = a, a_size, b, b_size, {}
+
+    def __missing__(self, pair):
+        a_size, b_size = self.a_size, self.b_size
+        l, j = divmod(pair, a_size * b_size)
+        (la, lb), (ja, jb) = divmod(l, b_size), divmod(j, b_size)  # l <= j, so la <= ja
+        a_pair = la * a_size + ja
+        spread = self.spread.get(a_pair)
+        if spread is None:
+            spread = self.spread[a_pair] = sum(1 << ca * b_size for ca in _bits(self.a[a_pair]))
+        met = self[pair] = spread * self.b[lb * b_size + jb if lb <= jb else jb * b_size + lb]
+        return met
+
+
 def _close_by_one(bottom: int, reps: list, join: Callable) -> list:
     """Every mask reached from bottom by joins, each listed once: the
     close-by-one enumeration of closed sets (Kuznetsov, 1993).
 
     reps[t] = (closure, j): the closed mask generated by class j, with the
-    classes j increasing.  join(N, j) is the least closed mask over N and
-    class j.  A closed N reached at position start tries each t >= start with
-    j outside N; the join M is kept only if it adds no representative class
+    classes j increasing.  join(N, j, lacking) is the least closed mask over
+    N and class j, or None once the part of it built so far meets lacking.
+    A closed N reached at position start tries each t >= start with j
+    outside N; the join M is kept only if it adds no representative class
     before j (the canonicity test, one AND, since class j' lies in a closed
-    M iff its closure does), and is then searched from t + 1.  A closure
-    that already holds a representative class before j that N lacks would
-    fail that test, so it is skipped before any join.  Each closed mask has
+    M iff its closure does), and is then searched from t + 1.  lacking is
+    the representative classes before j that N lacks, so a join that would
+    fail the test stops at the first such class it takes in, and a closure
+    that already holds one is skipped before any join.  Each closed mask has
     exactly one parent, so none is listed twice; VerificationFailed if one is.
     """
     below = [0] * len(reps)  # below[t]: the classes of reps[:t]
@@ -129,8 +185,8 @@ def _close_by_one(bottom: int, reps: list, join: Callable) -> list:
             lacking = below[t] & ~current
             if current >> j & 1 or closure & lacking:
                 continue
-            joined = join(current, j)
-            if joined & lacking == 0:
+            joined = join(current, j, lacking)
+            if joined is not None:
                 found.append(joined)
                 stack.append((joined, t + 1))
     if len(set(found)) != len(found):
@@ -202,6 +258,7 @@ class FiniteGroup:
         self._class_of = None
         self._normals = None
         self._normal_set = None
+        self._meets = None  # the class-product table, once normal subgroups are asked for
         self._residuals = {}  # prime -> O^p(G)
         self._quotients = {}
         self._conjugation = None  # set by finite_closure, else built on first use
@@ -362,55 +419,63 @@ class FiniteGroup:
         points = frozenset(map(conj.point, subset))
         return all(step(x) in points for step in conj.steps for x in points)
 
+    def _class_products(self) -> dict:
+        """The class-product table, made on first use, once the classes are
+        known: entry l * size + j, l <= j, is the mask of the classes that
+        C_l * C_j meets, computed when first read (`_ClassProducts`).  A
+        direct product's entries come from its factors' tables with no
+        product (`_FactorProducts`), which a nested product fills alike."""
+        if self._meets is None:
+            if self._factors is None:
+                self._meets = _ClassProducts(self._classes, self._class_of, self.mul)
+            else:
+                a, b = self._factors
+                self._meets = _FactorProducts(a._class_products(), len(a._classes),
+                                              b._class_products(), len(b._classes))
+        return self._meets
+
     def normal_subgroups(self) -> tuple:
         """All normal subgroups, as joins of normal closures of classes.
 
         A normal subgroup is a union of classes, held here as a bit mask over
-        class indices.  C_i * C_j is the union of the conjugates of r * C_j
-        for any r in C_i, so the classes it meets are those r * C_j meets;
-        each such mask is taken once, from the smaller class, when first
-        needed.  C_i * <C_j> is the least mask over i closed under
-        l -> classes met by C_l * C_j: with C_i trivial it is the normal
-        closure of C_j, and for normal N the join N * <C_j> is the union of
-        C_i * <C_j> over the classes i of N.  x and x^e (e prime to the order
-        of x) have the same closure, so one walk along the powers of x
-        settles all their classes.
+        class indices; the classes that C_l * C_j meets are read from the
+        class-product table (`_class_products`).  C_i * <C_j> is the least
+        mask over i closed under l -> classes met by C_l * C_j: with C_i
+        trivial it is the normal closure of C_j, and for normal N the join
+        N * <C_j> is the union of C_i * <C_j> over the classes i of N.  It is
+        the preimage of one class of G/<C_j>, so it is C_l * <C_j> for every
+        class l in it, and is kept for each of them.  x and x^e (e prime to
+        the order of x) have the same closure, so one walk along the powers
+        of x settles all their classes.
 
         Every normal subgroup is the join of the closures of its classes, so
         the classes with a distinct closure, in class order, are the
         representatives of a close-by-one search from the trivial subgroup
         (`_close_by_one`), which reaches each normal subgroup once: <C_i>
         lies in a normal M iff class i does, so its canonicity test is one
-        AND of masks.  The list is sorted by (size, -mask) over an element
-        mask with element i at bit order-1-i, the order of (size, sorted
-        element indices), and each subgroup's frozenset is built once, in
-        that order.
+        AND of masks, and a join stops at the first class that fails it.
+        The list is sorted by (size, -mask) over an element mask with element
+        i at bit order-1-i, the order of (size, sorted element indices), and
+        each subgroup's frozenset is built once, in that order.
         """
         if self._normals is None:
             classes = self.conjugacy_classes()
             class_of, mul, size = self._class_of, self.mul, len(classes)
-            # meets[l * size + j], l <= j: the mask of the classes that C_l * C_j
-            # meets.  cols[j][i]: C_i * <C_j>, or 0 until it is needed.
-            meets, cols = {}, {}
+            meets = self._class_products()
+            cols = {}  # cols[j][i]: C_i * <C_j>, or 0 until a row holding i is built
 
             def row(i, j):
-                """C_i * <C_j>: the least mask over i closed under l -> C_l * C_j."""
+                """C_i * <C_j>: the least mask over i closed under l -> C_l * C_j,
+                kept for every class in it."""
                 mask, todo = 1 << i, [i]
                 while todo:
                     l = todo.pop()
-                    pair = l * size + j if l < j else j * size + l
-                    met = meets.get(pair)
-                    if met is None:
-                        small, big = sorted((classes[l], classes[j]), key=len)
-                        r = next(iter(big))
-                        met = 0
-                        for x in small:
-                            met |= 1 << class_of[mul(r, x)]
-                        meets[pair] = met
-                    new = met & ~mask
+                    new = meets[l * size + j if l < j else j * size + l] & ~mask
                     mask |= new
                     todo.extend(_bits(new))
-                cols[j][i] = mask
+                col = cols[j]
+                for l in _bits(mask):
+                    col[l] = mask
                 return mask
 
             one = class_of[self.identity]
@@ -431,13 +496,19 @@ class FiniteGroup:
                     class_of[y] for e, y in enumerate(powers, 1) if gcd(e, len(powers)) == 1
                 )
 
-            def join(current, j):
-                """N * <C_j>: the union of C_i * <C_j> over i in N, where a
-                class inside one already taken adds nothing more."""
-                col, joined, rest = cols[j], 0, current
+            def join(current, j, lacking):
+                """N * <C_j>: the union of C_i * <C_j> over i in N, from <C_j>
+                itself (i the identity class), where a class inside one
+                already taken adds nothing more; None as soon as it meets
+                lacking."""
+                col = cols[j]
+                joined = col[one]
+                rest = current & ~joined
                 while rest:
                     i = (rest & -rest).bit_length() - 1
                     joined |= col[i] or row(i, j)
+                    if joined & lacking:
+                        return None
                     rest &= ~joined
                 return joined
 
@@ -447,14 +518,14 @@ class FiniteGroup:
             top, spread = self.order - 1, [0] * size
             for e, i in self._index.items():
                 spread[class_of[e]] |= 1 << (top - i)
-
-            def key(mask):
-                elements = sum(spread[i] for i in _bits(mask))  # classes are disjoint
-                return elements.bit_count(), -elements
-
-            found.sort(key=key)
+            listed = []
+            for mask in found:
+                members = list(_bits(mask))
+                elements = sum(spread[i] for i in members)  # classes are disjoint
+                listed.append((elements.bit_count(), -elements, members))
+            listed.sort()  # distinct subgroups have distinct keys
             self._normals = tuple(
-                frozenset().union(*(classes[i] for i in _bits(mask))) for mask in found
+                frozenset().union(*(classes[i] for i in members)) for _, _, members in listed
             )
             self._normal_set = frozenset(self._normals)
         return self._normals

@@ -396,7 +396,7 @@ NON_P_GROUPS = {
 }
 
 
-class TestTrivialKernelShortcut:
+class TestLargestPQuotient:
     """Every quotient of G of p-power order is a quotient of G/O^p(G), so the
     coset layer decides each probe by O^p(G) alone, with no kernel listed and
     no quotient built; the older kernel loop stays in the tests as the
@@ -1182,7 +1182,7 @@ for bad in (
 # A close-by-one join that forgets the subgroup it starts from reaches one
 # mask from two parents; the enumeration must notice the repeat.
 try:
-    conjsep.finite._close_by_one(1, [(1, 0), (2, 1), (4, 2)], lambda current, j: 1 << j)
+    conjsep.finite._close_by_one(1, [(1, 0), (2, 1), (4, 2)], lambda current, j, lacking: 1 << j)
 except VerificationFailed:
     pass
 else:

@@ -239,9 +239,10 @@ class TestNormalSubgroups:
           374),
          (lambda: finite_closure(heis_residue_gens(2, 2)), 27),
          (lambda: direct_product(dihedral4(), quaternion8()), 91),
-         (lambda: direct_product(finite_closure(heis_residue_gens(2, 1)), sym3()), 25)],
+         (lambda: direct_product(finite_closure(heis_residue_gens(2, 1)), sym3()), 25),
+         (lambda: direct_product(quaternion8(), sym3()), 25)],
         ids=["S3xS3", "C6xS3", "D4xD4", "C12", "C2^5", "heisenberg-mod-4", "D4xQ8",
-             "heisenberg-mod-2xS3"],
+             "heisenberg-mod-2xS3", "Q8xS3"],
     )
     def test_larger_groups_match_reference(self, maker, count):
         group = maker()
@@ -263,9 +264,9 @@ class TestNormalSubgroups:
         search = finite._close_by_one
 
         def counted(bottom, reps, join):
-            def counted_join(current, j):
+            def counted_join(current, j, lacking):
                 calls.append(1)
-                return join(current, j)
+                return join(current, j, lacking)
 
             return search(bottom, reps, counted_join)
 
@@ -274,15 +275,39 @@ class TestNormalSubgroups:
         assert group.normal_subgroups() == reference_normal_subgroups(group)
         assert len(calls) <= joins
 
+    @pytest.mark.parametrize(
+        "maker",
+        [sym3, dihedral4, quaternion8, lambda: cyclic(6),
+         lambda: direct_product(dihedral4(), cyclic(2)),
+         lambda: direct_product(direct_product(quaternion8(), cyclic(2)), cyclic(2)),
+         lambda: direct_product(dihedral4(), quaternion8()),
+         lambda: direct_product(quaternion8(), sym3()),
+         lambda: direct_product(finite_closure(heis_residue_gens(2, 1)), sym3())],
+        ids=["S3", "D4", "Q8", "C6", "D4xC2", "Q8xC2xC2", "D4xQ8", "Q8xS3",
+             "heisenberg-mod-2xS3"],
+    )
+    def test_class_products_match_brute_force(self, maker):
+        # Each entry against all |C_l| * |C_j| products, both ways round; a
+        # direct product's entries come from its factors' tables.
+        group = maker()
+        classes = group.conjugacy_classes()
+        size, table = len(classes), group._class_products()
+        for l in range(size):
+            for j in range(l, size):
+                pairs = list(product(classes[l], classes[j]))
+                met = {group._class_of[group.mul(x, y)] for x, y in pairs}
+                met |= {group._class_of[group.mul(y, x)] for x, y in pairs}
+                assert table[l * size + j] == sum(1 << c for c in met), (l, j)
+
     def test_close_by_one_lists_each_closed_mask_once(self):
         # Three classes whose closures are the classes themselves: every
         # mask over the identity class is closed.
         reps = [(1, 0), (2, 1), (4, 2)]
-        found = finite._close_by_one(1, reps, lambda current, j: current | 1 << j)
+        found = finite._close_by_one(1, reps, lambda current, j, lacking: current | 1 << j)
         assert sorted(found) == [1, 3, 5, 7]
         # A join that forgets N reaches the mask 4 from both 1 and 2.
         with pytest.raises(VerificationFailed):
-            finite._close_by_one(1, reps, lambda current, j: 1 << j)
+            finite._close_by_one(1, reps, lambda current, j, lacking: 1 << j)
 
     @pytest.mark.parametrize(
         "maker,bound",
@@ -292,7 +317,9 @@ class TestNormalSubgroups:
     )
     def test_products_bounded_by_classes_times_order(self, maker, bound, monkeypatch):
         # Once the classes are known, the class products and the power walks
-        # stay within |classes| * |G| products.
+        # stay within |classes| * |G| products.  D4xQ8 reads its class
+        # products from D4's and Q8's tables, so each product it takes is a
+        # step x^e * x of a power walk: 58, where the class products took 704.
         group = maker()
         assert len(group.conjugacy_classes()) * group.order == bound
         calls = []
@@ -300,7 +327,7 @@ class TestNormalSubgroups:
             general = ResidueUT.__mul__
 
             def counted(x, y):
-                calls.append(1)
+                calls.append((x, y))
                 return general(x, y)
 
             monkeypatch.setattr(ResidueUT, "__mul__", counted)
@@ -308,12 +335,16 @@ class TestNormalSubgroups:
             mul = group.mul
 
             def counted(x, y):
-                calls.append(1)
+                calls.append((x, y))
                 return mul(x, y)
 
             group.mul = counted
         group.normal_subgroups()
         assert 0 < len(calls) <= bound
+        if group._factors is not None:
+            group.mul = mul  # the closures below take uncounted products
+            assert len(calls) == 58
+            assert all(x in group.subgroup_closure([y]) for x, y in calls)
 
     @pytest.mark.parametrize(
         "maker",

@@ -36,3 +36,12 @@ def test_each_mutant_replaces_one_raise_by_pass():
     assert mutants[2].endswith(b"        raise ValueError(\"not a check\")\n    pass\n")
     for mutant, kept in zip(mutants, (b"VerificationFailed", b"SpecRejected", b"SpecRejected")):
         assert kept in mutant
+
+
+def test_own_tests_run_first_when_the_module_has_them(tmp_path):
+    (tmp_path / "src" / "conjsep").mkdir(parents=True)
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_finite.py").write_text("")
+    finite, selftest = (tmp_path / "src" / "conjsep" / f"{m}.py" for m in ("finite", "selftest"))
+    assert mutate_raises.own_tests(tmp_path, finite) == [str(Path("tests") / "test_finite.py")]
+    assert mutate_raises.own_tests(tmp_path, selftest) == []

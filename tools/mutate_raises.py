@@ -3,7 +3,9 @@
 Each `raise VerificationFailed`, `raise LocalCheckFailed` and
 `raise SpecRejected` under src/ is replaced in turn by `pass` in a temporary
 copy of the checkout, and the tier-1 tests run there with -x.  A mutant that
-passes them is a check that no test reaches.
+passes them is a check that no test reaches.  To keep the run short, the
+mutated module's own tests/test_<module>.py runs first, with -x, and all of
+tier-1 runs only when that passes.
 
     python tools/mutate_raises.py
 
@@ -58,13 +60,21 @@ def mutate(source: bytes, node: ast.Raise) -> bytes:
     return source[:begin] + b"pass" + source[end:]
 
 
-def tier1(copy: Path) -> tuple:
-    """(passed, first failing test or how the run ended) for the copy."""
+def own_tests(copy: Path, module: Path) -> list:
+    """The tests/test_<module>.py of a module under src/, as a path relative
+    to the copy, when the copy has one; else no file."""
+    tests = Path("tests") / f"test_{module.stem}.py"
+    return [str(tests)] if (copy / tests).is_file() else []
+
+
+def tier1(copy: Path, files: list = ()) -> tuple:
+    """(passed, first failing test or how the run ended) for the copy: all
+    of tier-1, or only the given test files."""
     path = os.pathsep.join(filter(None, (str(copy / "src"), os.environ.get("PYTHONPATH"))))
     # No bytecode cache: two mutants of one file can share its size and mtime.
     env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
     try:
-        proc = subprocess.run([sys.executable, *TIER1], cwd=copy, env=env,
+        proc = subprocess.run([sys.executable, *TIER1, *files], cwd=copy, env=env,
                               capture_output=True, text=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return False, f"timeout after {TIMEOUT_S} s"
@@ -83,13 +93,15 @@ def main() -> int:
             return 2
         mutants, survivors = 0, []
         for path in sorted((copy / "src").rglob("*.py")):
-            original = path.read_bytes()
+            original, first = path.read_bytes(), own_tests(copy, path)
             for node in raise_sites(original):
                 mutants += 1
                 site = f"{path.relative_to(copy)}:{node.lineno}"
                 path.write_bytes(mutate(original, node))
                 start = time.perf_counter()
-                passed, detail = tier1(copy)
+                passed, detail = tier1(copy, first)  # all of tier-1 when first is empty
+                if passed and first:
+                    passed, detail = tier1(copy)
                 outcome = "SURVIVED: tier-1 passes" if passed else f"killed by {detail}"
                 print(f"{site} {raised(node)}: {outcome} "
                       f"({time.perf_counter() - start:.0f} s)", flush=True)
