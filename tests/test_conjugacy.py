@@ -396,11 +396,11 @@ NON_P_GROUPS = {
 }
 
 
-class TestLargestPQuotient:
-    """Every quotient of G of p-power order is a quotient of G/O^p(G), so the
-    coset layer decides each probe by O^p(G) alone, with no kernel listed and
-    no quotient built; the older kernel loop stays in the tests as the
-    oracle.  In a p-group O^p(G) is trivial and the vacuous test decides."""
+class TestTrivialKernelShortcut:
+    """In a p-group O^p(G) is trivial, so every probe of the coset layer is
+    decided by the trivial kernel or the vacuous test, with no kernel listed
+    and no quotient built; the older kernel loop stays in the tests as the
+    oracle."""
 
     @pytest.mark.parametrize("name", sorted(COSET_GROUPS))
     def test_answers_match_the_kernel_loop(self, name):
@@ -410,6 +410,81 @@ class TestLargestPQuotient:
         assert {a.decision for a in answers} == {CosetDecision.YES, CosetDecision.VACUOUS}
         assert all(a.kernel == {group.identity} for a in answers if a.decision is CosetDecision.YES)
         assert is_conjugacy_p_separable(group, 2) == (True, None)
+
+    def test_p_groups_list_no_normal_subgroups(self, monkeypatch):
+        group = direct_product(direct_product(quaternion8(), cyclic(2)), cyclic(2))
+        nsub = next(n for n in group.normal_subgroups() if len(n) == 2)
+        quot, _ = group.quotient(nsub)
+        coset = quot.elements[0]
+        probe = next(x for x in group.elements if group.class_of(x).isdisjoint(coset))
+
+        def unlisted(self):
+            raise AssertionError(f"{self.name} listed its normal subgroups")
+
+        monkeypatch.setattr(FiniteGroup, "normal_subgroups", unlisted)
+        assert is_conjugacy_p_separable(quot, 2) == (True, None)
+        answer = coset_conjugacy_separable(CosetQuery(group, nsub, next(iter(coset)), probe, 2))
+        assert answer == CosetAnswer(CosetDecision.YES, frozenset({group.identity}))
+
+    def test_p_group_decided_past_the_kernel_budget(self):
+        # Only the kernel listing has a budget.
+        big = cyclic(1024)
+        assert is_conjugacy_p_separable(big, 2) == (True, None)
+        answer = coset_conjugacy_separable(CosetQuery(big, frozenset({0}), 0, 1, 2))
+        assert answer == CosetAnswer(CosetDecision.YES, frozenset({0}))
+
+    @pytest.mark.parametrize("name", sorted(COSET_GROUPS))
+    def test_p_group_equivalence_takes_no_coset_loop(self, name, monkeypatch):
+        # The left side of a p-group is read off its order: the report is
+        # the one a loop of the older kernel search over every (coset,
+        # probe) pair gives, and no pair is asked.
+        group = COSET_GROUPS[name]()
+
+        def unasked(group, coset, probe, p):
+            raise AssertionError(f"{group.name} asked a coset for a probe")
+
+        for nsub in group.normal_subgroups():
+            quot, _ = group.quotient(nsub)
+            left = all(
+                reference_separate_from_coset(group, coset, probe, 2).decision
+                is not CosetDecision.NO
+                for coset in quot.elements
+                for probe in group.elements
+            )
+            right, _ = reference_is_conjugacy_p_separable(quot, 2)
+            expected = conjugacy.EquivalenceReport(group.name, 2, left, right, left == right)
+            with monkeypatch.context() as patch:
+                patch.setattr(conjugacy, "_separate_from_coset", unasked)
+                assert quotient_coset_equivalence(group, nsub, 2) == expected
+
+    def test_equivalence_decided_past_the_kernel_budget(self):
+        big = cyclic(1024)
+        for nsub in ({0}, {0, 512}, big.elements):
+            report = quotient_coset_equivalence(big, frozenset(nsub), 2)
+            assert report.all_cosets_separable and report.quotient_separable and report.holds
+
+    def test_equivalence_builds_no_trivial_quotient(self):
+        # A p-group's equivalence only checks that N is normal: it builds
+        # neither G/1 nor G/N, and a non-normal N raises as `quotient` does.
+        group = heis_quotient(2, 2)
+        nsub = next(n for n in group.normal_subgroups() if len(n) == 4)
+        report = quotient_coset_equivalence(group, nsub, 2)
+        assert report == conjugacy.EquivalenceReport(group.name, 2, True, True, True)
+        assert frozenset({group.identity}) not in group._quotients
+        assert nsub not in group._quotients
+        involution = next(x for x in group.elements
+                          if x != group.identity and group.mul(x, x) == group.identity
+                          and not group.is_normal({group.identity, x}))
+        with pytest.raises(ValueError, match="quotient requested by a non-normal subset"):
+            quotient_coset_equivalence(group, {group.identity, involution}, 2)
+        assert group._quotients == {}
+
+
+class TestLargestPQuotient:
+    """Every quotient of G of p-power order is a quotient of G/O^p(G), so in
+    a group that is no p-group the coset layer decides each probe by O^p(G)
+    alone, with no kernel listed and no quotient built; the older kernel
+    loop stays in the tests as the oracle."""
 
     @pytest.mark.parametrize("name", sorted(NON_P_GROUPS))
     @pytest.mark.parametrize("p", [2, 3, 5])
@@ -443,28 +518,6 @@ class TestLargestPQuotient:
         assert CosetAnswer(CosetDecision.NO) in expected
         assert is_conjugacy_p_separable(group, p) == pair
 
-    def test_p_groups_list_no_normal_subgroups(self, monkeypatch):
-        group = direct_product(direct_product(quaternion8(), cyclic(2)), cyclic(2))
-        nsub = next(n for n in group.normal_subgroups() if len(n) == 2)
-        quot, _ = group.quotient(nsub)
-        coset = quot.elements[0]
-        probe = next(x for x in group.elements if group.class_of(x).isdisjoint(coset))
-
-        def unlisted(self):
-            raise AssertionError(f"{self.name} listed its normal subgroups")
-
-        monkeypatch.setattr(FiniteGroup, "normal_subgroups", unlisted)
-        assert is_conjugacy_p_separable(quot, 2) == (True, None)
-        answer = coset_conjugacy_separable(CosetQuery(group, nsub, next(iter(coset)), probe, 2))
-        assert answer == CosetAnswer(CosetDecision.YES, frozenset({group.identity}))
-
-    def test_p_group_decided_past_the_kernel_budget(self):
-        # Only the kernel listing has a budget.
-        big = cyclic(1024)
-        assert is_conjugacy_p_separable(big, 2) == (True, None)
-        answer = coset_conjugacy_separable(CosetQuery(big, frozenset({0}), 0, 1, 2))
-        assert answer == CosetAnswer(CosetDecision.YES, frozenset({0}))
-
     def test_decisions_past_the_kernel_budget(self):
         # Heisenberg mod 8 x S3, of order 3072, is no p-group: O^2 is 1 x A3.
         group = direct_product(heis_quotient(2, 3), sym3())
@@ -479,30 +532,6 @@ class TestLargestPQuotient:
         assert yes.decision is CosetDecision.YES and len(yes.kernel) == 3
         with pytest.raises(SizeLimit):
             enumerate_p_quotient_kernels(group, 2)
-
-    @pytest.mark.parametrize("name", sorted(COSET_GROUPS))
-    def test_p_group_equivalence_takes_no_coset_loop(self, name, monkeypatch):
-        # The left side of a p-group is read off its order: the report is
-        # the one a loop of the older kernel search over every (coset,
-        # probe) pair gives, and no pair is asked.
-        group = COSET_GROUPS[name]()
-
-        def unasked(group, coset, probe, p):
-            raise AssertionError(f"{group.name} asked a coset for a probe")
-
-        for nsub in group.normal_subgroups():
-            quot, _ = group.quotient(nsub)
-            left = all(
-                reference_separate_from_coset(group, coset, probe, 2).decision
-                is not CosetDecision.NO
-                for coset in quot.elements
-                for probe in group.elements
-            )
-            right, _ = reference_is_conjugacy_p_separable(quot, 2)
-            expected = conjugacy.EquivalenceReport(group.name, 2, left, right, left == right)
-            with monkeypatch.context() as patch:
-                patch.setattr(conjugacy, "_separate_from_coset", unasked)
-                assert quotient_coset_equivalence(group, nsub, 2) == expected
 
     @pytest.mark.parametrize("make", [sym3, lambda: cyclic(6)])
     @pytest.mark.parametrize("p", [2, 3])
@@ -519,28 +548,6 @@ class TestLargestPQuotient:
         report = quotient_coset_equivalence(group, frozenset({group.identity}), p)
         assert calls
         assert report.holds
-
-    def test_equivalence_decided_past_the_kernel_budget(self):
-        big = cyclic(1024)
-        for nsub in ({0}, {0, 512}, big.elements):
-            report = quotient_coset_equivalence(big, frozenset(nsub), 2)
-            assert report.all_cosets_separable and report.quotient_separable and report.holds
-
-    def test_equivalence_builds_no_trivial_quotient(self):
-        # A p-group's equivalence only checks that N is normal: it builds
-        # neither G/1 nor G/N, and a non-normal N raises as `quotient` does.
-        group = heis_quotient(2, 2)
-        nsub = next(n for n in group.normal_subgroups() if len(n) == 4)
-        report = quotient_coset_equivalence(group, nsub, 2)
-        assert report == conjugacy.EquivalenceReport(group.name, 2, True, True, True)
-        assert frozenset({group.identity}) not in group._quotients
-        assert nsub not in group._quotients
-        involution = next(x for x in group.elements
-                          if x != group.identity and group.mul(x, x) == group.identity
-                          and not group.is_normal({group.identity, x}))
-        with pytest.raises(ValueError, match="quotient requested by a non-normal subset"):
-            quotient_coset_equivalence(group, {group.identity, involution}, 2)
-        assert group._quotients == {}
 
 
 class TestEquivalence:
