@@ -50,4 +50,4 @@ for m in range(1, 7):
 
 print()
 print("the conjugator exponent k solves q^n * k = 1 mod p^m;")
-print("reading the table:", dict(w.conjugator_exponents))
+print("reading the table:", {m: w.conjugator_exponent(m) for m in range(1, 9)})

@@ -597,15 +597,18 @@ class FiniteGroup:
             for x in self.elements
         )
         checks.append(("identity", ident_ok, ""))
-        inv_ok = True
+        inv_ok, inv_detail = closure_ok, ""
         if closure_ok:
             for x in self.elements:
                 try:
-                    self.inverse(x)
+                    y = self.inverse(x)
                 except StopIteration:
-                    inv_ok = False
+                    inv_ok, inv_detail = False, f"{self.label(x)} has no inverse"
                     break
-        checks.append(("inverses", inv_ok and closure_ok, ""))
+                if y not in self._index or self.mul(x, y) != self.identity:
+                    inv_ok, inv_detail = False, f"{self.label(x)} * inverse is not the identity"
+                    break
+        checks.append(("inverses", inv_ok, inv_detail))
         if closure_ok:
             if self.order <= ASSOC_LIMIT:
                 triples = (

@@ -63,7 +63,7 @@ class MatrixGroupSpec(namedtuple(
 
 
 class SpecVerification(namedtuple("SpecVerification", "passed checks")):
-    # checks: (name, detail) pairs, in execution order
+    # checks: the names of the checks passed, in execution order
     __slots__ = ()
 
 
@@ -147,10 +147,6 @@ def verify_spec(spec: MatrixGroupSpec) -> SpecVerification:
     itself lies outside it.
     """
     checks = []
-
-    def ok(nm, detail=""):
-        checks.append((nm, detail))
-
     everything = list(zip(spec.gen_names, spec.generators)) + list(
         zip(spec.center_names, spec.center_gens)
     )
@@ -163,7 +159,7 @@ def verify_spec(spec: MatrixGroupSpec) -> SpecVerification:
         raise SpecRejected("shape", f"declared_class must be >= 1, got {spec.declared_class}")
     if not spec.generators:
         raise SpecRejected("shape", "no generators")
-    ok("shape")
+    checks.append("shape")
 
     ident = UTMatrix.identity(spec.n)
     for ni, zi in zip(spec.center_names, spec.center_gens):
@@ -178,13 +174,13 @@ def verify_spec(spec: MatrixGroupSpec) -> SpecVerification:
                     "center-additive",
                     f"nilpotent parts of {ni} and {nj} do not annihilate each other",
                 )
-    ok("center-additive")
+    checks.append("center-additive")
 
     for zn, z in zip(spec.center_names, spec.center_gens):
         for gn, g in zip(spec.gen_names, spec.generators):
             if commutator(z, g) != ident:
                 raise SpecRejected("center-commutes", f"({zn}, {gn})")
-    ok("center-commutes")
+    checks.append("center-commutes")
 
     noncommuting = is_abelian(spec).witness
     if (spec.declared_class == 1) != (noncommuting is None):
@@ -193,7 +189,7 @@ def verify_spec(spec: MatrixGroupSpec) -> SpecVerification:
             f"declared_class={spec.declared_class} but "
             + ("generators all commute" if noncommuting is None else f"{noncommuting} do not commute"),
         )
-    ok("class-declaration")
+    checks.append("class-declaration")
 
     if spec.declared_class <= 2:
         for i in range(len(spec.generators)):
@@ -204,19 +200,19 @@ def verify_spec(spec: MatrixGroupSpec) -> SpecVerification:
                         "class2-commutators",
                         f"[{spec.gen_names[i]}, {spec.gen_names[j]}] is outside the centre lattice",
                     )
-        ok("class2-commutators")
+        checks.append("class2-commutators")
 
     if spec.z2_rep is not None:
         for gn, g in zip(spec.gen_names, spec.generators):
             c = commutator(spec.z2_rep, g)
             if not _in_center(spec, c):
                 raise SpecRejected("z2-commutators", f"({spec.z2_name}, {gn})")
-        ok("z2-commutators")
+        checks.append("z2-commutators")
         if _in_center(spec, spec.z2_rep):
             raise SpecRejected(
                 "z2-in-center", f"{spec.z2_name} lies in the declared centre span"
             )
-        ok("z2-outside-center")
+        checks.append("z2-outside-center")
 
     return SpecVerification(True, tuple(checks))
 

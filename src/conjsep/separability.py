@@ -51,7 +51,6 @@ from .intlin import (
 )
 from .unitri import UTMatrix, commutator, reduce_mod
 
-CONJUGATOR_TABLE_DEPTH = 8
 # Default orbit-search gate: a level mod p^k is searched when all of UT(n) mod
 # p^k has at most this order (`verify_witness_local`, `scan_tower`, the CLI).
 ORBIT_CAP = 2048
@@ -100,7 +99,7 @@ def classify(group: ProductGroupSpec, p: int) -> SeparabilityVerdict:
 
 
 class DivisibilityCertificate(namedtuple(
-    "DivisibilityCertificate", "exponent c_vector scaled_basis member"
+    "DivisibilityCertificate", "exponent c_vector scaled_basis"
 )):
     """Failed lattice membership: c has no exponent-th root in the centre."""
 
@@ -109,21 +108,15 @@ class DivisibilityCertificate(namedtuple(
 
 class WitnessReport(namedtuple(
     "WitnessReport",
-    "p a b b_name c q n u v divisibility conjugator_exponents",
+    "p a b b_name c q n u v divisibility",
 )):
     """A pair (u, v) = (a^(q^n), a^(q^n) c), non-conjugate globally but
-    conjugate in every finite p-quotient.
-
-    conjugator_exponents maps each level m to k with q^n * k = 1 mod p^m, so
-    b^k conjugates u to v modulo p^m.
-    """
+    conjugate in every finite p-quotient."""
 
     __slots__ = ()
 
     def conjugator_exponent(self, m: int) -> int:
-        for level, k in self.conjugator_exponents:
-            if level == m:
-                return k
+        """k with q^n * k = 1 mod p^m, so b^k conjugates u to v modulo p^m."""
         return mod_inverse(self.q**self.n, self.p**m)
 
 
@@ -176,14 +169,9 @@ def make_witness(spec: MatrixGroupSpec, p: int) -> WitnessReport:
         exponent=e,
         c_vector=c_vec,
         scaled_basis=z1.canonical().scale(e).basis,
-        member=False,
-    )
-    table = tuple(
-        (m, mod_inverse(e, p**m)) for m in range(1, CONJUGATOR_TABLE_DEPTH + 1)
     )
     return WitnessReport(
-        p=p, a=a, b=b, b_name=b_name, c=c, q=q, n=n, u=u, v=v,
-        divisibility=cert, conjugator_exponents=table,
+        p=p, a=a, b=b, b_name=b_name, c=c, q=q, n=n, u=u, v=v, divisibility=cert,
     )
 
 
@@ -196,7 +184,7 @@ def verify_witness_global(spec: MatrixGroupSpec, witness: WitnessReport) -> Glob
 
     First the divisibility certificate is recomputed: n must be
     `make_witness`'s least exponent, checked before q^n is computed, each
-    of the four fields must equal the value rebuilt from the spec and c,
+    of the three fields must equal the value rebuilt from the spec and c,
     and c must have no q^n-th root in the centre lattice.  Then, when the
     declared class is at most 2, the commutator-lattice criterion must
     independently answer non-conjugate.  Finally the report's internal
@@ -216,7 +204,6 @@ def verify_witness_global(spec: MatrixGroupSpec, witness: WitnessReport) -> Glob
         ("exponent", cert.exponent, e),
         ("c_vector", cert.c_vector, c_vec),
         ("scaled_basis", cert.scaled_basis, z1.canonical().scale(e).basis),
-        ("member", cert.member, False),
     ):
         if stored != recomputed:
             raise VerificationFailed(
@@ -247,10 +234,6 @@ def verify_witness_global(spec: MatrixGroupSpec, witness: WitnessReport) -> Glob
     for good, msg in structure:
         if not good:
             raise VerificationFailed("structure", msg)
-    for m, k in witness.conjugator_exponents:
-        pm = witness.p**m
-        if not (1 <= k < pm and (e * k - 1) % pm == 0):
-            raise VerificationFailed("structure", f"conjugator exponent at level {m} is wrong")
     checks.append("structure")
     return GlobalVerification(True, tuple(checks))
 
@@ -321,7 +304,7 @@ def verify_witness_local(
 
 
 class SeparationCertificate(namedtuple(
-    "SeparationCertificate", "p level quotient images nonconjugacy_reverified branch"
+    "SeparationCertificate", "p level quotient images branch"
 )):
     """A finite p-quotient in which the two images stay non-conjugate."""
 
@@ -384,7 +367,6 @@ def separate_elements(
         level=level,
         quotient=quot,
         images=(img_a, img_b),
-        nonconjugacy_reverified=True,
         branch=branch,
     )
 

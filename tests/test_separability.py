@@ -35,6 +35,7 @@ from conjsep.groupspec import (
     preset,
     preset_names,
     ut4_spec,
+    verify_spec,
 )
 from conjsep.intlin import mod_inverse, prime_power_exponent, valuation
 from conjsep.separability import (
@@ -49,7 +50,7 @@ from conjsep.separability import (
 from conjsep.unitri import UTMatrix, reduce_mod
 
 from _oracles import reference_witness_exponent
-from test_cli import OFF_GROUP_DOC
+from test_cli import NO_B_DOC, OFF_GROUP_DOC
 from test_conjugacy import double_heisenberg_spec
 
 HEIS = heisenberg_spec()
@@ -133,7 +134,6 @@ class TestMakeWitness:
         assert w.b_name == "b"
         assert element_coords(HEIS, w.u) == (3, 0, 0)
         assert element_coords(HEIS, w.v) == (3, 0, 1)
-        assert not w.divisibility.member
         assert w.divisibility.exponent == 3
         assert w.conjugator_exponent(3) == 3
 
@@ -160,16 +160,25 @@ class TestMakeWitness:
         with pytest.raises(NoZ2Rep):
             make_witness(spec, 2)
 
-    def test_conjugator_table_is_correct(self):
-        for p in (2, 3, 5):
-            w = make_witness(HEIS, p)
-            e = w.q**w.n
-            for m, k in w.conjugator_exponents:
-                assert (e * k) % p**m == 1
-                assert w.conjugator_exponent(m) == k
-            # Past the table the exponent is computed.
-            assert len(w.conjugator_exponents) == 8
-            assert w.conjugator_exponent(9) == pow(e, -1, p**9)
+    def test_representative_commuting_with_every_generator(self):
+        spec = load_spec(NO_B_DOC).matrix_part
+        assert verify_spec(spec).passed
+        with pytest.raises(NoZ2Rep, match="'z2' commutes with every generator"):
+            make_witness(spec, 2)
+
+    @pytest.mark.parametrize("spec", [HEIS, heis5_spec(), ut4_spec()],
+                             ids=["heisenberg", "heis5", "ut4"])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_conjugator_exponent_at_every_level(self, spec, p):
+        # Checked from its definition, not through verify_witness_local:
+        # k inverts q^n mod p^m, and b^k conjugates u to v mod p^m.
+        w = make_witness(spec, p)
+        e = w.q**w.n
+        for m in range(1, 41):
+            k = w.conjugator_exponent(m)
+            assert 1 <= k < p**m and e * k % p**m == 1, m
+            g = reduce_mod(w.b, p, m) ** k
+            assert reduce_mod(w.u, p, m) * g == g * reduce_mod(w.v, p, m), m
 
 
 def _witness_specs():
@@ -247,15 +256,13 @@ class TestWitnessExponent:
 
 
 def witness_for_q(w, q):
-    """The heisenberg witness w with q replaced, and n, u, v, the certificate
-    and the conjugator table rebuilt for it."""
+    """The heisenberg witness w with q replaced, and u, v and the
+    certificate rebuilt for it."""
     e = q**w.n  # c = [a, b] has coordinate 1, so n = 1 for every q
     u = w.a**e
     cert = w.divisibility._replace(exponent=e,
                                    scaled_basis=center_lattice(HEIS).canonical().scale(e).basis)
-    table = tuple((m, mod_inverse(e, w.p**m)) for m, _ in w.conjugator_exponents)
-    return w._replace(q=q, u=u, v=u * w.c, divisibility=cert,
-                      conjugator_exponents=table)
+    return w._replace(q=q, u=u, v=u * w.c, divisibility=cert)
 
 
 class TestVerifyWitnessGlobal:
@@ -299,7 +306,7 @@ class TestVerifyWitnessGlobal:
         assert err.value.detail == "c lies outside the declared centre"
 
     @pytest.mark.parametrize("field, value", [
-        ("exponent", 5), ("c_vector", (7,)), ("scaled_basis", ((1,),)), ("member", True),
+        ("exponent", 5), ("c_vector", (7,)), ("scaled_basis", ((1,),)),
     ])
     def test_tampered_certificate_field(self, field, value):
         # Each stored field must equal its recomputed value; the pair itself
@@ -366,14 +373,6 @@ class TestVerifyWitnessGlobal:
         assert (err.value.check, err.value.detail) == (
             "divisibility", f"c has a {w.q**w.n}-th root in the centre; the pair is conjugate")
 
-    def test_wrong_table_exponent(self):
-        w = make_witness(HEIS, 2)
-        table = tuple((m, k + 2 if m == 3 else k) for m, k in w.conjugator_exponents)
-        with pytest.raises(VerificationFailed) as err:
-            verify_witness_global(HEIS, w._replace(conjugator_exponents=table))
-        assert (err.value.check, err.value.detail) == (
-            "structure", "conjugator exponent at level 3 is wrong")
-
 
 class TestVerifyWitnessLocal:
     def test_heisenberg_p2_levels(self):
@@ -422,16 +421,19 @@ class TestVerifyWitnessLocal:
         with pytest.raises(TypeError):
             verify_witness_local(HEIS, w, 1, max_order=10**6)
 
-    def test_tampered_conjugator_exponent_raises(self):
-        # At level 5 the right exponent is 3^-1 mod 32 = 11; a table that says
-        # 13 must fail, not be replaced by an exponent the check derives itself.
+    def test_exponent_from_a_wrong_n_fails_the_explicit_conjugator(self):
+        # With n = 2 the exponent is 9^-1 mod 2^m, but u = a^3, so b^k takes
+        # u to u c^(3k), which is v mod 2 and not mod 4.
+        tampered = make_witness(HEIS, 2)._replace(n=2)
+        verify_witness_local(HEIS, tampered, 1)
+        with pytest.raises(LocalCheckFailed, match="explicit conjugator fails at level 2"):
+            verify_witness_local(HEIS, tampered, 2)
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_level_below_one_raises(self, m):
         w = make_witness(HEIS, 2)
-        assert dict(w.conjugator_exponents)[5] == 11
-        table = tuple((m, 13 if m == 5 else k) for m, k in w.conjugator_exponents)
-        tampered = w._replace(conjugator_exponents=table)
-        verify_witness_local(HEIS, tampered, 4)
-        with pytest.raises(LocalCheckFailed):
-            verify_witness_local(HEIS, tampered, 5)
+        with pytest.raises(ValueError, match=f"level must be >= 1, got {m}"):
+            verify_witness_local(HEIS, w, m)
 
     @pytest.mark.parametrize("spec_maker,p", [(ut4_spec, 2), (ut4_spec, 3), (heis5_spec, 2)])
     def test_higher_rank_groups(self, spec_maker, p):
@@ -455,7 +457,6 @@ class TestSeparateElements:
         assert cert.branch == "torsion-part"
         assert cert.level == 1
         assert cert.quotient.order == 16
-        assert cert.nonconjugacy_reverified
         assert prime_power_exponent(cert.quotient.order, 2) is not None
 
     def test_abelian_branch(self):
@@ -805,6 +806,5 @@ class TestCriterionConsistency:
                 if conjugate_in_product(group, a, b).conjugate:
                     continue
                 cert = separate_elements(group, a, b, p)
-                assert cert.nonconjugacy_reverified
                 assert prime_power_exponent(cert.quotient.order, p) is not None
                 assert not conjugate_in_finite(cert.quotient, *cert.images).conjugate
