@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from json.encoder import encode_basestring_ascii as _ascii
@@ -497,11 +498,20 @@ def main(argv=None) -> int:
     except (LocalCheckFailed, VerificationFailed) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    if args.json:
-        print(_dump(report))
-    else:
-        _print_human(report)
-    return 0 if all(check["pass"] for check in report["checks"]) else 1
+    code = 0 if all(check["pass"] for check in report["checks"]) else 1
+    try:
+        if args.json:
+            print(_dump(report))
+        else:
+            _print_human(report)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (`conjsep ... | head`).  Point stdout at
+        # the null device, so that the flush at exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from functools import reduce
 from itertools import product
 
 from .errors import ClassTooHigh, NonAbelianPart, SizeLimit, VerificationFailed
-from .finite import FiniteGroup
+from .finite import FiniteGroup, orbit
 from .groupspec import (
     MatrixGroupSpec,
     ProductGroupSpec,
@@ -55,14 +55,16 @@ class ConjugacyAnswer(namedtuple(
 def conjugate_in_finite(group: FiniteGroup, x, y) -> ConjugacyAnswer:
     """Breadth-first orbit of x under conjugation by generators.
 
-    Deterministic: the queue is FIFO and generators are tried in listed
-    order, so the recorded conjugator word is the smallest BFS word.  The
-    search runs on the group's conjugation points and stops when y's point
-    appears; the conjugator and its word are read off the Schreier tree path
-    from x to y and re-verified with the group's general `mul`.  KeyError
-    when x or y is not an element; y is tested only where the answer
-    depends on it, by membership when the orbit misses its point and by
-    decoding the point it hits, which y can share and be of another modulus.
+    Deterministic: the points are searched first in, first out and the
+    generators tried in listed order, so the recorded conjugator word is the
+    smallest BFS word.  The search runs on the group's conjugation points
+    and stops when y's point appears; the conjugator and its word, the
+    generators' labels joined by '*', are read off the Schreier tree path
+    from x to y, and the conjugator is re-verified with the group's general
+    `mul`.  KeyError when x or y is not an element; y is tested only where
+    the answer depends on it, by membership when the orbit misses its point
+    and by decoding the point it hits, which y can share and be of another
+    modulus or kind.
     """
     if x not in group:
         raise KeyError(_NOT_ELEMENTS)
@@ -71,31 +73,28 @@ def conjugate_in_finite(group: FiniteGroup, x, y) -> ConjugacyAnswer:
     conj = group.conjugation
     try:
         start, target = conj.point(x), conj.point(y)
-    except AttributeError:  # y has no rows, as a residue group's points are
+    except AttributeError:  # y is no matrix, as a residue group's elements are
         raise KeyError(_NOT_ELEMENTS) from None
-    tree = {}
-    for point, parent, i in group.conjugation_orbit(x):
-        tree[point] = (parent, i)
-        if point == target:
-            break
-    else:
+    tree = orbit(start, conj.steps, target)
+    if target not in tree:
         if y not in group:
             raise KeyError(_NOT_ELEMENTS)
         return ConjugacyAnswer(False, method="orbit")
-    if conj.element(point) != y:
+    if conj.element(target) != y:
         raise KeyError(_NOT_ELEMENTS)
-    path = []
-    while point != start:
-        point, i = tree[point]
-        path.append(group.generators[i])
+    path, (parent, i) = [], tree[target]
+    while parent is not None:
+        path.append(i)
+        parent, i = tree[parent]
     path.reverse()
-    mul = group.mul
-    g = reduce(mul, path, group.identity)
+    gens, mul = group.generators, group.mul
+    g = reduce(mul, [gens[i] for i in path], group.identity)
     if mul(group.inverse(g), mul(x, g)) != y:
         raise VerificationFailed(
             "conjugator", f"{group.label(g)} does not conjugate x to y in {group.name}"
         )
-    return ConjugacyAnswer(True, g, "orbit", "*".join(map(group.label, path)))
+    letters = group.generator_labels
+    return ConjugacyAnswer(True, g, "orbit", "*".join([letters[i] for i in path]))
 
 
 def _commutator_vectors(spec: MatrixGroupSpec, x: UTMatrix) -> list:

@@ -19,17 +19,20 @@ normal forms of its pcgs, once the pcgs's power and commutator relations
 show them to be a group holding every generator (`_form_elements`); a
 full image sifts its pcgs for that first.
 
-Every search is one breadth-first `orbit`, but a direct product's class
-partition is no search: its classes are the products of its factors'
-classes (`conjugacy_classes`).  Each group also carries one
-conjugation step per generator (`Conjugation`): a closure's steps are the
-generators' `conjugation_kernel`s on row tuples, so the class partition,
-orbit search and normality test wrap no residue matrix; every other group
-conjugates with its own `mul` and `inverse`.  A closure's pcgs and normal
-forms step by the product kernel that `unitri` generates per matrix size,
-and its conjugation steps are `unitri`'s fused conjugation kernel, one call
-per step.  The group's `mul` stays the general residue product, which the
-conjugator re-checks use.
+Every search is one breadth-first `orbit`, which calls each step as a
+unary map and keeps one dict, its Schreier tree, but a direct product's
+class partition is no search: its classes are the products of its
+factors' classes (`conjugacy_classes`).  Each group also carries one
+conjugation step per generator (`Conjugation`): a closure's points are the
+flat tuples of its matrices' strictly-upper entries and its steps are the
+generators' `conjugation_kernel`s on them, so the class partition, orbit
+search and normality test wrap no residue matrix; every other group
+conjugates its elements with its own `mul` and `inverse`.  A closure's
+pcgs and normal forms step by the product kernel that `unitri` generates
+per matrix size, its conjugation steps are `unitri`'s fused conjugation
+kernel, one call per step, and its points go to and from rows by `unitri`'s
+point codec for the size.  The group's `mul` stays the general residue
+product, which the conjugator re-checks use.
 Quotients are cached on their group with no strong reference back to it.
 
 Normal subgroups are unions of classes, so their enumeration runs on bit
@@ -55,34 +58,41 @@ from math import gcd
 
 from .errors import DimensionMismatch, SizeLimit, VerificationFailed
 from .intlin import prime_power_exponent, require_prime, valuation
-from .unitri import _COMMUTATORS, _PRODUCTS, ResidueUT, _power, conjugation_kernel
+from .unitri import _CODECS, _COMMUTATORS, _PRODUCTS, ResidueUT, _power, conjugation_kernel
 
 # `validate` checks associativity on every triple up to this order, and on a
 # sample of about 12 elements above it.
 ASSOC_LIMIT = 24
 
 
-def orbit(start, gens, act):
-    """Breadth-first orbit of start under act(point, gen), gens in listed order.
-
-    Yields each point once as (point, parent, i) with point == act(parent,
-    gens[i]), starting with (start, None, None): the edges of a Schreier tree.
+def orbit(start, steps, target=None) -> dict:
+    """Breadth-first orbit of start under the maps steps, tried in listed
+    order, as a Schreier tree: a dict from each point reached, in
+    breadth-first order, to (parent, i) with point == steps[i](parent), and
+    from start to (None, None).  The search stops as soon as it reaches
+    target, when one is given.
     """
-    seen = {start}
-    queue = deque([start])
-    yield start, None, None
-    while queue:
-        e = queue.popleft()
-        for i, s in enumerate(gens):
-            f = act(e, s)
-            if f not in seen:
-                seen.add(f)
-                queue.append(f)
-                yield f, e, i
+    tree = {start: (None, None)}
+    points = [start]
+    edges = tuple(enumerate(steps))
+    for e in points:
+        for i, step in edges:
+            f = step(e)
+            if f not in tree:
+                tree[f] = e, i
+                if f == target:
+                    return tree
+                points.append(f)
+    return tree
 
 
-def _step(point, step):
-    return step(point)
+def _right(mul, s):
+    """The map e -> e * s."""
+    return lambda e: mul(e, s)
+
+
+# The point that `is_subgroup`'s steps map a product outside the subset to.
+_OUTSIDE = object()
 
 
 class Conjugation(namedtuple("Conjugation", "point element steps")):
@@ -90,7 +100,8 @@ class Conjugation(namedtuple("Conjugation", "point element steps")):
 
     `point` encodes an element as an orbit point and `element` decodes one;
     steps[i] maps the point of e to the point of s^-1 * e * s for
-    s = generators[i].
+    s = generators[i].  A residue closure's point is the flat tuple of the
+    matrix's strictly-upper entries; any other group's is the element.
     """
 
     __slots__ = ()
@@ -262,6 +273,7 @@ class FiniteGroup:
         self._residuals = {}  # prime -> O^p(G)
         self._quotients = {}
         self._conjugation = None  # set by finite_closure, else built on first use
+        self._generator_labels = None
         self._factors = None  # (A, B) for a direct product A x B
 
     def _store(self, elements):
@@ -345,13 +357,21 @@ class FiniteGroup:
             self._conjugation = Conjugation(_identity_map, _identity_map, steps)
         return self._conjugation
 
-    def conjugation_orbit(self, x):
+    @property
+    def generator_labels(self) -> tuple:
+        """The labels of the generators, in their order, taken once."""
+        if self._generator_labels is None:
+            self._generator_labels = tuple(map(self.label, self.generators))
+        return self._generator_labels
+
+    def conjugation_orbit(self, x) -> dict:
         """`orbit` of the point of x, where edge i is `conjugation.steps[i]`.
 
-        Yields orbit points, not elements: `conjugation.element` decodes one.
+        Its keys are orbit points, not elements: `conjugation.element`
+        decodes one.
         """
         conj = self.conjugation
-        return orbit(conj.point(x), conj.steps, _step)
+        return orbit(conj.point(x), conj.steps)
 
     def conjugacy_classes(self) -> tuple:
         """Partition into conjugacy classes, in the order of their first
@@ -374,7 +394,7 @@ class FiniteGroup:
                 for x in self.elements:
                     if x in cls_of:
                         continue
-                    cls = frozenset(element(point) for point, _, _ in self.conjugation_orbit(x))
+                    cls = frozenset(map(element, self.conjugation_orbit(x)))
                     cls_of.update(dict.fromkeys(cls, len(cls_list)))
                     cls_list.append(cls)
             self._classes = tuple(cls_list)
@@ -388,7 +408,7 @@ class FiniteGroup:
     def subgroup_closure(self, seed) -> frozenset:
         """The subgroup generated by the seed elements."""
         seed = sorted(seed, key=self._index.get)
-        return frozenset(point for point, _, _ in orbit(self.identity, seed, self.mul))
+        return frozenset(orbit(self.identity, [_right(self.mul, s) for s in seed]))
 
     def is_subgroup(self, subset) -> bool:
         """Grow the subgroup as an orbit of the identity, taking an element of
@@ -397,16 +417,18 @@ class FiniteGroup:
         subset = frozenset(subset)
         if self.identity not in subset:
             return False
-        gens, reached = [], {self.identity}
+        mul, steps, reached = self.mul, [], {self.identity}
+
+        def within(s):
+            return lambda e: f if (f := mul(e, s)) in subset else _OUTSIDE
+
         for s in subset:
             if s in reached:
                 continue
-            gens.append(s)
-            reached = set()
-            for point, _, _ in orbit(self.identity, gens, self.mul):
-                if point not in subset:
-                    return False
-                reached.add(point)
+            steps.append(within(s))
+            reached = orbit(self.identity, steps, _OUTSIDE)
+            if _OUTSIDE in reached:
+                return False
         return True
 
     def is_normal(self, subset) -> bool:
@@ -850,7 +872,8 @@ def finite_closure(
     computed until the element list is built on first use, as the normal
     forms of the pcgs in their listing order, after a check of the pcgs's
     relations (`_form_elements`), and checked against the order.  The group
-    conjugates on row tuples by the generators' `conjugation_kernel`s.
+    conjugates on flat points, the tuples of the matrices' strictly-upper
+    entries, by the generators' `conjugation_kernel`s.
     Raises SizeLimit when the group would exceed max_order elements, before
     any element is listed.
     """
@@ -906,8 +929,10 @@ def finite_closure(
         or (lambda r: "(" + ",".join(str(v) for v in r.upper_entries()) + ")"),
         inv=lambda x: x.inverse(),
     )
+    rows = _CODECS[n][1]
     group._conjugation = Conjugation(
-        operator.attrgetter("rows"), ident._wrap, tuple(map(conjugation_kernel, gens))
+        ResidueUT.upper_entries, lambda point: ident._wrap(rows(point)),
+        tuple(map(conjugation_kernel, gens)),
     )
     return group
 

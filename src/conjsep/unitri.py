@@ -7,18 +7,21 @@ their images modulo p^k, which are elements of finite p-groups.  Entrywise
 reduction is a group homomorphism, so the reductions realize the whole
 congruence tower of finite p-quotients.
 
-Every matrix operation runs one of five straight-line kernels, each Python
+Every matrix operation runs one of six straight-line kernels, each Python
 source written out entry by entry for one matrix size, compiled by `exec` on
 first use and kept, keyed by the size (and, for products, powers and
 commutators, the kind) alone: the general product `_matmul`; every power and
 inverse of both kinds, `_power`, by the finite binomial series
 u^e = sum of C(e, t) N^t for u = I + N, whatever the exponent, so an inverse
 takes no loop either; a conjugation step (`conjugation_kernel`), one call of
-the fused kernel for s^-1 * x * s with one reduction per entry; the
+the fused kernel for s^-1 * x * s with one reduction per entry, on points; the
 commutator x^-1 y^-1 x y, one call that solves (y x) z = x y by back
-substitution with one reduction per entry, no inverse and no product; and
-the entrywise reduction of `reduce_mod`.  A modulus p^k needs p prime and
-k >= 1.
+substitution with one reduction per entry, no inverse and no product; the
+entrywise reduction of `reduce_mod`; and the point codec, which maps rows to
+their point, the flat tuple of their strictly-upper entries in row-major
+order (`upper_entries`, `is_identity`), and a point back to rows.  Orbit
+search hashes and steps points, not nested rows.  A modulus p^k needs p
+prime and k >= 1.
 """
 
 from __future__ import annotations
@@ -102,31 +105,46 @@ def _power_source(n, reduced):
     return "\n".join(lines) + "\n"
 
 
-def _conjugation_source(n):
-    """`kernel(a, b, m)`: the step rows -> rows of a * x * b for unitriangular
-    a, x and b, entry (i, j) the sum of a_ik * x_kl * b_lj over
-    i <= k <= l <= j reduced mod m once.  The unit diagonals are folded in,
-    and the sum is taken as a * t for t = x * b, whose entries t{k}_{j} are
-    kept unreduced: about n^3/6 terms where the expanded triple sum has n^4/24.
-    a and b are unpacked once, when the step is made."""
+def _flat(name, n):
+    """Flat tuple display of the strictly-upper items (i, j), row-major, item
+    (i, j) named name{i}_{j}: a target that unpacks a point, or an
+    expression that builds one."""
+    return "(" + "".join(f"{name}{i}_{j}, " for i in range(n) for j in range(i + 1, n)) + ")"
 
-    def upper(name):
-        return _grid(n, lambda i, j: f"{name}{i}_{j}" if j > i else "_")
+
+def _codec_source(n):
+    """`kernel`, the pair (point, rows): point maps unitriangular rows to their
+    point, the tuple of their strictly-upper entries in row-major order, and
+    rows maps a point back to its rows, unit diagonal and zeros below it."""
+    rows = _grid(n, lambda i, j: f"x{i}_{j}" if j > i else "_")
+    built = _grid(n, lambda i, j: f"x{i}_{j}" if j > i else int(i == j))
+    return (f"def point(r):\n {rows} = r\n return {_flat('x', n)}\n"
+            f"def rows(x):\n {_flat('x', n)} = x\n return {built}\n"
+            "kernel = point, rows\n")
+
+
+def _conjugation_source(n):
+    """`kernel(a, b, m)`: the step point -> point of a * x * b for the points
+    (`_codec_source`) of unitriangular a, x and b, entry (i, j) the sum of
+    a_ik * x_kl * b_lj over i <= k <= l <= j reduced mod m once.  The unit
+    diagonals are folded in, and the sum is taken as a * t for t = x * b,
+    whose entries t{k}_{j} are kept unreduced: about n^3/6 terms where the
+    expanded triple sum has n^4/24.  a and b are unpacked once, when the
+    step is made."""
 
     def xb(k, j):
         terms = [f"b{k}_{j}"] + [f"x{k}_{l}*b{l}_{j}" for l in range(k + 1, j)] + [f"x{k}_{j}"]
         return " + ".join(terms)
 
     def entry(i, j):
-        if i >= j:
-            return int(i == j)
         terms = [f"t{i}_{j}"] + [f"a{i}_{k}*t{k}_{j}" for k in range(i + 1, j)] + [f"a{i}_{j}"]
         return f"({' + '.join(terms)}) % m"
 
-    lines = ["def kernel(a, b, m):", f" {upper('a')} = a", f" {upper('b')} = b",
-             " def step(x):", f"  {upper('x')} = x"]
+    out = "".join(f"{entry(i, j)}, " for i in range(n) for j in range(i + 1, n))
+    lines = ["def kernel(a, b, m):", f" {_flat('a', n)} = a", f" {_flat('b', n)} = b",
+             " def step(x):", f"  {_flat('x', n)} = x"]
     lines += [f"  t{k}_{j} = {xb(k, j)}" for k in range(n) for j in range(k + 1, n)]
-    lines += [f"  return {_grid(n, entry)}", " return step"]
+    lines += [f"  return ({out})", " return step"]
     return "\n".join(lines) + "\n"
 
 
@@ -170,6 +188,7 @@ def _reduction_source(n):
     return f"def kernel(r, m):\n {r} = r\n return {out}\n"
 
 
+_CODECS = _Kernels(_codec_source)
 _PRODUCTS = _Kernels(_product_source)
 _POWERS = _Kernels(_power_source)
 _CONJUGATIONS = _Kernels(_conjugation_source)
@@ -256,9 +275,8 @@ class _Unitri:
         return not any(self.upper_entries())
 
     def upper_entries(self) -> tuple:
-        return tuple(
-            self.rows[i][j] for i in range(self.n) for j in range(i + 1, self.n)
-        )
+        """The matrix's point: its strictly-upper entries in row-major order."""
+        return _CODECS[self.n][0](self.rows)
 
     def strict_upper_items(self):
         """Nonzero strictly-upper entries as ((i, j), value) pairs, row-major."""
@@ -366,10 +384,12 @@ _set_mod = ResidueUT.mod.__set__
 
 
 def conjugation_kernel(s: ResidueUT):
-    """The map rows -> rows of s^-1 * x * s on residue matrices x shaped like s:
-    one call of the fused conjugation kernel, s^-1 and s bound into it."""
+    """The step point -> point of s^-1 * x * s on the points (`upper_entries`)
+    of residue matrices x shaped like s: one call of the fused conjugation
+    kernel, s^-1 and s bound into it."""
     n, mod = s.n, s.mod
-    return _CONJUGATIONS[n](_power(s.rows, n, -1, mod), s.rows, mod)
+    point = _CODECS[n][0]
+    return _CONJUGATIONS[n](point(_power(s.rows, n, -1, mod)), point(s.rows), mod)
 
 
 def reduce_mod(u: UTMatrix, p: int, k: int) -> ResidueUT:

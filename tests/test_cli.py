@@ -669,6 +669,31 @@ class TestParserBuiltOnce:
         assert "-x" in reused[1][2]
 
 
+@pytest.mark.parametrize("argv", [
+    ["separate", "--preset", "zxd4", "-p", "2", "-a", "0", "-b", "0|r", "--json"],
+    ["separate", "--preset", "zxd4", "-p", "2", "-a", "0", "-b", "0|r"],
+    ["scan", "--preset", "heisenberg", "-p", "2", "-K", "5", "-x", "3,0,0", "-y", "3,0,1"],
+], ids=["separate-json", "separate-text", "scan-text"])
+def test_closed_pipe_prints_no_traceback(argv):
+    # `conjsep ... | head`: the reader closes its end before the report is
+    # written.  The run keeps its own exit code and writes nothing to stderr.
+    src = Path(__file__).resolve().parent.parent / "src"
+    paths = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    command = [sys.executable, "-m", "conjsep.cli", *argv]
+    whole = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
+    assert whole.stdout and whole.stderr == ""
+    child = subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    child.stdout.close()
+    try:
+        stderr = child.stderr.read()
+    finally:
+        child.stderr.close()
+        child.wait(timeout=60)
+    assert stderr == ""
+    assert child.returncode == whole.returncode
+
+
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     # Every command is one process, so each stdlib module the package pulls
     # in is paid at every start-up; `dataclasses` and the `inspect` it

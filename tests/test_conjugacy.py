@@ -113,6 +113,27 @@ class TestOrbitSearch:
         with pytest.raises(KeyError):
             conjugate_in_finite(group, hit, x)
 
+    def test_y_of_another_size_modulus_kind_or_type_raises_key_error(self):
+        group = heis_quotient(2, 2)
+        x = reduce_mod(heis(1, 0, 0), 2, 2)
+        hit = heis(1, 0, 1)  # its point (1, 1, 0) is in the orbit of x mod 4
+        assert conjugate_in_finite(group, x, reduce_mod(hit, 2, 2)).conjugate
+        others = [
+            reduce_mod(UTMatrix.from_entries(4, {(0, 1): 1, (0, 3): 1}), 2, 2),
+            ResidueUT([[1, 1], [0, 1]], 2, 2),
+            reduce_mod(hit, 3, 1),
+            reduce_mod(hit, 2, 3),
+            hit,
+            hit.upper_entries(),
+            hit.rows,
+            7,
+            None,
+        ]
+        for y in others:
+            with pytest.raises(KeyError):
+                conjugate_in_finite(group, x, y)
+            assert separability._search(group, x, y) is None
+
     def test_y_is_sifted_only_when_the_orbit_misses_it(self):
         group = finite_closure([reduce_mod(g, 2, 2) for g in heis5_spec().generators])
         sifted = []
@@ -150,7 +171,7 @@ RESIDUE_QUOTIENTS = {
 
 
 class TestResidueOrbitSearch:
-    """Orbit search in residue-matrix groups conjugates on row tuples; it must
+    """Orbit search in residue-matrix groups conjugates on flat points; it must
     answer exactly as a general-product search and keep the re-check."""
 
     @pytest.mark.parametrize("name", sorted(RESIDUE_QUOTIENTS))
@@ -1018,12 +1039,18 @@ for name, wrong in (
         raise SystemExit(f"a wrong {name} passed the certificate re-check")
     setattr(conjsep.separability, name, real)
 
-# A residue closure whose conjugation step is right multiplication, x -> x * s:
-# the search then reaches y, but the conjugator fails its re-check.
+# A residue closure whose conjugation step is right multiplication, x -> x * s,
+# on flat points: the search then reaches y, but the conjugator fails its re-check.
 import conjsep.finite
-from conjsep.unitri import _matmul
+from conjsep.unitri import _CODECS, _matmul
 
-conjsep.finite.conjugation_kernel = lambda s: lambda rows: _matmul(rows, s.rows, s.n, s.mod)
+
+def right_product(s):
+    point, rows = _CODECS[s.n]
+    return lambda x: point(_matmul(rows(x), s.rows, s.n, s.mod))
+
+
+conjsep.finite.conjugation_kernel = right_product
 wrong_steps = finite_closure([reduce_mod(g, 3, 2) for g in heis.generators])
 try:
     conjugate_in_finite(wrong_steps, ra, ra * rc**8)

@@ -124,27 +124,33 @@ class TestPresets:
 
 class TestOrbit:
     def test_yields_a_breadth_first_schreier_tree(self):
-        steps = list(orbit(0, (2, 3), lambda x, s: (x + s) % 6))
-        assert steps == [(0, None, None), (2, 0, 0), (3, 0, 1), (4, 2, 0), (5, 2, 1), (1, 4, 1)]
+        steps = (lambda x: (x + 2) % 6, lambda x: (x + 3) % 6)
+        tree = orbit(0, steps)
+        edges = [(0, (None, None)), (2, (0, 0)), (3, (0, 1)), (4, (2, 0)), (5, (2, 1)), (1, (4, 1))]
+        assert list(tree.items()) == edges
+        # With a target, the search stops as soon as it is reached.
+        assert list(orbit(0, steps, 4).items()) == edges[:4]
+        assert list(orbit(0, steps, 7).items()) == edges
 
     def test_conjugation_edges_conjugate_by_their_generator(self):
         for group in (sym3(), dihedral4(), quaternion8()):
             for x in group.elements:
-                steps = list(group.conjugation_orbit(x))
-                assert steps[0] == (x, None, None)
-                assert {point for point, _, _ in steps} == group.class_of(x)
-                for point, parent, i in steps[1:]:
+                steps = list(group.conjugation_orbit(x).items())
+                assert steps[0] == (x, (None, None))
+                assert {point for point, _ in steps} == group.class_of(x)
+                for point, (parent, i) in steps[1:]:
                     s = group.generators[i]
                     assert point == group.mul(group.inverse(s), group.mul(parent, s))
 
-    def test_residue_conjugation_runs_on_rows(self):
+    def test_residue_conjugation_runs_on_flat_points(self):
         group = finite_closure(heis_residue_gens(3, 1))
         element = group.conjugation.element
         for x in group.elements[:9]:
-            steps = list(group.conjugation_orbit(x))
-            assert steps[0] == (x.rows, None, None)
-            assert {element(point) for point, _, _ in steps} == group.class_of(x)
-            for point, parent, i in steps[1:]:
+            steps = list(group.conjugation_orbit(x).items())
+            assert steps[0] == ((x[0, 1], x[0, 2], x[1, 2]), (None, None))
+            assert {element(point) for point, _ in steps} == group.class_of(x)
+            assert all(group.conjugation.point(element(point)) == point for point, _ in steps)
+            for point, (parent, i) in steps[1:]:
                 s = group.generators[i]
                 assert element(point) == s.inverse() * element(parent) * s
 

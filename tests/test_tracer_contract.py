@@ -54,7 +54,7 @@ def test_tracer_installs_and_uninstalls():
         assert tracer.count["finite.closure.calls"] == 1
         assert tracer.count["conjugacy.orbit.calls"] == 1
         assert tracer.count["unitri.residue_mul.count"] > 0
-        # The orbit steps on row tuples; its only residue products are the
+        # The orbit steps on flat points; its only residue products are the
         # conjugator's re-check: one per path generator, then g^-1 * (x * g).
         recheck = len(answer.word.split("*")) + 2
         assert tracer.count["conjugacy.orbit.products"] == recheck

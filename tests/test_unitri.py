@@ -1,9 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conjsep.errors import DimensionMismatch
 from conjsep.unitri import (
+    _CODECS,
     _COMMUTATORS,
     _CONJUGATIONS,
     _POWERS,
@@ -339,7 +342,8 @@ class TestProductKernel:
         def work():
             for p, k in ((3, 2), (5, 4), (2, 1)):
                 x = reduce_mod(u, p, k)
-                conjugation_kernel(reduce_mod(s, p, k))(x.rows)
+                conjugation_kernel(reduce_mod(s, p, k))(x.upper_entries())
+                assert not x.is_identity() and not u.is_identity()
                 commutator(x, reduce_mod(s, p, k))
                 commutator(u, s)
                 for e in (-1, 2, 2**100):
@@ -348,7 +352,7 @@ class TestProductKernel:
 
         work()
         caches = ((_PRODUCTS, kinds), (_POWERS, kinds), (_COMMUTATORS, kinds),
-                  (_CONJUGATIONS, {n}), (_REDUCTIONS, {n}))
+                  (_CONJUGATIONS, {n}), (_REDUCTIONS, {n}), (_CODECS, {n}))
         kept = [{key: cache[key] for key in keys} for cache, keys in caches]
         for _ in range(50):
             work()
@@ -471,10 +475,43 @@ class TestResidue:
     @given(residue_pairs())
     def test_conjugation_kernel_matches_product(self, pair):
         x, s = pair
-        mod = s.mod
+        n, mod = s.n, s.mod
         inverse = reference_power(s.rows, -1, mod)
         expected = naive_ut_mul(naive_ut_mul(inverse, x.rows), s.rows)
-        assert conjugation_kernel(s)(x.rows) == tuple(tuple(v % mod for v in r) for r in expected)
+        flat = tuple(expected[i][j] % mod for i in range(n) for j in range(i + 1, n))
+        assert conjugation_kernel(s)(x.upper_entries()) == flat
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_flat_step_is_naive_conjugation(self, n, p, k):
+        # Dense and sparse x and s, s^-1 by the naive series, each product naive.
+        rng, mod = random.Random(f"{n} {p} {k}"), p**k
+        for density in (1.0, 0.3):
+            def draw():
+                return ResidueUT([[1 if i == j else rng.randrange(mod) if j > i and rng.random() < density
+                                   else 0 for j in range(n)] for i in range(n)], p, k)
+
+            for _ in range(4):
+                x, s = draw(), draw()
+                expected = naive_ut_mul(naive_ut_mul(reference_power(s.rows, -1, mod), x.rows), s.rows)
+                point = tuple(expected[i][j] % mod for i in range(n) for j in range(i + 1, n))
+                assert conjugation_kernel(s)(x.upper_entries()) == point
+                assert point == (s.inverse() * x * s).upper_entries()
+
+    @settings(max_examples=100, deadline=None)
+    @given(residue_pairs())
+    def test_point_and_element_round_trip(self, pair):
+        x, _ = pair
+        n = x.n
+        point, rows = _CODECS[n]
+        assert point(x.rows) == x.upper_entries() == tuple(
+            x[i, j] for i in range(n) for j in range(i + 1, n)
+        )
+        assert rows(x.upper_entries()) == x.rows
+        assert point(rows(x.upper_entries())) == x.upper_entries()
+        assert ResidueUT(rows(x.upper_entries()), x.p, x.k) == x
+        assert x.is_identity() == (x == ResidueUT.identity(n, x.p, x.k))
 
     def test_wrapped_residue_is_immutable_and_equal_to_constructed(self):
         r = reduce_mod(UTMatrix.from_entries(4, {(0, 1): 2, (1, 3): 7}), 3, 2)
