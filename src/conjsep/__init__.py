@@ -102,7 +102,6 @@ from .intlin import (
     xgcd,
 )
 from .separability import (
-    DivisibilityCertificate,
     GlobalVerification,
     LocalCheck,
     SeparabilityVerdict,

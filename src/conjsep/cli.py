@@ -40,6 +40,8 @@ from .errors import (
 from .groupspec import (
     ProductGroupSpec,
     _parse_matrix,
+    center_lattice,
+    center_vector,
     coords_to_element,
     element_coords,
     load_spec,
@@ -264,6 +266,8 @@ def run_witness(args) -> dict:
     checks = [(f"global:{name}", True) for name in glob.checks]
     checks += [(f"local:m={lv.level}", True) for lv in tower.levels]
     checks.append(("tower:conjugate-at-all-levels", tower.separated_at is None))
+    # The divisibility object is what verify_witness_global has just decided on.
+    e = witness.q**witness.n
     result = {
         "group": spec.name,
         "p": p,
@@ -275,9 +279,9 @@ def run_witness(args) -> dict:
         "u": _element_view(spec, witness.u),
         "v": _element_view(spec, witness.v),
         "divisibility": {
-            "exponent": witness.divisibility.exponent,
-            "c_vector": list(witness.divisibility.c_vector),
-            "scaled_basis": [list(col) for col in witness.divisibility.scaled_basis],
+            "exponent": e,
+            "c_vector": list(center_vector(spec, witness.c)),
+            "scaled_basis": [list(col) for col in center_lattice(spec).canonical().scale(e).basis],
             "member": False,
         },
         "conjugator_exponents": {

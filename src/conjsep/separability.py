@@ -2,7 +2,7 @@
 
 classify applies the torsion/abelian criterion to a product group.  For
 non-abelian torsion-free matrix groups, make_witness builds a pair of
-elements that are provably non-conjugate (a divisibility certificate in the
+elements that are provably non-conjugate (c has no q^n-th root in the
 centre lattice) yet conjugate in every finite p-quotient (an explicit
 modular-inverse conjugator, checked level by level).  For abelian-times-finite
 groups, separate_elements produces a finite p-quotient in which a given
@@ -98,18 +98,7 @@ def classify(group: ProductGroupSpec, p: int) -> SeparabilityVerdict:
     )
 
 
-class DivisibilityCertificate(namedtuple(
-    "DivisibilityCertificate", "exponent c_vector scaled_basis"
-)):
-    """Failed lattice membership: c has no exponent-th root in the centre."""
-
-    __slots__ = ()
-
-
-class WitnessReport(namedtuple(
-    "WitnessReport",
-    "p a b b_name c q n u v divisibility",
-)):
+class WitnessReport(namedtuple("WitnessReport", "p a b b_name c q n u v")):
     """A pair (u, v) = (a^(q^n), a^(q^n) c), non-conjugate globally but
     conjugate in every finite p-quotient."""
 
@@ -159,20 +148,9 @@ def make_witness(spec: MatrixGroupSpec, p: int) -> WitnessReport:
             f"declared representative {spec.z2_name!r} commutes with every generator"
         )
     q = smallest_prime_excluding(p)
-    c_vec = center_vector(spec, c)
-    z1 = center_lattice(spec)
-    n = _least_rootless_exponent(z1, c_vec, q)
-    e = q**n
-    u = a**e
-    v = u * c
-    cert = DivisibilityCertificate(
-        exponent=e,
-        c_vector=c_vec,
-        scaled_basis=z1.canonical().scale(e).basis,
-    )
-    return WitnessReport(
-        p=p, a=a, b=b, b_name=b_name, c=c, q=q, n=n, u=u, v=v, divisibility=cert,
-    )
+    n = _least_rootless_exponent(center_lattice(spec), center_vector(spec, c), q)
+    u = a**(q**n)
+    return WitnessReport(p=p, a=a, b=b, b_name=b_name, c=c, q=q, n=n, u=u, v=u * c)
 
 
 class GlobalVerification(namedtuple("GlobalVerification", "passed checks")):
@@ -182,10 +160,9 @@ class GlobalVerification(namedtuple("GlobalVerification", "passed checks")):
 def verify_witness_global(spec: MatrixGroupSpec, witness: WitnessReport) -> GlobalVerification:
     """Confirm non-conjugacy of (u, v) in the full group, two independent ways.
 
-    First the divisibility certificate is recomputed: n must be
-    `make_witness`'s least exponent, checked before q^n is computed, each
-    of the three fields must equal the value rebuilt from the spec and c,
-    and c must have no q^n-th root in the centre lattice.  Then, when the
+    First divisibility, from the spec and c alone: n must be
+    `make_witness`'s least exponent, checked before q^n is computed, and c
+    must have no q^n-th root in the centre lattice.  Then, when the
     declared class is at most 2, the commutator-lattice criterion must
     independently answer non-conjugate.  Finally the report's internal
     structure is re-checked, q = `smallest_prime_excluding(p)` included.
@@ -199,16 +176,6 @@ def verify_witness_global(spec: MatrixGroupSpec, witness: WitnessReport) -> Glob
     if witness.q < 2 or witness.n != _least_rootless_exponent(z1, c_vec, witness.q):
         raise VerificationFailed("divisibility", f"n={witness.n} is not the least exponent")
     e = witness.q**witness.n
-    cert = witness.divisibility
-    for field, stored, recomputed in (
-        ("exponent", cert.exponent, e),
-        ("c_vector", cert.c_vector, c_vec),
-        ("scaled_basis", cert.scaled_basis, z1.canonical().scale(e).basis),
-    ):
-        if stored != recomputed:
-            raise VerificationFailed(
-                "divisibility", f"certificate {field} {stored!r} is not {recomputed!r}"
-            )
     if power_solvable(z1, c_vec, e).solvable:
         raise VerificationFailed(
             "divisibility", f"c has a {e}-th root in the centre; the pair is conjugate"

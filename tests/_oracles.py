@@ -24,7 +24,13 @@ from conjsep.conjugacy import (
     conjugate_in_finite,
     enumerate_p_quotient_kernels,
 )
-from conjsep.groupspec import congruence_quotient, element_coords, preset
+from conjsep.groupspec import (
+    center_lattice,
+    center_vector,
+    congruence_quotient,
+    element_coords,
+    preset,
+)
 from conjsep.intlin import IntMatrix, Lattice, Membership, _carry_hnf, _transposed, hnf
 from conjsep.separability import make_witness, verify_witness_global
 from conjsep.unitri import reduce_mod
@@ -416,9 +422,10 @@ def reference_witness_report(name, p, depth, cap) -> dict:
         "a": _view(spec, w.a), "c": _view(spec, w.c),
         "u": _view(spec, w.u), "v": _view(spec, w.v),
         "divisibility": {
-            "exponent": w.divisibility.exponent,
-            "c_vector": list(w.divisibility.c_vector),
-            "scaled_basis": [list(col) for col in w.divisibility.scaled_basis],
+            "exponent": w.q**w.n,
+            "c_vector": list(center_vector(spec, w.c)),
+            "scaled_basis": [list(col) for col in
+                             center_lattice(spec).scale(w.q**w.n).canonical().basis],
             "member": False,
         },
         "conjugator_exponents": {str(m): pow(w.q**w.n, -1, p**m) for m in range(1, 9)},

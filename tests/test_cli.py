@@ -17,7 +17,7 @@ from conjsep.groupspec import (
     load_spec,
     preset,
 )
-from conjsep.intlin import IntMatrix, mod_inverse
+from conjsep.intlin import IntMatrix, Membership, is_column_hnf, mod_inverse
 from conjsep.selftest import run_selftest
 from conjsep.separability import make_witness, scan_tower, verify_witness_local
 
@@ -577,14 +577,12 @@ class TestSelftest:
         assert failures
         assert failures[0].startswith("closure:")
 
-    # The first matrix the seeded generator hands the Smith-form check.
-    FIRST_SNF_INPUT = "IntMatrix([[-8], [4], [6], [-9], [0]])"
-
     @staticmethod
-    def _lattice_run(monkeypatch, fake_snf=None):
-        """The lattice suite, with snf replaced when given; also returns the
-        (target, e) of every power_solvable call, in order."""
-        real_snf, real_power = selftest.snf, selftest.power_solvable
+    def _lattice_run(monkeypatch, binding=None, wrong=None):
+        """The lattice suite, with selftest's `binding` replaced by
+        wrong(real binding) when given; also returns the (target, e) of
+        every power_solvable call, in order."""
+        real_power = selftest.power_solvable
         calls = []
 
         def recording_power(lat, target, e):
@@ -592,30 +590,66 @@ class TestSelftest:
             return real_power(lat, target, e)
 
         monkeypatch.setattr(selftest, "power_solvable", recording_power)
-        if fake_snf is not None:
-            monkeypatch.setattr(selftest, "snf", lambda a: fake_snf(*real_snf(a)))
+        if binding is not None:
+            monkeypatch.setattr(selftest, binding, wrong(getattr(selftest, binding)))
         return run_selftest(include_corpus=False), calls
+
+    # The number of power_solvable calls and the first two.
+    PASSING_DRAWS = (60, [((15,), 3), ((-4,), 1)])
 
     def test_passing_lattice_suite_draws_in_seeded_order(self, monkeypatch):
         outcomes, calls = self._lattice_run(monkeypatch)
         assert all(ok and not detail for _, ok, detail in outcomes)
-        assert len(calls) == 60 and calls[:2] == [((15,), 3), ((-4,), 1)]
+        assert (len(calls), calls[:2]) == self.PASSING_DRAWS
+
+    # The first matrices the seeded generator hands the Hermite-form and
+    # Smith-form checks.
+    FIRST_HNF_INPUT = "IntMatrix([[-9], [-7], [9], [-8]])"
+    FIRST_SNF_INPUT = "IntMatrix([[-8], [4], [6], [-9], [0]])"
+    # The power_solvable calls when a matrix check stops at its first input.
+    SHIFTED_DRAWS = (60, [((-3,), 4), ((-4, 0, -1), 4)])
 
     @pytest.mark.parametrize(
-        "fake_snf, detail",
+        "binding, wrong, check, detail, draws",
         [
+            # H off by one in its first entry: A*U != H.
+            ("hnf", lambda real: lambda a: (lambda h, u: (
+                IntMatrix(h.rows, h.cols, (h.entries[0] + 1,) + h.entries[1:]), u))(*real(a)),
+             "hnf-identities", "hnf identity broke on " + FIRST_HNF_INPUT, SHIFTED_DRAWS),
+            # Right on every matrix but a Hermite form, which it sends to 0.
+            ("hnf", lambda real: lambda a: (
+                (IntMatrix.zero(a.rows, a.cols), IntMatrix.identity(a.cols))
+                if is_column_hnf(a) else real(a)),
+             "hnf-identities", "hnf is not idempotent on " + FIRST_HNF_INPUT, SHIFTED_DRAWS),
             # D off by one in its first entry: U*A*V != D.
-            (lambda d, u, v: (IntMatrix(d.rows, d.cols, (d.entries[0] + 1,) + d.entries[1:]), u, v),
-             "snf identity broke on "),
+            ("snf", lambda real: lambda a: (lambda d, u, v: (
+                IntMatrix(d.rows, d.cols, (d.entries[0] + 1,) + d.entries[1:]), u, v))(*real(a)),
+             "snf-identities", "snf identity broke on " + FIRST_SNF_INPUT, SHIFTED_DRAWS),
             # -D with -U: the identity holds, but the diagonal is negative.
-            (lambda d, u, v: (IntMatrix(d.rows, d.cols, [-x for x in d.entries]),
-                              IntMatrix(u.rows, u.cols, [-x for x in u.entries]), v),
-             "snf shape broke on "),
+            ("snf", lambda real: lambda a: (lambda d, u, v: (
+                IntMatrix(d.rows, d.cols, [-x for x in d.entries]),
+                IntMatrix(u.rows, u.cols, [-x for x in u.entries]), v))(*real(a)),
+             "snf-identities", "snf shape broke on " + FIRST_SNF_INPUT, SHIFTED_DRAWS),
+            # An inverse off by the modulus: a*k = 1 mod m, but k >= m.
+            ("mod_inverse", lambda real: lambda a, m: real(a, m) + m,
+             "mod-inverse-exhaustive", "mod_inverse(1, 2) = 3", PASSING_DRAWS),
+            # The opposite verdict on every call.
+            ("power_solvable", lambda real: lambda lat, target, e: (
+                lambda answer: answer._replace(solvable=not answer.solvable))(real(lat, target, e)),
+             "power-solvable-rank1", "rank-1 power solvability disagrees with 3 | 5",
+             (1, [((15,), 3)])),
+            # A lattice that denies every membership; `in` still answers right.
+            ("Lattice", lambda real: type("NoMember", (real,), {
+                "__slots__": (), "contains": lambda self, v: Membership(False)}),
+             "lattice-membership-certificates", "membership certificate broke on [(-4,)] -> (20,)",
+             PASSING_DRAWS),
         ],
-        ids=["wrong-d", "negative-diagonal"],
+        ids=["hnf-wrong-h", "hnf-not-idempotent", "snf-wrong-d", "snf-negative-diagonal",
+             "mod-inverse-not-reduced", "power-solvable-negated", "lattice-denies-members"],
     )
-    def test_wrong_snf_fails_only_its_check(self, monkeypatch, fake_snf, detail):
-        outcomes, calls = self._lattice_run(monkeypatch, fake_snf)
+    def test_wrong_binding_fails_only_its_check(self, monkeypatch, binding, wrong, check,
+                                                detail, draws):
+        outcomes, calls = self._lattice_run(monkeypatch, binding, wrong)
         assert [name for name, _, _ in outcomes] == [
             "hnf-identities",
             "snf-identities",
@@ -623,13 +657,11 @@ class TestSelftest:
             "power-solvable-rank1",
             "lattice-membership-certificates",
         ]
-        assert [(name, d) for name, ok, d in outcomes if not ok] == [
-            ("snf-identities", detail + self.FIRST_SNF_INPUT)
-        ]
+        assert [(name, d) for name, ok, d in outcomes if not ok] == [(check, detail)]
         assert all(not d for name, ok, d in outcomes if ok)
-        # The check stops at its first bad matrix, so the later checks draw
-        # from the generator where they did before.
-        assert len(calls) == 60 and calls[:2] == [((-3,), 4), ((-4, 0, -1), 4)]
+        # A check stops at its first failure, so the later checks draw from
+        # the seeded generator right after it.
+        assert (len(calls), calls[:2]) == draws
 
 
 class TestParserBuiltOnce:

@@ -225,6 +225,42 @@ class TestHermiteForm:
         assert (canon.basis, pivots, transform) == reference_echelon(lat)
 
 
+@pytest.mark.parametrize("rows", [
+    [[0, 1]],  # a zero column comes first
+    [[0, 1], [1, 0]],  # the pivot rows do not increase
+    [[-1]],  # the pivot is negative
+    [[2, 0], [3, 2]],  # an entry left of a pivot lies outside [0, pivot)
+    [[1, 1], [0, 1]],  # an entry right of a pivot is nonzero
+], ids=["zero-column-first", "pivot-rows-decrease", "negative-pivot",
+        "left-entry-reduced", "right-entry-nonzero"])
+def test_is_column_hnf_refuses_each_broken_rule(rows):
+    assert not is_column_hnf(IntMatrix.from_rows(rows))
+
+
+@st.composite
+def square_matrices(draw, max_dim=5, span=4):
+    """Square matrices, 0 x 0 included, often singular: one column may be
+    replaced by a multiple (zero included) of another."""
+    n = draw(st.integers(0, max_dim))
+    rows = [draw(st.lists(st.integers(-span, span), min_size=n, max_size=n)) for _ in range(n)]
+    if n and draw(st.booleans()):
+        index = st.integers(0, n - 1)
+        src, dst, k = draw(index), draw(index), draw(st.integers(-2, 2))
+        for row in rows:
+            row[dst] = k * row[src]
+    return IntMatrix(n, n, [x for row in rows for x in row])
+
+
+class TestDeterminant:
+    def test_empty_matrix(self):
+        assert det(IntMatrix(0, 0, [])) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(square_matrices())
+    def test_matches_sympy(self, a):
+        assert det(a) == sympy_det(a)
+
+
 class TestSmithForm:
     def test_zero(self):
         a = IntMatrix.zero(2, 3)
