@@ -62,9 +62,6 @@ from .separability import (
 )
 from .unitri import UTMatrix
 
-# The witness report has always listed levels 1-8; the exponent exists at every level.
-REPORTED_LEVELS = 8
-
 # The stdlib's spelling of each scalar, keyed by exact type: a scalar in a
 # container costs one lookup and one call of C code, not a call of `_write`.
 _LEAVES = {
@@ -231,7 +228,7 @@ def run_classify(args) -> dict:
         "reason": verdict.reason,
     }
     inputs = {"source": args.preset or args.spec, "p": p}
-    return _report("classify", inputs, result, [("spec-verified", True)], t0)
+    return _report("classify", inputs, result, [], t0)
 
 
 def run_witness(args) -> dict:
@@ -265,7 +262,6 @@ def run_witness(args) -> dict:
                        max_order=orbit_cap)
     checks = [(f"global:{name}", True) for name in glob.checks]
     checks += [(f"local:m={lv.level}", True) for lv in tower.levels]
-    checks.append(("tower:conjugate-at-all-levels", tower.separated_at is None))
     # The divisibility object is what verify_witness_global has just decided on.
     e = witness.q**witness.n
     result = {
@@ -282,10 +278,6 @@ def run_witness(args) -> dict:
             "exponent": e,
             "c_vector": list(center_vector(spec, witness.c)),
             "scaled_basis": [list(col) for col in center_lattice(spec).canonical().scale(e).basis],
-            "member": False,
-        },
-        "conjugator_exponents": {
-            str(m): witness.conjugator_exponent(m) for m in range(1, REPORTED_LEVELS + 1)
         },
         "local_checks": [
             {"m": lv.level, "k": lv.check.k, "conjugator": f"{witness.b_name}^{lv.check.k}",
@@ -327,7 +319,7 @@ def run_separate(args) -> dict:
                 "finite_part": group.finite_part.label(fpart),
             },
         }
-        return _report("separate", inputs, result, [("conjugator-verifies", True)], t0)
+        return _report("separate", inputs, result, [], t0)
     quot = cert.quotient
     result = {
         "group": group.name,
@@ -338,11 +330,7 @@ def run_separate(args) -> dict:
         "quotient": {"name": quot.name, "order": quot.order},
         "images": [quot.label(img) for img in cert.images],
     }
-    checks = [
-        ("quotient-is-p-group", True),
-        ("images-nonconjugate-orbit", True),
-    ]
-    return _report("separate", inputs, result, checks, t0)
+    return _report("separate", inputs, result, [], t0)
 
 
 def run_scan(args) -> dict:
@@ -372,7 +360,7 @@ def run_scan(args) -> dict:
     }
     inputs = {"source": args.preset or args.spec, "p": p, "K": args.K,
               "max_order": orbit_cap}
-    return _report("scan", inputs, result, [("tower-complete", True)], t0)
+    return _report("scan", inputs, result, [], t0)
 
 
 def run_selftest_cmd(args) -> dict:

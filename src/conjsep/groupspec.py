@@ -476,7 +476,7 @@ def load_spec(source) -> ProductGroupSpec:
         try:
             finite_group = finite_preset(finite["name"])
         except KeyError as exc:
-            raise SpecParseError(str(exc)) from exc
+            raise SpecParseError(exc.args[0]) from exc
     spec = MatrixGroupSpec(
         name=name,
         n=n,
@@ -520,5 +520,5 @@ def parse_element(pspec: ProductGroupSpec, text: str) -> tuple:
         try:
             f_elt = finite.element_by_label(right)
         except KeyError as exc:
-            raise SpecParseError(str(exc)) from exc
+            raise SpecParseError(exc.args[0]) from exc
     return matrix, f_elt

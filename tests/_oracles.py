@@ -416,7 +416,6 @@ def reference_witness_report(name, p, depth, cap) -> dict:
             assert reduce_mod(w.b**-k * w.u * w.b**k, p, m) == ry
             method = "witness-conjugator"
         levels.append({"level": m, "method": method, "conjugate": True})
-    checks.append(("tower:conjugate-at-all-levels", True))
     result = {
         "group": spec.name, "p": p, "q": w.q, "n": w.n, "b": w.b_name,
         "a": _view(spec, w.a), "c": _view(spec, w.c),
@@ -426,9 +425,7 @@ def reference_witness_report(name, p, depth, cap) -> dict:
             "c_vector": list(center_vector(spec, w.c)),
             "scaled_basis": [list(col) for col in
                              center_lattice(spec).scale(w.q**w.n).canonical().basis],
-            "member": False,
         },
-        "conjugator_exponents": {str(m): pow(w.q**w.n, -1, p**m) for m in range(1, 9)},
         "local_checks": local_checks,
         "tower": {"summary": f"conjugate at all {depth} levels", "levels": levels},
     }

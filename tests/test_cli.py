@@ -19,7 +19,12 @@ from conjsep.groupspec import (
 )
 from conjsep.intlin import IntMatrix, Membership, is_column_hnf, mod_inverse
 from conjsep.selftest import run_selftest
-from conjsep.separability import make_witness, scan_tower, verify_witness_local
+from conjsep.separability import (
+    make_witness,
+    scan_tower,
+    verify_witness_global,
+    verify_witness_local,
+)
 
 from _oracles import reference_witness_report
 
@@ -176,6 +181,38 @@ class TestExitCodes:
         assert cli.main(argv) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv,err",
+        [
+            (["classify", "--spec", "", "-p", "2"],
+             "parse error: one of --preset or --spec is required\n"),
+            (["scan", "--preset", "heisenberg", "-p", "2", "-x", "a,b,c", "-y", "1,0,0"],
+             "parse error: bad coordinate tuple: invalid literal for int() with base 10: 'a'\n"),
+            (["separate", "--preset", "zxd4", "-p", "2", "-a", "0|zz", "-b", "0|r"],
+             "parse error: no element labelled 'zz' in D4\n"),
+        ],
+    )
+    def test_parse_error_line(self, capsys, argv, err):
+        assert cli.main(argv) == 3
+        assert capsys.readouterr() == ("", err)
+
+    def test_unknown_finite_preset_line(self, tmp_path, capsys):
+        path = tmp_path / "a5.json"
+        path.write_text(json.dumps(dict(HEIS_DOC, finite_part={"kind": "preset", "name": "A5"})))
+        assert cli.main(["classify", "--spec", str(path), "-p", "2"]) == 3
+        assert capsys.readouterr() == ("", (
+            "parse error: unknown finite group preset 'A5'; known: "
+            "['1', 'c2', 'c3', 'c6', 'd4', 'd4xc2', 'q8', 's3', 'trivial']\n"))
+
+    def test_closure_over_the_cap_is_1_with_nothing_on_stdout(self, capsys):
+        # A budget outcome: the benchmark reads exit 1 with an empty stdout as one.
+        argv = ["separate", "--preset", "zxd4", "-p", "2", "-a", "65536|r", "-b", "0|r",
+                "--max-order", "16384", "--json"]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "size limit: closure exceeded 16384 elements (UT(2) mod 2^17)\n"
+
 
 class TestWitnessReportPayload:
     def test_json_schema_and_values(self, capsys):
@@ -201,10 +238,11 @@ class TestWitnessReportPayload:
         p, q, n = result["p"], result["q"], result["n"]
         e = q**n
         assert result["divisibility"]["exponent"] == e
-        # conjugator exponents re-derive from scratch
-        for m_str, k in result["conjugator_exponents"].items():
-            m = int(m_str)
-            assert k == mod_inverse(e, p**m)
+        # each level's conjugator exponent re-derives from scratch
+        assert [loc["m"] for loc in result["local_checks"]] == [1, 2, 3, 4, 5]
+        for loc in result["local_checks"]:
+            assert loc["k"] == mod_inverse(e, p ** loc["m"])
+            assert loc["conjugator"] == f"{result['b']}^{loc['k']}"
         # the divisibility certificate: no e-th root of c in the scaled lattice
         c_vec = tuple(result["divisibility"]["c_vector"])
         scaled = [tuple(col) for col in result["divisibility"]["scaled_basis"]]
@@ -228,6 +266,42 @@ class TestWitnessReportPayload:
         first.pop("timing_ms")
         second.pop("timing_ms")
         assert first == second
+
+
+class TestCheckNames:
+    """A report lists only checks whose name or outcome can vary.  Every
+    other check raises when it fails, so it never reaches a report."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--preset", "heisenberg", "-p", "2"],
+            ["scan", "--preset", "heis5", "-p", "2", "-K", "3",
+             "-x", "4,0,0,0,1", "-y", "4,0,0,0,3"],
+            # every level skipped, so the tower is not complete
+            ["scan", "--preset", "ut4", "-p", "2", "-K", "2", "--max-order", "1",
+             "-x", "1,0,0,0,0,0", "-y", "1,0,0,0,0,1"],
+            ["separate", "--preset", "zxd4", "-p", "2", "-a", "0|r", "-b", "0|r3"],
+            ["separate", "--preset", "zxd4", "-p", "2", "-a", "0|r", "-b", "0|s"],
+        ],
+    )
+    def test_no_check_printed(self, capsys, argv):
+        code, report = run_json(capsys, argv + ["--json"])
+        assert code == 0
+        assert report["checks"] == []
+
+    @pytest.mark.parametrize("name,p,depth", [("heisenberg", 2, 6), ("heis5", 3, 3),
+                                              ("ut4", 3, 2), ("heisxc2", 2, 1)])
+    def test_witness_prints_global_then_local_names(self, capsys, name, p, depth):
+        argv = ["witness", "--preset", name, "-p", str(p), "-K", str(depth), "--json"]
+        code, report = run_json(capsys, argv)
+        assert code == 0
+        spec = preset(name).matrix_part
+        glob = verify_witness_global(spec, make_witness(spec, p)).checks
+        assert report["checks"] == (
+            [{"name": f"global:{check}", "pass": True} for check in glob]
+            + [{"name": f"local:m={m}", "pass": True} for m in range(1, depth + 1)]
+        )
 
 
 class TestClassifyAndSeparate:
@@ -261,7 +335,7 @@ class TestClassifyAndSeparate:
         )
         assert code == 0
         assert report["result"]["outcome"] == "conjugate"
-        assert report["checks"] == [{"name": "conjugator-verifies", "pass": True}]
+        assert report["checks"] == []
 
     def test_separate_report_reruns_identically(self, capsys):
         # a report's inputs echo is enough to reproduce its result payload;
@@ -755,7 +829,6 @@ x = (3,0,0), y = (3,0,1)
   level 4: conjugate [class2-smith]
   level 5: conjugate [class2-smith]
 summary: conjugate at all 5 levels
-[ok ] tower-complete
 """),
     "scan-separated-below": (
         ["scan", "--preset", "heis5", "-p", "2", "-K", "3", "-x", "4,0,0,0,1", "-y", "4,0,0,0,3"],
@@ -767,7 +840,6 @@ x = (4,0,0,0,1), y = (4,0,0,0,3)
 not on x^-1 y)
   level 3: separated [separated-below] (separated at level 2)
 summary: separated at level 2
-[ok ] tower-complete
 """),
     "scan-skipped": (
         ["scan", "--preset", "ut4", "-p", "2", "-K", "2", "-x", "1,0,0,0,0,0", "-y", "1,0,0,0,0,1"],
@@ -777,14 +849,12 @@ x = (1,0,0,0,0,0), y = (1,0,0,0,0,1)
   level 1: conjugate [orbit]
   level 2: undecided [skipped] (size limit: UT(4) mod 2^2 has 4096 elements > cap 2048)
 summary: conjugate at every decided level; undecided at [2]
-[ok ] tower-complete
 """),
     "separate-conjugate": (
         ["separate", "--preset", "zxd4", "-p", "2", "-a", "0|r", "-b", "0|r3"],
         """\
 group zxd4, p = 2: elements are CONJUGATE
 conjugator: matrix part (0), finite part s
-[ok ] conjugator-verifies
 """),
     "separate-separated": (
         ["separate", "--preset", "zxd4", "-p", "2", "-a", "0|r", "-b", "0|s"],
@@ -792,8 +862,6 @@ conjugator: matrix part (0), finite part s
 group zxd4, p = 2: separated (torsion-part branch)
 quotient at level 1: (z mod 2^1) x D4, order 16
 images: ((0),r) vs ((0),s)
-[ok ] quotient-is-p-group
-[ok ] images-nonconjugate-orbit
 """),
     "witness-spec-matrices": (
         ["witness", "--spec", str(SPEC_DIR / "heisenberg_x_q8.json"), "-p", "3", "-K", "2"],
@@ -810,7 +878,6 @@ tower: conjugate at all 2 levels
 [ok ] global:structure
 [ok ] local:m=1
 [ok ] local:m=2
-[ok ] tower:conjugate-at-all-levels
 """),
 }
 

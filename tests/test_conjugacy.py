@@ -380,6 +380,9 @@ class TestCosetSeparability:
             query._replace(subgroup_n={d4.identity, (0, 1)})
         with pytest.raises(ValueError, match="prime"):
             query._replace(p=4)
+        for field in ("coset_rep", "probe"):
+            with pytest.raises(ValueError, match="elements of the ambient group"):
+                query._replace(**{field: (0, 2)})
 
 
 COSET_GROUPS = {

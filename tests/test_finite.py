@@ -988,6 +988,18 @@ class TestGroupHom:
 
 
 class TestValidationCatchesCorruption:
+    @pytest.mark.parametrize(
+        "elements,identity,generators,message",
+        [
+            ([0, 1, 2, 1], 0, (1,), "duplicate elements"),
+            ([1, 2, 3], 0, (1,), "identity is not among the elements"),
+            ([0, 1, 2], 0, (4,), "generator 4 is not among the elements"),
+        ],
+    )
+    def test_constructor_rejects_a_bad_listing(self, elements, identity, generators, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FiniteGroup("C3", elements, lambda x, y: (x + y) % 3, identity, generators)
+
     def test_corrupted_table_fails_closure(self):
         c3 = cyclic(3)
         bad = FiniteGroup(

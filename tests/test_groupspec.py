@@ -433,6 +433,11 @@ class TestJsonInput:
             lambda d: d.update(declared_class=0),
             lambda d: d.update(finite_part={"kind": "preset", "name": "nope"}),
             lambda d: d.update(generators=[]),
+            lambda d: d.update(center_gens=None),
+            lambda d: d.update(center_gens={"z": [[1, 0, 1], [0, 1, 0], [0, 0, 1]]}),
+            lambda d: d.update(finite_part="Q8"),
+            lambda d: d.update(finite_part={"kind": "table", "name": "Q8"}),
+            lambda d: d.update(finite_part={"kind": "preset", "name": 8}),
         ],
     )
     def test_bad_documents(self, mutate):
@@ -456,6 +461,12 @@ class TestJsonInput:
     def test_missing_file(self):
         with pytest.raises(SpecParseError):
             load_spec("/definitely/not/here.json")
+
+    def test_file_not_holding_an_object(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(SpecParseError, match="^spec document must be a JSON object$"):
+            load_spec(str(path))
 
 
 class TestParseElement:
@@ -484,3 +495,5 @@ class TestParseElement:
             parse_element(group, "x|r")
         with pytest.raises(SpecParseError):
             parse_element(group, "0|nope")
+        with pytest.raises(SpecParseError, match="cannot read matrix file"):
+            parse_element(group, "/no/such/element.json|r")
