@@ -129,7 +129,7 @@ def _element_view(spec, u: UTMatrix) -> dict:
 def _resolve(args) -> ProductGroupSpec:
     if args.preset:
         return preset(args.preset)
-    if args.spec:
+    if args.spec is not None:
         return load_spec(args.spec)
     raise SpecParseError("one of --preset or --spec is required")
 

@@ -125,27 +125,27 @@ def _commutator_vectors(spec: MatrixGroupSpec, x: UTMatrix) -> list:
 def class2_conjugate(spec: MatrixGroupSpec, x: UTMatrix, y: UTMatrix) -> ConjugacyAnswer:
     """Conjugacy in a verified class <= 2 matrix group, decided exactly.
 
-    YES iff x^-1 y lies in the lattice L of `_commutator_vectors`; the
-    conjugator is rebuilt from the lattice coefficients and re-verified by
-    exact matrix arithmetic.
+    YES iff d = x^-1 y lies in the lattice L of `_commutator_vectors`; the
+    conjugator g is the product of the generators' powers by the lattice
+    coefficients, re-verified by exact arithmetic as [x, g] = d, which is
+    g^-1 x g = y, since g^-1 x g = x [x, g].
     """
     commutator_vecs = _commutator_vectors(spec, x)
     d = x.inverse() * y
-    if d.is_identity():
-        return ConjugacyAnswer(True, UTMatrix.identity(spec.n), "class2-lattice", "")
     d_vec = center_vector(spec, d)
     if d_vec is None:
         return ConjugacyAnswer(False, method="class2-lattice")
+    if not any(d_vec):  # d is the identity
+        return ConjugacyAnswer(True, UTMatrix.identity(spec.n), "class2-lattice", "")
     hit = Lattice(len(d_vec), commutator_vecs).contains(d_vec)
     if not hit.member:
         return ConjugacyAnswer(False, method="class2-lattice")
-    g = UTMatrix.identity(spec.n)
-    word_parts = []
+    g, word_parts = None, []
     for (gn, gen), e in zip(zip(spec.gen_names, spec.generators), hit.coefficients):
         if e:
-            g = g * gen**e
+            g = gen**e if g is None else g * gen**e
             word_parts.append(gn if e == 1 else f"{gn}^{e}")
-    if g.inverse() * x * g != y:
+    if g is None or commutator(x, g) != d:
         raise VerificationFailed("conjugator", f"{'*'.join(word_parts)} does not conjugate x to y")
     return ConjugacyAnswer(True, g, "class2-lattice", "*".join(word_parts))
 

@@ -106,12 +106,11 @@ def center_lattice(spec: MatrixGroupSpec) -> Lattice:
 
 
 def center_vector(spec: MatrixGroupSpec, u: UTMatrix) -> tuple | None:
-    """Coordinates of u at the centre support, or None if u sticks out of it."""
-    support = center_support(spec)
-    for pos, _ in u.strict_upper_items():
-        if pos not in support:
-            return None
-    return tuple(u[pos] for pos in support)
+    """Coordinates of u at the centre support, or None if u sticks out of it:
+    when its point (`upper_entries`) has more nonzero entries than the support."""
+    rows, point = u.rows, u.upper_entries()
+    vec = tuple(rows[i][j] for i, j in center_support(spec))
+    return None if len(point) - point.count(0) > len(vec) - vec.count(0) else vec
 
 
 def in_center_span(spec: MatrixGroupSpec, u: UTMatrix) -> Membership:

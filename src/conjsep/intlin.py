@@ -20,6 +20,7 @@ for unimodularity.
 from __future__ import annotations
 
 from collections import namedtuple
+from math import gcd
 from operator import index
 
 from .errors import DimensionMismatch, NotCoprime, NotInLattice
@@ -45,10 +46,10 @@ def mod_inverse(a: int, m: int) -> int:
     """
     if m < 1:
         raise ValueError(f"modulus must be positive, got {m}")
-    g, x, _ = xgcd(a, m)
-    if g != 1:
-        raise NotCoprime(f"gcd({a}, {m}) = {g} > 1")
-    return x % m
+    try:
+        return pow(a, -1, m)
+    except ValueError:
+        raise NotCoprime(f"gcd({a}, {m}) = {gcd(a, m)} > 1") from None
 
 
 def prime_power_exponent(n: int, p: int) -> int | None:
@@ -452,10 +453,14 @@ class Lattice:
         if self._echelon is None:
             h, u = hnf(self.matrix())
             n = h.cols
-            cols = [col for col in (h.entries[j::n] for j in range(n)) if any(col)]
+            cols = tuple(col for col in (h.entries[j::n] for j in range(n)) if any(col))
             pivots = tuple(next(i for i, e in enumerate(col) if e) for col in cols)
             transform = tuple(u.entries[k * n : k * n + len(cols)] for k in range(n))
-            _set_echelon(self, (Lattice(self.ambient_rank, cols), pivots, transform))
+            canon = object.__new__(Lattice)  # hnf's int columns need no checks
+            _set_ambient_rank(canon, self.ambient_rank)
+            _set_basis(canon, cols)
+            _set_echelon(canon, None)
+            _set_echelon(self, (canon, pivots, transform))
         return self._echelon
 
     def canonical(self) -> "Lattice":

@@ -11,6 +11,10 @@ The witness report reference keeps the older two-pass `witness` command: a
 loop of local checks, then a separate tower scan over the same levels.
 The coset and p-separability references keep the older loops over every
 p-power-index kernel's quotient, where the library asks one quotient.
+The class-2 references keep the older centre vector, read entry by entry,
+and the older conjugator, a product from the identity checked as
+g^-1 x g == y.  `rank2_centre_spec` is a class-2 group, not an oracle, kept
+here for the tests of more than one module.
 """
 
 import itertools
@@ -19,13 +23,16 @@ import operator
 import sympy
 
 from conjsep.conjugacy import (
+    ConjugacyAnswer,
     CosetAnswer,
     CosetDecision,
     conjugate_in_finite,
     enumerate_p_quotient_kernels,
 )
 from conjsep.groupspec import (
+    MatrixGroupSpec,
     center_lattice,
+    center_support,
     center_vector,
     congruence_quotient,
     element_coords,
@@ -33,7 +40,7 @@ from conjsep.groupspec import (
 )
 from conjsep.intlin import IntMatrix, Lattice, Membership, _carry_hnf, _transposed, hnf
 from conjsep.separability import make_witness, verify_witness_global
-from conjsep.unitri import reduce_mod
+from conjsep.unitri import UTMatrix, reduce_mod
 
 
 def sympy_det(int_matrix) -> int:
@@ -348,6 +355,58 @@ def reference_contains(lattice, v) -> Membership:
         elif resid[i]:
             return Membership(False)
     return Membership(True, u.apply(y))
+
+
+def reference_center_vector(spec, u):
+    """The entries of u at the centre support, or None when some nonzero
+    strictly-upper entry of u lies off the support: each position looked up."""
+    support = center_support(spec)
+    if any(pos not in support for pos, _ in u.strict_upper_items()):
+        return None
+    return tuple(u[pos] for pos in support)
+
+
+def reference_class2_conjugate(spec, x, y) -> ConjugacyAnswer:
+    """`class2_conjugate` on a pair of a verified class-2 group, the older
+    way: commutators and x^-1 y as plain products, membership by
+    `reference_contains`, and the conjugator built from the identity,
+    generator power by generator power, and checked as g^-1 x g == y."""
+    vecs = [reference_center_vector(spec, x.inverse() * g.inverse() * x * g)
+            for g in spec.generators]
+    d = x.inverse() * y
+    if d.is_identity():
+        return ConjugacyAnswer(True, UTMatrix.identity(spec.n), "class2-lattice", "")
+    d_vec = reference_center_vector(spec, d)
+    hit = None if d_vec is None else reference_contains(Lattice(len(d_vec), vecs), d_vec)
+    if hit is None or not hit.member:
+        return ConjugacyAnswer(False, method="class2-lattice")
+    g, word = UTMatrix.identity(spec.n), []
+    for name, gen, e in zip(spec.gen_names, spec.generators, hit.coefficients):
+        if e:
+            g = g * gen**e
+            word.append(name if e == 1 else f"{name}^{e}")
+    assert g.inverse() * x * g == y
+    return ConjugacyAnswer(True, g, "class2-lattice", "*".join(word))
+
+
+def rank2_centre_spec():
+    """<x12, x23, x24> in UT(4): class 2 with centre <x13, x14>, where the
+    commutators of x = x12^a x23^b x24^c span (a, 0), (0, a) and (b, c), a
+    lattice that is not diagonal."""
+    basis = (("x12", (0, 1)), ("x23", (1, 2)), ("x24", (1, 3)), ("x13", (0, 2)), ("x14", (0, 3)))
+    table = {name: UTMatrix.from_entries(4, {pos: 1}) for name, pos in basis}
+    return MatrixGroupSpec(
+        name="ut4-rank2-centre",
+        n=4,
+        generators=tuple(table[nm] for nm in ("x12", "x23", "x24")),
+        gen_names=("x12", "x23", "x24"),
+        center_gens=(table["x13"], table["x14"]),
+        center_names=("x13", "x14"),
+        z2_rep=table["x12"],
+        z2_name="x12",
+        declared_class=2,
+        malcev_basis=tuple((nm, table[nm]) for nm, _ in basis),
+    )
 
 
 def reference_witness_exponent(z1, c_vec, q) -> int:

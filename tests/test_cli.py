@@ -185,7 +185,7 @@ class TestExitCodes:
         "argv,err",
         [
             (["classify", "--spec", "", "-p", "2"],
-             "parse error: one of --preset or --spec is required\n"),
+             "parse error: cannot read spec file '': [Errno 21] Is a directory: '.'\n"),
             (["scan", "--preset", "heisenberg", "-p", "2", "-x", "a,b,c", "-y", "1,0,0"],
              "parse error: bad coordinate tuple: invalid literal for int() with base 10: 'a'\n"),
             (["separate", "--preset", "zxd4", "-p", "2", "-a", "0|zz", "-b", "0|r"],

@@ -48,6 +48,8 @@ from conjsep.unitri import ResidueUT, UTMatrix, reduce_mod
 
 from _oracles import (
     brute_conjugate,
+    rank2_centre_spec,
+    reference_class2_conjugate,
     reference_conjugate,
     reference_is_conjugacy_p_separable,
     reference_separate_from_coset,
@@ -234,14 +236,18 @@ class TestClass2Criterion:
 
     def test_conjugator_reverifies(self):
         rng = random.Random(7)
-        for _ in range(50):
-            x = heis(rng.randint(-4, 4), rng.randint(-4, 4), rng.randint(-4, 4))
-            t = rng.randint(-6, 6)
-            y = x * HEIS.center_gens[0] ** t
-            ans = class2_conjugate(HEIS, x, y)
-            if ans.conjugate:
-                g = ans.conjugator
-                assert g.inverse() * x * g == y
+        for bound in (4, 10**6):
+            found = 0
+            for _ in range(50):
+                x = heis(*(rng.randint(-bound, bound) for _ in range(3)))
+                t = rng.randint(-bound - 2, bound + 2)
+                y = x * HEIS.center_gens[0] ** t
+                ans = class2_conjugate(HEIS, x, y)
+                if ans.conjugate:
+                    found += 1
+                    g = ans.conjugator
+                    assert g.inverse() * x * g == y
+            assert found, bound
 
     def test_commutator_outside_center_raises(self):
         gen = UTMatrix.from_entries(4, {(0, 1): 1})
@@ -759,26 +765,6 @@ class TestClass2AgainstOrbitOracle:
                 assert separated, (xc, yc)
 
 
-def rank2_centre_spec():
-    """<x12, x23, x24> in UT(4): class 2 with centre <x13, x14>, where the
-    commutators of x = x12^a x23^b x24^c span (a, 0), (0, a) and (b, c), a
-    lattice that is not diagonal."""
-    basis = (("x12", (0, 1)), ("x23", (1, 2)), ("x24", (1, 3)), ("x13", (0, 2)), ("x14", (0, 3)))
-    table = {name: UTMatrix.from_entries(4, {pos: 1}) for name, pos in basis}
-    return MatrixGroupSpec(
-        name="ut4-rank2-centre",
-        n=4,
-        generators=tuple(table[nm] for nm in ("x12", "x23", "x24")),
-        gen_names=("x12", "x23", "x24"),
-        center_gens=(table["x13"], table["x14"]),
-        center_names=("x13", "x14"),
-        z2_rep=table["x12"],
-        z2_name="x12",
-        declared_class=2,
-        malcev_basis=tuple((nm, table[nm]) for nm, _ in basis),
-    )
-
-
 CLASS2_SPECS = (heisenberg_spec(), heis5_spec(), double_heisenberg_spec(), rank2_centre_spec())
 
 
@@ -788,6 +774,41 @@ def class2_element(spec, exponents):
     for gen, e in zip(spec.generators + spec.center_gens, exponents):
         out = out * gen**e
     return out
+
+
+class TestClass2AgainstReference:
+    """`class2_conjugate` gives the verdict, conjugator and word of the
+    older build, a product from the identity checked as g^-1 x g == y, on
+    pairs with coordinates up to 10^6 in size."""
+
+    @pytest.mark.parametrize(
+        "spec", (heisenberg_spec(), heis5_spec(), rank2_centre_spec()), ids=lambda s: s.name
+    )
+    def test_same_answer_as_the_identity_build(self, spec):
+        rng = random.Random(38)
+        size = len(spec.malcev_basis)
+        central = [name for name, _ in spec.malcev_basis].index(spec.center_names[0])
+
+        def coords():
+            return [rng.randint(-(10**6), 10**6) for _ in range(size)]
+
+        verdicts = set()
+        for trial in range(60):
+            x = coords_to_element(spec, coords())
+            g = coords_to_element(spec, coords())
+            if trial % 3 == 0:
+                y = g.inverse() * x * g
+            elif trial % 3 == 1:
+                # x times a central element, conjugate exactly when it lies in L
+                shift = [0] * size
+                shift[central] = rng.randint(-(10**6), 10**6)
+                y = x * coords_to_element(spec, shift)
+            else:
+                y = coords_to_element(spec, coords())
+            ans = class2_conjugate(spec, x, y)
+            assert ans == reference_class2_conjugate(spec, x, y), (spec.name, trial)
+            verdicts.add(ans.conjugate)
+        assert verdicts == {True, False}
 
 
 @st.composite

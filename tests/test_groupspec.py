@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conjsep import groupspec
 from conjsep.errors import SpecParseError, SpecRejected
@@ -28,6 +30,30 @@ from conjsep.groupspec import (
     verify_spec,
 )
 from conjsep.unitri import ResidueUT, UTMatrix
+
+from _oracles import rank2_centre_spec, reference_center_vector
+
+# Every preset's matrix part, and a class-2 group whose centre has rank 2.
+CENTRE_SPECS = tuple(preset(name).matrix_part for name in sorted(preset_names())) + (
+    rank2_centre_spec(),
+)
+
+
+@st.composite
+def matrices_around_the_centre(draw):
+    """A spec and a unitriangular matrix of its size whose strictly-upper
+    entries are drawn 0, small or up to 10^6 in size, on the centre support
+    and off it, with every entry off the support 0 in about half the draws."""
+    spec = draw(st.sampled_from(CENTRE_SPECS))
+    support = center_support(spec)
+    on_support_only = draw(st.booleans())
+    entry = st.just(0) | st.integers(-3, 3) | st.integers(-(10**6), 10**6)
+    entries = {}
+    for i in range(spec.n):
+        for j in range(i + 1, spec.n):
+            if (i, j) in support or not on_support_only:
+                entries[i, j] = draw(entry)
+    return spec, UTMatrix.from_entries(spec.n, entries)
 
 
 class TestVerifySpec:
@@ -149,6 +175,12 @@ class TestCenterCoordinates:
         c = heis.center_gens[0]
         assert center_vector(heis, c**7) == (7,)
         assert center_vector(heis, heis.generators[0]) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(matrices_around_the_centre())
+    def test_vector_matches_entrywise_definition(self, case):
+        spec, u = case
+        assert center_vector(spec, u) == reference_center_vector(spec, u)
 
     def test_center_lattice_membership(self):
         heis = heisenberg_spec()

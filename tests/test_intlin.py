@@ -83,6 +83,32 @@ class TestScalarArithmetic:
                 assert 1 <= k < m
                 assert (a * k) % m == 1
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(-(10**30), 10**30) | st.integers(-50, 50),
+        st.integers(1, 10**30) | st.integers(1, 50),
+    )
+    def test_mod_inverse_matches_xgcd(self, a, m):
+        g, x, _ = xgcd(a, m)
+        if g == 1:
+            assert mod_inverse(a, m) == x % m
+        else:
+            with pytest.raises(NotCoprime, match=rf"^gcd\({a}, {m}\) = {g} > 1$"):
+                mod_inverse(a, m)
+
+    def test_mod_inverse_edge_cases(self):
+        assert mod_inverse(-3, 7) == 2
+        assert mod_inverse(-1, 10**20) == 10**20 - 1
+        assert [mod_inverse(a, 1) for a in (-5, 0, 1, 12)] == [0, 0, 0, 0]
+        for a, m, g in ((0, 6, 6), (-4, 6, 2), (10**12, 10**8, 10**8)):
+            with pytest.raises(NotCoprime) as err:
+                mod_inverse(a, m)
+            assert str(err.value) == f"gcd({a}, {m}) = {g} > 1"
+        for m in (0, -7):
+            with pytest.raises(ValueError, match="modulus must be positive") as err:
+                mod_inverse(3, m)
+            assert not isinstance(err.value, NotCoprime)
+
     def test_prime_power_exponent(self):
         assert prime_power_exponent(8, 2) == 3
         assert prime_power_exponent(1, 2) == 0
